@@ -11,7 +11,8 @@ the chiral fermion representation chi = chi_+ (+) chi_- on V = V_+ (+) V_-,
 and a Yukawa map stored as its (w, conj w) coefficient blocks
 Z_w = sum_k w_k A_k + conj(w_k) B_k, Z_w : V_+ -> V_-.
 
-All operations broadcast over trailing grid axes.
+All operations broadcast over trailing grid axes.  The fiber actions run over
+term tables (FiberTerms) built once per model: zero entries cost nothing.
 """
 
 import numpy as np
@@ -21,6 +22,33 @@ from . import clifford
 
 class InputError(ValueError):
     pass
+
+
+class FiberTerms:
+    """Sparse table of the fiber action out_c = sum_{a,b} t[a,b,c] xi_a x_b:
+    `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c])."""
+
+    def __init__(self, t):
+        self.dim_out, self.dtype = t.shape[2], t.dtype
+        self.pairs = [(b, c, [(a, t[a, b, c]) for a in np.flatnonzero(t[:, b, c]).tolist()])
+                      for b, c in np.argwhere(np.any(t != 0, axis=0)).tolist()]
+
+
+def _fiber_apply(terms, xi, x, axis=0):
+    """out[..., c, *grid] = sum_b M_bc x[..., b, *grid] over the nonzero pairs, with
+    M_bc = sum_a t[a,b,c] xi_a built once and shared by the axes of x before its
+    fiber axis `axis`; a constant (1-D) xi or x broadcasts over the other's grid."""
+    lead = (slice(None),) * axis
+    grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
+    out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid,
+                   dtype=np.result_type(terms.dtype, xi, x))
+    for b, c, coeffs in terms.pairs:
+        (a, w), rest = coeffs[0], coeffs[1:]
+        M = xi[a] if w == 1 else w * xi[a]
+        for a, w in rest:
+            M = M + w * xi[a]
+        out[lead + (c,)] += M * x[lead + (b,)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +71,7 @@ class LieData:
     def __init__(self, f, defining=None, name=""):
         self.f = np.asarray(f, dtype=float)
         self.dim = self.f.shape[0]
-        self.inner = np.eye(self.dim)
+        self.terms = FiberTerms(self.f)
         self.name = name
         self.defining = None if defining is None else np.asarray(defining, dtype=complex)
         if self.defining is not None:
@@ -64,11 +92,10 @@ class LieData:
 
 def bracket(lie, X, Y):
     """Componentwise Lie bracket, [X, Y]_c = f[a,b,c] X_a Y_b."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
+    X, Y = np.asarray(X), np.asarray(Y)
     if X.shape[0] != lie.dim or Y.shape[0] != lie.dim:
         raise InputError("bracket: vectors do not match algebra dimension %d" % lie.dim)
-    return np.einsum("abc,a...,b...->c...", lie.f, X, Y)
+    return _fiber_apply(lie.terms, X, Y)
 
 
 def structure_constants_from_defining(defining):
@@ -170,6 +197,7 @@ class ReprData:
 
     def __init__(self, generators, name=""):
         self.gen = np.asarray(generators, dtype=complex)
+        self.terms = FiberTerms(np.swapaxes(self.gen, 1, 2))  # t[a,w,v] = gen[a,v,w]
         self.dim_g = self.gen.shape[0]
         self.dim_W = self.gen.shape[1]
         self.name = name
@@ -186,28 +214,15 @@ class ReprData:
 
 def rho_star_apply(repr_data, xi, w):
     """Infinitesimal action sum_a xi_a rho*(xi_a) w."""
-    xi = np.asarray(xi)
-    w = np.asarray(w)
+    xi, w = np.asarray(xi), np.asarray(w)
     if xi.shape[0] != repr_data.dim_g or w.shape[0] != repr_data.dim_W:
         raise InputError("rho_star_apply: dimension mismatch")
-    M = np.tensordot(repr_data.gen, xi, axes=(0, 0))  # (v, w[, *grid])
-    if M.ndim == 2:
-        return np.tensordot(M, w, axes=(1, 0))
-    if w.ndim == 1:
-        return np.einsum("vw...,w->v...", M, w)
-    d = repr_data.dim_W
-    flat = np.einsum("vwx,wx->vx", M.reshape(d, d, -1), w.reshape(d, -1))
-    return flat.reshape((d,) + w.shape[1:])
+    return _fiber_apply(repr_data.terms, xi, w)
 
 
 def chi_spinor_apply(repr_data, xi, psi):
     """Infinitesimal action on the internal index of a twisted spinor field."""
-    M = np.tensordot(repr_data.gen, xi, axes=(0, 0))  # (v, w[, *grid])
-    if M.ndim == 2:
-        return np.einsum("vw,sw...->sv...", M, psi)
-    d = repr_data.dim_W
-    flat = np.einsum("vwx,swx->svx", M.reshape(d, d, -1), psi.reshape(4, d, -1))
-    return flat.reshape(psi.shape)
+    return _fiber_apply(repr_data.terms, np.asarray(xi), np.asarray(psi), axis=1)
 
 
 def current_pairing(repr_data, left, right):
@@ -216,13 +231,14 @@ def current_pairing(repr_data, left, right):
     left and right share a shape (d, *grid) or (4, d, *grid); the fiber (and
     spin) indices are contracted, the Lie index a survives.
     """
-    d = repr_data.dim_W
-    grid = right.shape[right.ndim - 3:] if right.ndim >= 3 else ()
-    l2 = np.conj(left).reshape(-1, d, int(np.prod(grid)) if grid else 1)
-    r2 = right.reshape(l2.shape)
-    C = np.einsum("svx,swx->vwx", l2, r2)
-    out = np.tensordot(repr_data.gen, C, axes=([1, 2], [0, 1]))
-    return out.reshape((repr_data.dim_g,) + grid)
+    axis = right.ndim - 4 if right.ndim >= 4 else right.ndim - 1
+    lead = (slice(None),) * axis
+    out = np.zeros((repr_data.dim_g,) + right.shape[axis + 1:], dtype=complex)
+    for b, c, coeffs in repr_data.terms.pairs:
+        C = np.sum(np.conj(left[lead + (c,)]) * right[lead + (b,)], axis=tuple(range(axis)))
+        for a, w in coeffs:
+            out[a] += w * C
+    return out
 
 
 def direct_sum(r1, r2):

@@ -187,7 +187,9 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
 
     The spatial mean of the source (the harmonic obstruction of the compact
     torus, e.g. a net abelian charge) is removed first and reported.  Mutates
-    u.E and returns an info dict.
+    u.E and returns an info dict; its "converged" is false when CG stopped
+    on a non-positive curvature p.Ap before reaching the residual target
+    (a source component the centered stencils cannot see).
     """
     grid = u.grid
     if max_iter is None:
@@ -232,6 +234,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
     res = constraint_report(u, bg).gauss
     info = {
         "iterations": n_iter,
+        "converged": bool(rs <= target),
         "residual": res,
         "removed_mean": mean.tolist(),
         "removed_mean_norm": float(np.linalg.norm(mean)),

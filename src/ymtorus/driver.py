@@ -161,7 +161,16 @@ def validate_config(raw):
     if k is not None and not (0 <= k <= 4):
         violations.append("numerics.energy_k must lie in [0, 4]")
     num("numerics", "cg_tol")
-    num("numerics", "report_every", int)
+    report_every = num("numerics", "report_every", int)
+    if report_every is not None and report_every < 1:
+        violations.append("numerics.report_every must be >= 1")
+    if merged["numerics"].get("dtau"):
+        dtau = num("numerics", "dtau")
+        if dtau is not None and not dtau > 0:
+            violations.append("numerics.dtau must be positive when set")
+    max_steps = num("numerics", "max_steps", int)
+    if max_steps is not None and max_steps < 1:
+        violations.append("numerics.max_steps must be >= 1")
 
     if violations:
         raise ConfigError(violations)
@@ -239,7 +248,8 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
     info = {}
     if amplitude == 0.0:
         constraints.complete_state(u, bg)
-        info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0}
+        info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0,
+                         "converged": True}
         info["energy"] = 0.0
         return u, info
 

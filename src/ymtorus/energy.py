@@ -39,12 +39,6 @@ SECTOR_KINDS = {
 }
 
 
-def _cov_D(fld, eta, model, grid, kind, bvec, II):
-    """Covariant derivative acting on all slots; extra 1-form slots of the
-    input are flat in the adapted frame, so D acts per component."""
-    return covariant_diff(fld, eta, model, grid, kind, bvec=bvec, II=II)
-
-
 def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
                  weight=1.0):
     """Squared H^k norm of a field with fiber action `kind`.
@@ -58,7 +52,7 @@ def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
     cur = fld
     total += np.sum(np.abs(cur) ** 2)
     for _ in range(k):
-        nxt = _cov_D(cur, eta, model, grid, kind, bvec, II)
+        nxt = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
         total += np.sum(np.abs(nxt) ** 2)
         cur = nxt
     return float(total * weight)

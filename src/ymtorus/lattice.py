@@ -136,29 +136,19 @@ def _frame_scale(bvec):
     return np.ones(3) if bvec is None else np.asarray(bvec, dtype=float)
 
 
-def connection_action(fld, xi, model, kind, II_k=0.0, gamma_k=None):
+def connection_action(fld, xi, model, kind):
     """Fiber action of one connection component xi = eta_k on a field whose
     fiber axes sit directly before the three grid axes (any leading 1-form
     axes broadcast through):
 
       'adjoint'  [xi, x]           fiber (dim_g,)
       'higgs'    rho*(xi) x        fiber (dim_W,)
-      'spinor'   chi*(xi) x  [+ (1/2) II_kk g0 g_k x]   fiber (4, dim_V)
+      'spinor'   chi*(xi) x        fiber (4, dim_V)
     """
-    if kind == "adjoint":
-        M = np.tensordot(model.lie.f, xi, axes=(0, 0))       # (b, c, *grid)
-        out = np.einsum("bcxyz,...bxyz->...cxyz", M, fld)
-    elif kind == "higgs":
-        M = np.tensordot(model.rho.gen, xi, axes=(0, 0))
-        out = np.einsum("vwxyz,...wxyz->...vxyz", M, fld)
-    elif kind == "spinor":
-        M = np.tensordot(model.chi.gen, xi, axes=(0, 0))
-        out = np.einsum("vwxyz,...swxyz->...svxyz", M, fld)
-    else:
+    owner = {"adjoint": model.lie, "higgs": model.rho, "spinor": model.chi}.get(kind)
+    if owner is None:
         raise InputError("unknown fiber kind %r" % kind)
-    if kind == "spinor" and II_k:
-        out = out + 0.5 * II_k * np.einsum("ab,...bvxyz->...avxyz", gamma_k, fld)
-    return out
+    return algebra._fiber_apply(owner.terms, xi, fld, axis=fld.ndim - 4)
 
 
 def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
@@ -489,6 +479,8 @@ def save_state(path, u, metadata=None):
 
 
 def load_state(path, model):
+    """Read a snapshot written by save_state for `model`; raises InputError
+    when the header names another model or a sector shape does not match."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InputError("not a ymtorus snapshot: %s" % path)
@@ -496,6 +488,13 @@ def load_state(path, model):
         header = json.loads(fh.read(hlen).decode("utf-8"))
         grid = Grid(**header["grid"])
         u = FieldState.zeros(grid, model, tau=header["tau"])
+        found = {s["name"]: tuple(s["shape"]) for s in header["sectors"]}
+        bad = [] if header["model"] == model.name else ["model %r" % header["model"]]
+        bad += ["%s %s" % (name, shape) for name, shape in found.items()
+                if name not in FIELDS or shape != getattr(u, name).shape]
+        if bad or len(found) != len(FIELDS):
+            raise InputError("snapshot %s does not fit model %r: %s" % (
+                path, model.name, ", ".join(bad) or "sectors missing"))
         for sector in header["sectors"]:
             dtype = np.dtype(sector["dtype"]).newbyteorder("<")
             count = int(np.prod(sector["shape"]))

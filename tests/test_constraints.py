@@ -84,6 +84,7 @@ def test_gauss_solver(su2_model, flat_bg):
     u = lattice.FieldState.zeros(grid, su2_model)
     info = constraints.solve_gauss_initial(u, flat_bg, cg_tol=1e-11)
     assert np.abs(u.E).max() == 0.0 and info["iterations"] == 0
+    assert info["converged"]
     # seed E = gradient of a known potential, no sources: the projection
     # removes it entirely (abelian model, where the adjoint action is trivial
     # and the solve is an exact discrete Poisson inversion)
@@ -103,6 +104,22 @@ def test_gauss_solver(su2_model, flat_bg):
     w = flat_bg.sqrt_g(0.0) * grid.cell_volume
     obstruction = info["removed_mean_norm"] * np.sqrt(grid.n ** 3 * w)
     assert rep.gauss <= 1e-10 + obstruction * 1.0001
+
+
+def test_gauss_solver_reports_stencil_blind_source(u1_model, flat_bg):
+    # a checkerboard charge density: every centered stencil maps it to zero,
+    # so CG meets p.Ap = 0 at once and must not report convergence
+    grid = lattice.Grid(8)
+    i, j, k = np.indices(grid.shape)
+    checker = (-1.0) ** (i + j + k)
+    u = lattice.FieldState.zeros(grid, u1_model)
+    u.phi[:] = 1.0
+    u.phidot[:] = -1j * checker
+    assert np.abs(constraints.gauss_constraint(u, flat_bg) + checker).max() < 1e-15
+    info = constraints.solve_gauss_initial(u, flat_bg, cg_tol=1e-10)
+    assert info["converged"] is False
+    assert info["iterations"] == 0
+    assert info["residual"] > 1.0
 
 
 def test_cg_operator_symmetry(su2_model, flat_bg):

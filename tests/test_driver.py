@@ -32,6 +32,36 @@ def test_physical_violations_collected():
     assert "cfl" in msg
 
 
+def _numerics_violations(text):
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[numerics]\n" + text)
+    return err.value.violations
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_report_every_must_be_positive(value):
+    assert _numerics_violations("report_every = %s\n" % value) == [
+        "numerics.report_every must be >= 1"]
+
+
+@pytest.mark.parametrize("value", ["0", "-0.01", "nan"])
+def test_dtau_must_be_positive_when_set(value):
+    assert _numerics_violations("dtau = %s\n" % value) == [
+        "numerics.dtau must be positive when set"]
+    assert driver.parse_config_text("[numerics]\ndtau = 0.01\n")["numerics", "dtau"] == "0.01"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_steps_must_be_positive(value):
+    assert _numerics_violations("max_steps = %s\n" % value) == [
+        "numerics.max_steps must be >= 1"]
+
+
+def test_numerics_violations_listed_together():
+    violations = _numerics_violations("report_every = 0\ndtau = -1\nmax_steps = 0\n")
+    assert len(violations) == 3
+
+
 def test_unknown_group_lists_known():
     with pytest.raises(driver.ConfigError) as err:
         driver.parse_config_text("[gauge]\nmodel = e8_toy\n")
@@ -100,6 +130,7 @@ def test_artifacts_and_replot(tmp_path):
     # metadata reproduces the config
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["config"]["grid"]["n"] == "8"
+    assert meta["initial_data"]["gauss"]["converged"] is True
     assert "version" in meta
     # replot regenerates SVGs from the CSVs alone
     (out / "energy.svg").unlink()

@@ -217,3 +217,21 @@ def test_snapshot_roundtrip(tmp_path, su2_model, flat_bg):
         bad = tmp_path / "bad.ymt"
         bad.write_bytes(b"NOPE")
         lattice.load_state(bad, su2_model)
+
+
+def test_load_state_checks_model_and_shapes(tmp_path, u1_model, flat_bg):
+    grid = lattice.Grid(8)
+    path = tmp_path / "u1.ymt"
+    lattice.save_state(path, make_state(grid, u1_model, flat_bg, seed=2, amplitude=0.1))
+    # another model name with the same sector shapes
+    with pytest.raises(lattice.InputError, match="model 'u1_toy'"):
+        lattice.load_state(path, algebra.u1_mismatched_toy())
+    # the su2 sectors would take the u1 eta (3, 1, n, n, n) by broadcasting
+    with pytest.raises(lattice.InputError, match=r"eta \(3, 1, 8, 8, 8\)"):
+        lattice.load_state(path, algebra.su2_toy())
+    # a model of the right name whose fibers do not match the stored shapes
+    renamed = algebra.su2_toy()
+    renamed.name = "u1_toy"
+    with pytest.raises(lattice.InputError, match=r"^snapshot .* 'u1_toy': eta \(3, 1, 8, 8, 8\)"):
+        lattice.load_state(path, renamed)
+    assert lattice.load_state(path, u1_model).grid == grid
