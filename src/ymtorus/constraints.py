@@ -101,7 +101,7 @@ def gauss_constraint(u, bg=None):
 def dirac_operator_rhs(u, bg=None):
     """g0 ( gk S_k + Y_phi psi ) with the evolved S (the psidot a solution has)."""
     model = u.model
-    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi)
+    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.yukawa_acts else 0.0
     for k in range(3):
         acc = acc + gamma_apply(GAMMA[k + 1], u.S[k])
     return gamma_apply(GAMMA[0], acc)
@@ -128,15 +128,19 @@ def _l2(field, weight, two_form=False):
     return float(np.sqrt(val))
 
 
-def constraint_report(u, bg=None):
-    """L2 norms of the four constraints (plus the S-consistency diagnostic)."""
+def constraint_report(u, bg=None, fields=None):
+    """L2 norms of the four constraints (plus the S-consistency diagnostic).
+
+    `fields` are constraint_fields(u, bg) when the caller has them already."""
+    if fields is None:
+        fields = constraint_fields(u, bg)
     w = _volume_weight(u, bg)
     return ConstraintReport(
         tau=u.tau,
-        curvature=_l2(curvature_constraint(u, bg), w, two_form=True),
-        bianchi=_l2(bianchi_constraint(u, bg), w),
-        gauss=_l2(gauss_constraint(u, bg), w),
-        dirac=_l2(dirac_constraint(u, bg), w),
+        curvature=_l2(fields["curvature"], w, two_form=True),
+        bianchi=_l2(fields["bianchi"], w),
+        gauss=_l2(fields["gauss"], w),
+        dirac=_l2(fields["dirac"], w),
         s_consistency=_l2(s_consistency(u, bg), w),
     )
 
@@ -231,7 +235,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
         raise SolverError("Gauss CG did not converge: |r| = %.3e after %d iterations"
                           % (np.sqrt(rs * w), n_iter))
     u.E -= _cov_grad(x, u, bg)
-    res = constraint_report(u, bg).gauss
+    res = _l2(gauss_constraint(u, bg), w)
     info = {
         "iterations": n_iter,
         "converged": bool(rs <= target),

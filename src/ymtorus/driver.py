@@ -126,6 +126,15 @@ def validate_config(raw):
     if frac is not None and not (0 < frac < 1):
         violations.append("background.tau_end_fraction must lie in (0, 1): "
                           "the run must end before the conformal horizon")
+    for key in ("a", "s0", "rate", "t0", "lapse"):
+        if key in merged["background"]:
+            val = num("background", key)
+            if val is not None and not val > 0:
+                violations.append("background.%s must be positive" % key)
+    if "p" in merged["background"]:
+        p = num("background", "p")
+        if p is not None and not p > 1:
+            violations.append("background.p must be > 1")
     b_kind = merged["background"]["b_kind"]
     if b_kind not in ("flat", "bianchi1", "table"):
         violations.append("background.b_kind %r unknown (flat, bianchi1, table)" % b_kind)
@@ -171,6 +180,9 @@ def validate_config(raw):
     max_steps = num("numerics", "max_steps", int)
     if max_steps is not None and max_steps < 1:
         violations.append("numerics.max_steps must be >= 1")
+    snapshots = num("outputs", "snapshots", int)
+    if snapshots is not None and snapshots < 0:
+        violations.append("outputs.snapshots must be >= 0")
 
     if violations:
         raise ConfigError(violations)
@@ -236,7 +248,8 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
 
     Iterates the rescale because the derived sectors and the Gauss projection
     are nonlinear in the free data; converges in a couple of passes at small
-    amplitude.  Returns (state, info).
+    amplitude.  Returns (state, info, rhs), where rhs is the last pass's
+    rhs(state) when that pass met the energy target and None otherwise.
     """
     seed = int(cfg["initial", "seed"])
     amplitude = float(cfg["initial", "amplitude"])
@@ -251,21 +264,22 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
         info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0,
                          "converged": True}
         info["energy"] = 0.0
-        return u, info
+        return u, info, None
 
     target = amplitude ** 2
     for _ in range(max_fixups):
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
-        e = energy.energy_report(u, dynamics.rhs(u, bg, couplings), bg, k=k,
-                                 k_list=(k,)).total
+        du = dynamics.rhs(u, bg, couplings)
+        e = energy.energy_report(u, du, bg, k=k, k_list=(k,)).total
         info["energy"] = e
         if abs(e - target) <= 1e-10 + 1e-9 * target:
-            break
+            return u, info, du
+        del du  # stale once u is rescaled
         scale = np.sqrt(target / e)
         for name in lattice.FIELDS:
             getattr(u, name)[:] *= scale
-    return u, info
+    return u, info, None
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +312,12 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     if n_steps > control.max_steps:
         raise ConfigError(["run needs %d steps > numerics.max_steps" % n_steps])
 
-    u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    u, init_info, initial_rhs = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    warnings = []
+    if not init_info["gauss"]["converged"]:
+        warnings.append("Gauss CG stopped before its residual target (iterations %d, "
+                        "residual %.3e)" % (init_info["gauss"]["iterations"],
+                                            init_info["gauss"]["residual"]))
 
     report_every = int(cfg["numerics", "report_every"])
     n_snapshots = int(cfg["outputs", "snapshots"])
@@ -312,15 +331,19 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     drift_rows = []
 
     def report(m, state):
+        """Rows for a reported step; returns rhs(state) for the next step's k1.
+        The step-0 report takes the rhs that the set-up evaluated, if any."""
+        nonlocal initial_rhs
         if m % report_every and m != n_steps:
-            return
-        du = dynamics.rhs(state, bg, couplings)
+            return None
+        du = dynamics.rhs(state, bg, couplings) if initial_rhs is None else initial_rhs
+        initial_rhs = None
         erep = energy.energy_report(state, du, bg, k=k)
-        crep = constraints.constraint_report(state, bg)
+        cf = initial_cfields if m == 0 else constraints.constraint_fields(state, bg)
+        crep = constraints.constraint_report(state, bg, fields=cf)
         energy_rows.append(erep)
         constraint_rows.append(crep)
         w = bg.sqrt_g(state.tau) * grid.cell_volume
-        cf = constraints.constraint_fields(state, bg)
         drift_rows.append({
             "tau": state.tau,
             **{name: float(np.sqrt(np.sum(np.abs(cf[name] - initial_cfields[name]) ** 2)
@@ -333,6 +356,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         if not quiet:
             print("step %5d  tau %.5f  E %.3e  gauss %.3e"
                   % (m, state.tau, erep.total, crep.gauss))
+        return du
 
     u_final = dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
 
@@ -389,6 +413,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         "horizon": bg.T,
         "tau_end": tau_end,
         "initial_data": init_info,
+        "warnings": warnings,
         "energy_monitor": verdict.as_dict(),
         "constraint_initial": monitor["initial"],
         "constraint_max": monitor["max"],
@@ -458,12 +483,8 @@ def replot(out_dir):
             meta = json.load(fh)
         decay = meta.get("decay", {})
         if decay and "error" not in decay:
-            cfg = meta["config"]
-            profile = geometry.ScaleProfile(
-                cfg["background"]["profile"],
-                **{k: float(v) for k, v in cfg["background"].items()
-                   if k in ("a", "s0", "rate", "t0", "p")})
-            fmap = conformal.FrameMap(profile, N=float(cfg["background"]["lapse"]))
+            bg = build_background(RunConfig(meta["config"]))
+            fmap = conformal.FrameMap(bg.profile, N=bg.N)
             svals = np.array([fmap.s_at_tau(t) for t in e["tau"]])
             series = {}
             for name, exp in (("phi", -1.0), ("E", -1.0), ("psi", -1.5)):
@@ -497,7 +518,7 @@ def run_gauge_invariance(cfg, n_compare=12):
     bg = build_background(cfg)
     couplings = dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"]))
     k = int(cfg["numerics", "energy_k"])
-    u0, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    u0, _, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     gt = lattice.GaugeTransform.random_smooth(
         grid, model, seed=int(cfg.get("gauge_experiment", "seed", "77")),
         amplitude=float(cfg.get("gauge_experiment", "amplitude", "1e-2")),
@@ -525,8 +546,8 @@ def run_gauge_invariance(cfg, n_compare=12):
             worst = max(worst, rel)
         rows.append(row)
         if m < n_steps:
-            ua = dynamics.step(ua, bg, couplings, dtau)
-            ub = dynamics.step(ub, bg, couplings, dtau)
+            ua = dynamics.step(ua, bg, couplings, dtau, k1=ra)
+            ub = dynamics.step(ub, bg, couplings, dtau, k1=rb)
     defect = lattice.unitarity_defect(gt.matrices(model.lie.defining))
     return {"worst_relative_mismatch": worst, "rows": rows,
             "unitarity_defect": defect}

@@ -79,9 +79,10 @@ def currents(u, bg=None):
     J = np.zeros_like(u.E)
     for i in range(3):
         J[i] -= np.real(algebra.current_pairing(model.rho, u.Z[i], u.phi))
-        # <g_i psi, X> = psi^dag (g0 g_i) X and g0 g_i is Hermitian
-        psi_rot = gamma_apply(G0G[i], u.psi)
-        J[i] += 0.5 * np.imag(algebra.current_pairing(model.chi, psi_rot, u.psi))
+        if model.chi_acts:
+            # <g_i psi, X> = psi^dag (g0 g_i) X and g0 g_i is Hermitian
+            psi_rot = gamma_apply(G0G[i], u.psi)
+            J[i] += 0.5 * np.imag(algebra.current_pairing(model.chi, psi_rot, u.psi))
     return J
 
 
@@ -136,7 +137,9 @@ def rhs(u, bg, couplings):
     # Higgs triple
     out.phi[:] = u.phidot
     acc = 3.0 * H * u.phidot - (scal / 6.0) * u.phi \
-        - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi - yukawa_source(u)
+        - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
+    if model.yukawa_acts:
+        acc = acc - yukawa_source(u)
     for k in range(3):
         acc = acc + d(u.Z[k], k) + algebra.rho_star_apply(model.rho, u.eta[k], u.Z[k])
     out.phidot[:] = acc
@@ -146,29 +149,37 @@ def rhs(u, bg, couplings):
                     + algebra.rho_star_apply(model.rho, u.E[i], u.phi)
                     + kappa[i] * u.Z[i])
 
-    # Dirac triple
+    # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
+    # identically (adding their zeros changes no value)
+    chi_acts = model.chi_acts
     out.psi[:] = u.psidot
     acc = 3.0 * H * u.psidot - (scal / 4.0) * u.psi
     for k in range(3):
-        acc = acc + d(u.S[k], k) + 0.5 * kappa[k] * gamma_apply(G0G[k], u.S[k]) \
-            + _chi_apply(model, u.eta[k], u.S[k])
-        acc = acc + gamma_apply(G0G[k], _chi_apply(model, u.E[k], u.psi))
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                acc = acc - 0.5 * gamma_apply(GG[i, j], _chi_apply(model, B[i, j], u.psi))
-    acc = acc + gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
-    for k in range(3):
-        acc = acc - gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
-    acc = acc + algebra.yukawa_spinor_apply(yuk, u.phi,
-                                            algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
+        acc = acc + d(u.S[k], k) + 0.5 * kappa[k] * gamma_apply(G0G[k], u.S[k])
+        if chi_acts:
+            acc = acc + _chi_apply(model, u.eta[k], u.S[k])
+            acc = acc + gamma_apply(G0G[k], _chi_apply(model, u.E[k], u.psi))
+    if chi_acts:
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    acc = acc - 0.5 * gamma_apply(GG[i, j], _chi_apply(model, B[i, j], u.psi))
+    if model.yukawa_acts:
+        acc = acc + gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
+        for k in range(3):
+            acc = acc - gamma_apply(GAMMA[k + 1],
+                                    algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
+        acc = acc + algebra.yukawa_spinor_apply(
+            yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
     out.psidot[:] = acc
     for i in range(3):
-        out.S[i] = (d(u.psidot, i) + 0.5 * kappa[i] * gamma_apply(G0G[i], u.psidot)
-                    + _chi_apply(model, u.eta[i], u.psidot)
-                    + 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
-                    + _chi_apply(model, u.E[i], u.psi)
-                    + kappa[i] * u.S[i])
+        acc = d(u.psidot, i) + 0.5 * kappa[i] * gamma_apply(G0G[i], u.psidot)
+        if chi_acts:
+            acc = acc + _chi_apply(model, u.eta[i], u.psidot)
+        acc = acc + 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+        if chi_acts:
+            acc = acc + _chi_apply(model, u.E[i], u.psi)
+        out.S[i] = acc + kappa[i] * u.S[i]
     return out
 
 
@@ -218,19 +229,27 @@ def principal_symbol_dtau():
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def step(u, bg, couplings, dtau):
-    """Classic RK4 update; raises BlowUpError on non-finite output."""
-    k1 = rhs(u, bg, couplings)
-    u2 = u.lincomb(1.0, [(dtau / 2, k1)])
-    u2.tau = u.tau + dtau / 2
-    k2 = rhs(u2, bg, couplings)
-    u3 = u.lincomb(1.0, [(dtau / 2, k2)])
-    u3.tau = u.tau + dtau / 2
-    k3 = rhs(u3, bg, couplings)
-    u4 = u.lincomb(1.0, [(dtau, k3)])
-    u4.tau = u.tau + dtau
-    k4 = rhs(u4, bg, couplings)
-    out = u.lincomb(1.0, [(dtau / 6, k1), (dtau / 3, k2), (dtau / 3, k3), (dtau / 6, k4)])
+def step(u, bg, couplings, dtau, k1=None):
+    """Classic RK4 update; raises BlowUpError on non-finite output.
+
+    k1 is rhs(u, bg, couplings) when the caller has already evaluated it (a
+    report on the same state); it is then not evaluated again.  The three
+    stage states and the result share one new state's arrays, filled in the
+    order a fresh lincomb per stage would use, so the result is the same.
+    """
+    if k1 is None:
+        k1 = rhs(u, bg, couplings)
+    stage = u.lincomb(1.0, [(dtau / 2, k1)])
+    stage.tau = u.tau + dtau / 2
+    k2 = rhs(stage, bg, couplings)
+    u.lincomb(1.0, [(dtau / 2, k2)], out=stage)
+    stage.tau = u.tau + dtau / 2
+    k3 = rhs(stage, bg, couplings)
+    u.lincomb(1.0, [(dtau, k3)], out=stage)
+    stage.tau = u.tau + dtau
+    k4 = rhs(stage, bg, couplings)
+    out = u.lincomb(1.0, [(dtau / 6, k1), (dtau / 3, k2), (dtau / 3, k3), (dtau / 6, k4)],
+                    out=stage)
     out.tau = u.tau + dtau
     for name in lattice.FIELDS:
         arr = getattr(out, name)
@@ -243,11 +262,15 @@ def step(u, bg, couplings, dtau):
 
 
 def evolve(u, bg, couplings, dtau, n_steps, callback=None):
-    """March n_steps RK4 steps; callback(step_index, state) after each."""
-    if callback is not None:
-        callback(0, u)
+    """March n_steps RK4 steps; callback(step_index, state) after each.
+
+    When the callback returns a state, it is rhs(state) (a report evaluated
+    it) and the next step takes it as its k1; it is dropped once that step
+    has used it, so no rhs outlives its step.
+    """
+    k1 = None if callback is None else callback(0, u)
     for m in range(1, n_steps + 1):
-        u = step(u, bg, couplings, dtau)
+        u, k1 = step(u, bg, couplings, dtau, k1=k1), None
         if callback is not None:
-            callback(m, u)
+            k1 = callback(m, u)
     return u

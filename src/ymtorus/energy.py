@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import covariant_diff
+from .lattice import fiber_terms, covariant_diff
 
 
 class InputError(ValueError):
@@ -39,29 +39,87 @@ SECTOR_KINDS = {
 }
 
 
-def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
-                 weight=1.0):
-    """Squared H^k norm of a field with fiber action `kind`.
+def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
+                  weight=1.0):
+    """Squared H^l norms of a field with fiber action `kind` for l = 0..k.
 
-    Pass eta=None for the flat reference connection.  `weight` is the volume
-    element sqrt(g) dx^3 per site.
+    The covariant-derivative chain is walked once and only its current level
+    is held; H^l is the running sum of the per-level sums up to l, times
+    `weight`.  Pass eta=None for the flat reference connection.  `weight` is
+    the volume element sqrt(g) dx^3 per site.
     """
     if k < 0 or k > 4:
         raise InputError("sobolev_norm supports 0 <= k <= 4")
     total = 0.0
     cur = fld
     total += np.sum(np.abs(cur) ** 2)
+    norms = [float(total * weight)]
     for _ in range(k):
-        nxt = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
-        total += np.sum(np.abs(nxt) ** 2)
-        cur = nxt
-    return float(total * weight)
+        cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
+        total += np.sum(np.abs(cur) ** 2)
+        norms.append(float(total * weight))
+    return norms
+
+
+def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
+                 weight=1.0):
+    """Squared H^k norm of a field with fiber action `kind` (see sobolev_norms)."""
+    return sobolev_norms(fld, k, eta, model, grid, kind, bvec, II, weight)[k]
 
 
 def _bg_data(u, bg):
     if bg is None:
         return np.ones(3), None, 1.0
     return bg.b(u.tau), bg.II(u.tau), bg.sqrt_g(u.tau)
+
+
+# The k-th energy of a sector sums, in this order, the H^(k + shift) norms of
+# these fields of the state ("u") or of its rhs evaluation ("rhs"); terms with
+# k + shift < 0 are left out.
+SECTOR_TERMS = {
+    "yangmills": (("rhs", "E", -1), ("u", "E", 0), ("rhs", "Q", -1), ("u", "Q", 0)),
+    "higgs": (("u", "phidot", -1), ("u", "phi", 0)),
+    "dirac": (("u", "psidot", -1), ("u", "psi", 0)),
+}
+
+
+class _Norms:
+    """H^l norms of the sector fields of one state: each (source, field) chain
+    is walked once per connection up to the largest level asked for."""
+
+    def __init__(self, u, rhs_state, bg):
+        self.u, self.rhs_state = u, rhs_state
+        self.b, self.II, sg = _bg_data(u, bg)
+        self.w = sg * u.grid.cell_volume
+        self.table = {}  # (connection, source, field) -> [H^0, H^1, ...]
+
+    def fill(self, sectors, top, connection="omega"):
+        """Compute the norms that the k <= top energies of `sectors` need."""
+        u, model = self.u, self.u.model
+        eta = u.eta if connection == "omega" else None
+        for sector in sectors:
+            for source, name, shift in SECTOR_TERMS[sector]:
+                key = (connection, source, name)
+                if top + shift < 0 or key in self.table:
+                    continue
+                if source == "rhs" and self.rhs_state is None:
+                    raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
+                kind = SECTOR_KINDS[name][1]
+                shared = self.table.get(("omega", source, name), ())
+                if eta is None and not fiber_terms(model, kind).pairs \
+                        and len(shared) > top + shift:
+                    # an empty term table: covariant_diff drops eta, so the
+                    # reference chain is the evolved one
+                    self.table[key] = shared
+                    continue
+                fld = getattr(u if source == "u" else self.rhs_state, name)
+                self.table[key] = sobolev_norms(
+                    fld, top + shift, eta, model, u.grid, kind, bvec=self.b,
+                    II=self.II if kind == "spinor" else None, weight=self.w)
+
+    def energy(self, sector, k, connection="omega"):
+        return sum(self.table[(connection, source, name)][k + shift]
+                   for source, name, shift in SECTOR_TERMS[sector] if k + shift >= 0)
 
 
 def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
@@ -72,33 +130,11 @@ def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
     Q; connection="reference" drops the eta terms from the covariant stencil
     (the modified energy used alongside the evolved-connection one).
     """
-    b, II, sg = _bg_data(u, bg)
-    w = sg * u.grid.cell_volume
-    eta = u.eta if connection == "omega" else None
-    model, grid = u.model, u.grid
-
-    def H(fld, kk, kind):
-        if kk < 0:
-            return 0.0
-        return sobolev_norm(fld, kk, eta, model, grid, kind, bvec=b,
-                            II=II if kind == "spinor" else None, weight=w)
-
-    if sector == "higgs":
-        if k == 0:
-            return H(u.phi, 0, "higgs")
-        return H(u.phidot, k - 1, "higgs") + H(u.phi, k, "higgs")
-    if sector == "yangmills":
-        if k == 0:
-            return H(u.E, 0, "adjoint") + H(u.Q, 0, "adjoint")
-        if rhs_state is None:
-            raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
-        return (H(rhs_state.E, k - 1, "adjoint") + H(u.E, k, "adjoint")
-                + H(rhs_state.Q, k - 1, "adjoint") + H(u.Q, k, "adjoint"))
-    if sector == "dirac":
-        if k == 0:
-            return H(u.psi, 0, "spinor")
-        return H(u.psidot, k - 1, "spinor") + H(u.psi, k, "spinor")
-    raise InputError("unknown sector %r" % sector)
+    if sector not in SECTOR_TERMS:
+        raise InputError("unknown sector %r" % sector)
+    norms = _Norms(u, rhs_state, bg)
+    norms.fill((sector,), k, connection)
+    return norms.energy(sector, k, connection)
 
 
 def sup_norms(u):
@@ -141,21 +177,22 @@ class EnergyReport:
 
 def energy_report(u, rhs_state, bg=None, k=2, k_list=(0, 1, 2)):
     """Sector energies for each k in k_list plus the headline total at k and
-    the reference-connection variant (which adds ||eta||^2_{H^k})."""
-    ym, hg, dr = {}, {}, {}
+    the reference-connection variant (which adds ||eta||^2_{H^k}).
+
+    Every field's covariant-derivative chain is walked once, up to the
+    largest k, and every energy is summed from its per-level sums."""
     if k not in k_list:
         k_list = tuple(k_list) + (k,)
-    for kk in k_list:
-        ym[kk] = sector_energy(u, "yangmills", kk, rhs_state, bg)
-        hg[kk] = sector_energy(u, "higgs", kk, rhs_state, bg)
-        dr[kk] = sector_energy(u, "dirac", kk, rhs_state, bg)
+    sectors = ("yangmills", "higgs", "dirac")
+    norms = _Norms(u, rhs_state, bg)
+    norms.fill(sectors, max(k_list))
+    norms.fill(sectors, k, "reference")
+    ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in sectors)
     total = ym[k] + hg[k] + dr[k]
-    b, II, sg = _bg_data(u, bg)
-    w = sg * u.grid.cell_volume
-    ref = (sector_energy(u, "yangmills", k, rhs_state, bg, "reference")
-           + sector_energy(u, "higgs", k, rhs_state, bg, "reference")
-           + sector_energy(u, "dirac", k, rhs_state, bg, "reference")
-           + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", bvec=b, weight=w))
+    ref = (norms.energy("yangmills", k, "reference") + norms.energy("higgs", k, "reference")
+           + norms.energy("dirac", k, "reference")
+           + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", bvec=norms.b,
+                          weight=norms.w))
     return EnergyReport(tau=u.tau, k=k, yangmills=ym, higgs=hg, dirac=dr,
                         total=total, reference_total=ref, sup=sup_norms(u))
 

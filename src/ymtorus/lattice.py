@@ -11,6 +11,7 @@ frame) are applied by the callers through the `bvec` arguments; the plain
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -57,13 +58,39 @@ class Grid:
 def diff(f, axis, grid):
     """Centered periodic derivative along grid axis 0, 1 or 2.
 
-    The grid axes are the trailing three axes of f.
+    The grid axes are the trailing three axes of f.  The differences are
+    taken between periodic slices of f, with no shifted copies, and every
+    site gets the arithmetic of (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]))
+    / (12 dx) (order 4) or (f[i+1] - f[i-1]) / (2 dx) (order 2).
     """
+    f = np.ascontiguousarray(f)
     ax = f.ndim - 3 + axis
+    rows = f.reshape(-1, f.shape[ax], math.prod(f.shape[ax + 1:]))
+    out = _centered_difference(rows, 1, np.empty_like(rows))
     if grid.order == 2:
-        return (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * grid.dx)
-    return (8.0 * (np.roll(f, -1, ax) - np.roll(f, 1, ax))
-            - (np.roll(f, -2, ax) - np.roll(f, 2, ax))) / (12.0 * grid.dx)
+        out /= 2.0 * grid.dx
+    else:
+        out *= 8.0
+        out -= _centered_difference(rows, 2, np.empty_like(rows))
+        out /= 12.0 * grid.dx
+    return out.reshape(f.shape)
+
+
+def _centered_difference(rows, s, out):
+    """out[:, i] = rows[:, i+s] - rows[:, i-s] with periodic i (s <= n/2) for
+    rows of shape (before, n, after).
+
+    One subtraction over the flattened arrays covers every site whose
+    neighbours i +- s lie in its own row; the 2s sites per row whose
+    neighbours wrap around are then overwritten.
+    """
+    n, step = rows.shape[1], s * rows.shape[2]
+    flat, flat_out = rows.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:flat.size - 2 * step],
+                out=flat_out[step:flat.size - step])
+    np.subtract(rows[:, s:2 * s], rows[:, n - s:], out=out[:, :s])
+    np.subtract(rows[:, :s], rows[:, n - 2 * s:n - s], out=out[:, n - s:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +141,21 @@ class FieldState:
     def arrays(self):
         return {name: getattr(self, name) for name in FIELDS}
 
-    def lincomb(self, coeff_self, others):
-        """self*coeff_self + sum(c*u for c, u in others), new state."""
+    def lincomb(self, coeff_self, others, out=None):
+        """self*coeff_self + sum(c*u for c, u in others) at self.tau, written
+        into the arrays of `out` (a state of the same shapes, returned) or
+        into a new state."""
         kw = {}
         for name in FIELDS:
-            acc = coeff_self * getattr(self, name)
+            acc = np.multiply(coeff_self, getattr(self, name),
+                              out=None if out is None else getattr(out, name))
             for c, u in others:
                 acc += c * getattr(u, name)
             kw[name] = acc
-        return replace(self, **kw)
+        if out is None:
+            return replace(self, **kw)
+        out.tau = self.tau
+        return out
 
     def max_abs(self):
         return max(np.abs(getattr(self, name)).max() for name in FIELDS)
@@ -136,6 +169,14 @@ def _frame_scale(bvec):
     return np.ones(3) if bvec is None else np.asarray(bvec, dtype=float)
 
 
+def fiber_terms(model, kind):
+    """The model's term table of fiber kind 'adjoint', 'higgs' or 'spinor'."""
+    owner = {"adjoint": model.lie, "higgs": model.rho, "spinor": model.chi}.get(kind)
+    if owner is None:
+        raise InputError("unknown fiber kind %r" % kind)
+    return owner.terms
+
+
 def connection_action(fld, xi, model, kind):
     """Fiber action of one connection component xi = eta_k on a field whose
     fiber axes sit directly before the three grid axes (any leading 1-form
@@ -145,10 +186,7 @@ def connection_action(fld, xi, model, kind):
       'higgs'    rho*(xi) x        fiber (dim_W,)
       'spinor'   chi*(xi) x        fiber (4, dim_V)
     """
-    owner = {"adjoint": model.lie, "higgs": model.rho, "spinor": model.chi}.get(kind)
-    if owner is None:
-        raise InputError("unknown fiber kind %r" % kind)
-    return algebra._fiber_apply(owner.terms, xi, fld, axis=fld.ndim - 4)
+    return algebra._fiber_apply(fiber_terms(model, kind), xi, fld, axis=fld.ndim - 4)
 
 
 def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
@@ -156,21 +194,21 @@ def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
 
     kind selects the fiber action (see connection_action); 'scalar' means the
     plain frame derivative.  d_k is the frame-scaled stencil (1/b_k) * diff;
-    pass eta=None for the flat reference connection.  Extra leading 1-form
-    axes of iterated derivatives are carried along (they are flat in the
-    adapted frame).
+    pass eta=None for the flat reference connection.  A fiber action with an
+    empty term table (u(1) brackets, trivial representations) is left out.
+    Extra leading 1-form axes of iterated derivatives are carried along (they
+    are flat in the adapted frame).
     """
     b = _frame_scale(bvec)
     kap = None if II is None else np.asarray(II)
+    connected = eta is not None and kind != "scalar" and bool(fiber_terms(model, kind).pairs)
     out = np.empty((3,) + fld.shape, dtype=fld.dtype)
     for k in range(3):
-        dk = diff(fld, k, grid) / b[k]
-        if eta is not None and kind != "scalar":
-            dk = dk + connection_action(fld, eta[k], model, kind)
+        dk = np.divide(diff(fld, k, grid), b[k], out=out[k])
+        if connected:
+            dk += connection_action(fld, eta[k], model, kind)
         if kind == "spinor" and kap is not None and kap[k]:
-            dk = dk + 0.5 * kap[k] * np.einsum("ab,...bvxyz->...avxyz",
-                                               clifford.G0G[k], fld)
-        out[k] = dk
+            dk += 0.5 * kap[k] * np.einsum("ab,...bvxyz->...avxyz", clifford.G0G[k], fld)
     return out
 
 

@@ -260,3 +260,83 @@ plot = false
     assert model.lie.dim == 3 and model.name.startswith("custom:")
     summary = driver.run_experiment(cfg, quiet=True)
     assert summary["energy_monitor"]["max_energy"] > 0
+
+
+def test_replot_after_tabulated_profile_run(tmp_path):
+    # replot draws the decay figure only when the fits exist, and they need
+    # 10 reports in the last 40% of the run: about 25 steps
+    t = np.linspace(0.0, 6.0, 40)
+    table = tmp_path / "s.csv"
+    np.savetxt(table, np.column_stack([t, np.cosh(t)]), delimiter=",")
+    cfg = driver.parse_config_text(f"""
+[grid]
+n = 8
+[background]
+profile = table
+s_table = {table}
+tau_end_fraction = 0.05
+[initial]
+seed = 2
+amplitude = 0.01
+[numerics]
+cfl = 0.4
+dtau = 0.003
+[outputs]
+directory = {tmp_path}/table_run
+plot = true
+""")
+    summary = driver.run_experiment(cfg, quiet=True)
+    assert summary["n_steps"] >= 25
+    assert "error" not in summary["decay"]
+    out = tmp_path / "table_run"
+    (out / "decay.svg").unlink()
+    driver.replot(str(out))
+    assert (out / "decay.svg").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("a", "0", "background.a must be positive"),
+    ("s0", "-1", "background.s0 must be positive"),
+    ("rate", "0", "background.rate must be positive"),
+    ("t0", "-2", "background.t0 must be positive"),
+    ("lapse", "0", "background.lapse must be positive"),
+    ("p", "1", "background.p must be > 1"),
+])
+def test_background_parameters_checked(key, value, message):
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[background]\n%s = %s\n" % (key, value))
+    assert err.value.violations == [message]
+
+
+def test_snapshots_must_not_be_negative():
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[outputs]\nsnapshots = -1\n")
+    assert err.value.violations == ["outputs.snapshots must be >= 0"]
+
+
+def test_background_violations_listed_together():
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[background]\nprofile = power\ns0 = 0\nt0 = 0\np = 0.5\n"
+                                 "[outputs]\nsnapshots = -2\n")
+    assert len(err.value.violations) == 4
+
+
+def test_unconverged_gauss_solve_is_a_warning(tmp_path, monkeypatch):
+    from ymtorus import constraints
+
+    solve = constraints.solve_gauss_initial
+
+    def stalled(*args, **kwargs):
+        info = solve(*args, **kwargs)
+        info["converged"] = False
+        return info
+
+    monkeypatch.setattr(constraints, "solve_gauss_initial", stalled)
+    cfg = _tiny_config(tmp_path, amplitude="0.01")
+    summary = driver.run_experiment(cfg, quiet=True)
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["initial_data"]["gauss"]["converged"] is False
+    assert len(meta["warnings"]) == 1 and "Gauss CG" in meta["warnings"][0]
+    assert summary["warnings"] == meta["warnings"]
+    monkeypatch.setattr(constraints, "solve_gauss_initial", solve)
+    assert driver.run_experiment(cfg, quiet=True)["warnings"] == []
