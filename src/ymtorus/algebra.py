@@ -357,9 +357,11 @@ class GaugeModel:
         self.dim_Vp = chi_plus.dim_W
         self.dim_Vm = chi_minus.dim_W
         self.dim_V = self.dim_Vp + self.dim_Vm
-        # whether chi* and the Yukawa map act at all; rhs skips the terms of
-        # those that are identically zero (trivial fermions, zero Yukawa map)
-        self.chi_acts = bool(self.chi.terms.pairs)
+        # the term table of each fiber kind and whether it acts at all: an
+        # empty table (u(1) brackets, trivial representations) acts by zero,
+        # and so does a zero Yukawa map; rhs and covariant_diff skip such terms
+        self.terms = {"adjoint": lie.terms, "higgs": rho.terms, "spinor": self.chi.terms}
+        self.acts = {kind: bool(terms.pairs) for kind, terms in self.terms.items()}
         self.yukawa_acts = bool(np.any(yukawa.a_lin) or np.any(yukawa.a_bar))
         # chirality-consistent fiber mask: spin rows 0,1 carry V_+, rows 2,3 V_-
         mask = np.zeros((4, self.dim_V))

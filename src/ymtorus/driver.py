@@ -248,8 +248,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
 
     Iterates the rescale because the derived sectors and the Gauss projection
     are nonlinear in the free data; converges in a couple of passes at small
-    amplitude.  Returns (state, info, rhs), where rhs is the last pass's
-    rhs(state) when that pass met the energy target and None otherwise.
+    amplitude.  Returns (state, info).
     """
     seed = int(cfg["initial", "seed"])
     amplitude = float(cfg["initial", "amplitude"])
@@ -264,22 +263,21 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
         info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0,
                          "converged": True}
         info["energy"] = 0.0
-        return u, info, None
+        return u, info
 
     target = amplitude ** 2
     for _ in range(max_fixups):
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
-        du = dynamics.rhs(u, bg, couplings)
-        e = energy.energy_report(u, du, bg, k=k, k_list=(k,)).total
+        e = energy.energy_report(u, dynamics.rhs(u, bg, couplings), bg, k=k,
+                                 k_list=(k,)).total
         info["energy"] = e
         if abs(e - target) <= 1e-10 + 1e-9 * target:
-            return u, info, du
-        del du  # stale once u is rescaled
+            break
         scale = np.sqrt(target / e)
         for name in lattice.FIELDS:
             getattr(u, name)[:] *= scale
-    return u, info, None
+    return u, info
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +310,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     if n_steps > control.max_steps:
         raise ConfigError(["run needs %d steps > numerics.max_steps" % n_steps])
 
-    u, init_info, initial_rhs = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     warnings = []
     if not init_info["gauss"]["converged"]:
         warnings.append("Gauss CG stopped before its residual target (iterations %d, "
@@ -330,14 +328,10 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     initial_cfields = constraints.constraint_fields(u, bg)
     drift_rows = []
 
-    def report(m, state):
-        """Rows for a reported step; returns rhs(state) for the next step's k1.
-        The step-0 report takes the rhs that the set-up evaluated, if any."""
-        nonlocal initial_rhs
+    def report(m, state, du):
+        """Rows for a reported step; du is rhs(state), which evolve evaluated."""
         if m % report_every and m != n_steps:
-            return None
-        du = dynamics.rhs(state, bg, couplings) if initial_rhs is None else initial_rhs
-        initial_rhs = None
+            return
         erep = energy.energy_report(state, du, bg, k=k)
         cf = initial_cfields if m == 0 else constraints.constraint_fields(state, bg)
         crep = constraints.constraint_report(state, bg, fields=cf)
@@ -356,7 +350,6 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         if not quiet:
             print("step %5d  tau %.5f  E %.3e  gauss %.3e"
                   % (m, state.tau, erep.total, crep.gauss))
-        return du
 
     u_final = dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
 
@@ -518,7 +511,7 @@ def run_gauge_invariance(cfg, n_compare=12):
     bg = build_background(cfg)
     couplings = dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"]))
     k = int(cfg["numerics", "energy_k"])
-    u0, _, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    u0, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     gt = lattice.GaugeTransform.random_smooth(
         grid, model, seed=int(cfg.get("gauge_experiment", "seed", "77")),
         amplitude=float(cfg.get("gauge_experiment", "amplitude", "1e-2")),

@@ -79,7 +79,7 @@ def currents(u, bg=None):
     J = np.zeros_like(u.E)
     for i in range(3):
         J[i] -= np.real(algebra.current_pairing(model.rho, u.Z[i], u.phi))
-        if model.chi_acts:
+        if model.acts["spinor"]:
             # <g_i psi, X> = psi^dag (g0 g_i) X and g0 g_i is Hermitian
             psi_rot = gamma_apply(G0G[i], u.psi)
             J[i] += 0.5 * np.imag(algebra.current_pairing(model.chi, psi_rot, u.psi))
@@ -151,7 +151,7 @@ def rhs(u, bg, couplings):
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
     # identically (adding their zeros changes no value)
-    chi_acts = model.chi_acts
+    chi_acts = model.acts["spinor"]
     out.psi[:] = u.psidot
     acc = 3.0 * H * u.psidot - (scal / 4.0) * u.psi
     for k in range(3):
@@ -232,8 +232,8 @@ def principal_symbol_dtau():
 def step(u, bg, couplings, dtau, k1=None):
     """Classic RK4 update; raises BlowUpError on non-finite output.
 
-    k1 is rhs(u, bg, couplings) when the caller has already evaluated it (a
-    report on the same state); it is then not evaluated again.  The three
+    k1 is rhs(u, bg, couplings) when the caller has already evaluated it
+    (evolve does, for its callback); it is then not evaluated again.  The three
     stage states and the result share one new state's arrays, filled in the
     order a fresh lincomb per stage would use, so the result is the same.
     """
@@ -262,15 +262,16 @@ def step(u, bg, couplings, dtau, k1=None):
 
 
 def evolve(u, bg, couplings, dtau, n_steps, callback=None):
-    """March n_steps RK4 steps; callback(step_index, state) after each.
+    """March n_steps RK4 steps; callback(step_index, state, du) after each.
 
-    When the callback returns a state, it is rhs(state) (a report evaluated
-    it) and the next step takes it as its k1; it is dropped once that step
-    has used it, so no rhs outlives its step.
+    du is rhs(state), evaluated once per state: the callback reads it (a
+    report needs it for the energies) and the next step takes it as its k1.
     """
-    k1 = None if callback is None else callback(0, u)
-    for m in range(1, n_steps + 1):
-        u, k1 = step(u, bg, couplings, dtau, k1=k1), None
+    k1 = None
+    for m in range(n_steps + 1):
+        if m:
+            u, k1 = step(u, bg, couplings, dtau, k1=k1), None  # drop k1 once used
         if callback is not None:
-            k1 = callback(m, u)
+            k1 = rhs(u, bg, couplings)
+            callback(m, u, k1)
     return u

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import fiber_terms, covariant_diff
+from .lattice import covariant_diff
 
 
 class InputError(ValueError):
@@ -106,10 +106,9 @@ class _Norms:
                     raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
                 kind = SECTOR_KINDS[name][1]
                 shared = self.table.get(("omega", source, name), ())
-                if eta is None and not fiber_terms(model, kind).pairs \
-                        and len(shared) > top + shift:
-                    # an empty term table: covariant_diff drops eta, so the
-                    # reference chain is the evolved one
+                if eta is None and not model.acts[kind] and len(shared) > top + shift:
+                    # covariant_diff drops a connection that acts by zero, so
+                    # the reference chain is the evolved one
                     self.table[key] = shared
                     continue
                 fld = getattr(u if source == "u" else self.rhs_state, name)

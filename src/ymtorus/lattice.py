@@ -169,14 +169,6 @@ def _frame_scale(bvec):
     return np.ones(3) if bvec is None else np.asarray(bvec, dtype=float)
 
 
-def fiber_terms(model, kind):
-    """The model's term table of fiber kind 'adjoint', 'higgs' or 'spinor'."""
-    owner = {"adjoint": model.lie, "higgs": model.rho, "spinor": model.chi}.get(kind)
-    if owner is None:
-        raise InputError("unknown fiber kind %r" % kind)
-    return owner.terms
-
-
 def connection_action(fld, xi, model, kind):
     """Fiber action of one connection component xi = eta_k on a field whose
     fiber axes sit directly before the three grid axes (any leading 1-form
@@ -186,7 +178,9 @@ def connection_action(fld, xi, model, kind):
       'higgs'    rho*(xi) x        fiber (dim_W,)
       'spinor'   chi*(xi) x        fiber (4, dim_V)
     """
-    return algebra._fiber_apply(fiber_terms(model, kind), xi, fld, axis=fld.ndim - 4)
+    if kind not in model.terms:
+        raise InputError("unknown fiber kind %r" % kind)
+    return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4)
 
 
 def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
@@ -194,14 +188,15 @@ def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
 
     kind selects the fiber action (see connection_action); 'scalar' means the
     plain frame derivative.  d_k is the frame-scaled stencil (1/b_k) * diff;
-    pass eta=None for the flat reference connection.  A fiber action with an
-    empty term table (u(1) brackets, trivial representations) is left out.
+    pass eta=None for the flat reference connection.  A fiber action that
+    acts by zero (model.acts) is left out.
     Extra leading 1-form axes of iterated derivatives are carried along (they
     are flat in the adapted frame).
     """
     b = _frame_scale(bvec)
     kap = None if II is None else np.asarray(II)
-    connected = eta is not None and kind != "scalar" and bool(fiber_terms(model, kind).pairs)
+    # an unknown kind reaches connection_action, which rejects it
+    connected = eta is not None and kind != "scalar" and model.acts.get(kind, True)
     out = np.empty((3,) + fld.shape, dtype=fld.dtype)
     for k in range(3):
         dk = np.divide(diff(fld, k, grid), b[k], out=out[k])

@@ -171,5 +171,5 @@ def test_evolve_zero_steps_echoes_initial(u1_model, flat_bg):
     u = make_state(grid, u1_model, flat_bg, seed=8, amplitude=0.1)
     seen = []
     out = dynamics.evolve(u, flat_bg, dynamics.Couplings(u1_model, 0.0), 0.01, 0,
-                          callback=lambda m, st: seen.append((m, st.tau)))
+                          callback=lambda m, st, du: seen.append((m, st.tau)))
     assert seen == [(0, 0.0)] and out is u

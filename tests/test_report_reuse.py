@@ -107,15 +107,15 @@ def test_skipped_fiber_terms_change_no_value(bianchi_bg):
     # su3_pure: trivial fermions and a zero Yukawa map, so rhs skips the
     # chi* and Yukawa terms; forcing them on adds only (signed) zeros
     model = algebra.su3_pure()
-    assert not model.chi_acts and not model.yukawa_acts
+    assert not model.acts["spinor"] and not model.yukawa_acts
     u = make_state(lattice.Grid(8), model, bianchi_bg, seed=7, amplitude=0.1)
     coup = dynamics.Couplings(model, lam=1.0)
     skipped = dynamics.rhs(u, bianchi_bg, coup)
-    model.chi_acts = model.yukawa_acts = True
+    model.acts["spinor"] = model.yukawa_acts = True
     full = dynamics.rhs(u, bianchi_bg, coup)
     for name in lattice.FIELDS:
         assert np.array_equal(getattr(skipped, name), getattr(full, name)), name
-    assert algebra.su2_toy().chi_acts and algebra.u1_toy().yukawa_acts
+    assert algebra.su2_toy().acts["spinor"] and algebra.u1_toy().yukawa_acts
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,8 @@ def test_run_makes_four_rhs_calls_per_step(tmp_path, monkeypatch):
     n_steps = summary["n_steps"]
     assert n_steps >= 2
     assert calls["set_up"] >= 1
-    # the step-0 report takes the set-up's last rhs, each step's k1 is the
-    # rhs its preceding report evaluated, and the final report adds one
-    assert calls["rhs"] == calls["set_up"] + 4 * n_steps
+    # each step's k1 is the rhs its preceding report read, and the final
+    # report adds one
+    assert calls["rhs"] == calls["set_up"] + 4 * n_steps + 1
     # one evaluation of the constraint fields per reported state
     assert calls["fields"] == n_steps + 1
