@@ -27,10 +27,11 @@ same functions work on single fiber vectors and on whole lattices.
 
 __version__ = "0.1.0"
 
-from . import algebra, clifford, geometry, lattice, dynamics, constraints
+from . import errors, algebra, clifford, geometry, lattice, dynamics, constraints
 from . import energy, conformal, oracles, driver
 
 __all__ = [
+    "errors",
     "algebra",
     "clifford",
     "geometry",

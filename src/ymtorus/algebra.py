@@ -18,10 +18,7 @@ term tables (FiberTerms) built once per model: zero entries cost nothing.
 import numpy as np
 
 from . import clifford
-
-
-class InputError(ValueError):
-    pass
+from .errors import InputError
 
 
 class FiberTerms:

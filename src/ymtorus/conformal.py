@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, lattice
+from .errors import InputError
 from .lattice import diff
-
-
-class InputError(ValueError):
-    pass
 
 
 RESCALING_EXPONENTS = {"phi": -1.0, "psi": -1.5, "E": -1.0, "B": 0.0, "eta": 0.0}

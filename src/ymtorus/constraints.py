@@ -2,12 +2,12 @@
 monitoring.
 
 Four constraints accompany the first-order system (flat reference
-connection, frame-scaled stencils d_k = (1/b_k) diff):
+connection, frame-scaled stencils d_k = (1/b_k) diff, and the covariant
+derivative D_k = d_k + [eta_k, .] of lattice.covariant_d):
 
-  curvature  G_ij   = B_ij - (d_i eta_j - d_j eta_i) - [eta_i, eta_j],  B = *Q
-  Bianchi    T      = sum_cyc( d_i B_jk + [eta_i, B_jk] )
-  Gauss      C0     = d_k E_k + [eta_k, E_k] + Re<phidot, rho* phi>
-                      - (1/2) Im<g0 psi, chi* psi>
+  curvature  G_ij   = B_ij - (D_i eta_j - d_j eta_i),  B = *Q
+  Bianchi    T      = sum_cyc D_i B_jk = D_k Q_k
+  Gauss      C0     = D_k E_k + Re<phidot, rho* phi> - (1/2) Im<g0 psi, chi* psi>
   Dirac      Theta  = psidot - g0 ( gk S_k + Y_phi psi )
 
 Theta uses the evolved S; the separate s_consistency diagnostic compares S
@@ -18,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, lattice
+from . import algebra
 from .clifford import GAMMA, gamma_apply
-from .lattice import covariant_diff, diff, hodge_dual_B, hodge_dual_Q
-
-
-class SolverError(RuntimeError):
-    pass
+from .errors import SolverError
+from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B, hodge_dual_Q
 
 
 @dataclass
@@ -47,23 +44,28 @@ class ConstraintReport:
         }
 
 
-def _bvec(u, bg):
-    return np.ones(3) if bg is None else bg.b(u.tau)
-
-
 def _volume_weight(u, bg):
     return (1.0 if bg is None else bg.sqrt_g(u.tau)) * u.grid.cell_volume
 
 
+def _frame(u, bg):
+    """(b, II) of the background at u.tau; (None, None) without one, which
+    the covariant derivative reads as the unit static frame."""
+    return (None, None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
+
+
 def curvature_2form(u, bg=None):
-    """Discrete field strength B_ij = d_i eta_j - d_j eta_i + [eta_i, eta_j]."""
-    grid, lie = u.grid, u.model.lie
-    b = _bvec(u, bg)
+    """Discrete field strength B_ij = D_i eta_j - d_j eta_i
+    = d_i eta_j + [eta_i, eta_j] - d_j eta_i."""
+    b = _frame(u, bg)[0]
+
+    def D(fld, k, eta):
+        return covariant_d(fld, k, eta, u.model, u.grid, "adjoint", bvec=b)
+
     B = np.zeros((3, 3) + u.eta.shape[1:], dtype=u.eta.dtype)
     for i in range(3):
         for j in range(i + 1, 3):
-            Bij = (diff(u.eta[j], i, grid) / b[i] - diff(u.eta[i], j, grid) / b[j]
-                   + algebra.bracket(lie, u.eta[i], u.eta[j]))
+            Bij = D(u.eta[j], i, u.eta) - D(u.eta[i], j, None)
             B[i, j] = Bij
             B[j, i] = -Bij
     return B
@@ -75,23 +77,14 @@ def curvature_constraint(u, bg=None):
 
 
 def bianchi_constraint(u, bg=None):
-    """Fully antisymmetrized covariant derivative of *Q (single component)."""
-    grid, lie = u.grid, u.model.lie
-    b = _bvec(u, bg)
-    B = hodge_dual_B(u.Q)
-    out = np.zeros(u.eta.shape[1:], dtype=u.eta.dtype)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out += diff(B[j, k], i, grid) / b[i] + algebra.bracket(lie, u.eta[i], B[j, k])
-    return out
+    """Fully antisymmetrized covariant derivative of *Q (single component):
+    sum_cyc D_i B_jk = sum_i D_i Q_i, since B_jk = Q_i for cyclic (i, j, k)."""
+    return _cov_div(u.Q, u, bg)
 
 
 def gauss_constraint(u, bg=None):
-    grid, model = u.grid, u.model
-    lie = model.lie
-    b = _bvec(u, bg)
-    C0 = np.zeros(u.eta.shape[1:], dtype=u.eta.dtype)
-    for k in range(3):
-        C0 += diff(u.E[k], k, grid) / b[k] + algebra.bracket(lie, u.eta[k], u.E[k])
+    model = u.model
+    C0 = _cov_div(u.E, u, bg)
     C0 += np.real(algebra.current_pairing(model.rho, u.phidot, u.phi))
     # <g0 psi, chi* psi> = psi^dag (I (x) chi*) psi
     C0 -= 0.5 * np.imag(algebra.current_pairing(model.chi, u.psi, u.psi))
@@ -112,8 +105,7 @@ def dirac_constraint(u, bg=None):
 
 
 def recompute_S(u, bg=None):
-    b = _bvec(u, bg)
-    kappa = None if bg is None else bg.II(u.tau)
+    b, kappa = _frame(u, bg)
     return covariant_diff(u.psi, u.eta, u.model, u.grid, "spinor", bvec=b, II=kappa)
 
 
@@ -121,7 +113,8 @@ def s_consistency(u, bg=None):
     return u.S - recompute_S(u, bg)
 
 
-def _l2(field, weight, two_form=False):
+def l2_norm(field, weight, two_form=False):
+    """Weighted L2 norm; a 2-form counts each independent component once."""
     val = np.sum(np.abs(field) ** 2) * weight
     if two_form:
         val *= 0.5
@@ -137,11 +130,11 @@ def constraint_report(u, bg=None, fields=None):
     w = _volume_weight(u, bg)
     return ConstraintReport(
         tau=u.tau,
-        curvature=_l2(fields["curvature"], w, two_form=True),
-        bianchi=_l2(fields["bianchi"], w),
-        gauss=_l2(fields["gauss"], w),
-        dirac=_l2(fields["dirac"], w),
-        s_consistency=_l2(s_consistency(u, bg), w),
+        curvature=l2_norm(fields["curvature"], w, two_form=True),
+        bianchi=l2_norm(fields["bianchi"], w),
+        gauss=l2_norm(fields["gauss"], w),
+        dirac=l2_norm(fields["dirac"], w),
+        s_consistency=l2_norm(s_consistency(u, bg), w),
     )
 
 
@@ -162,27 +155,22 @@ def complete_state(u, bg=None):
     """Fill the derived sectors from the free data (eta, E, phi, phidot, psi):
     Q from the curvature constraint, Z and S as covariant derivatives, psidot
     from the Dirac constraint.  Mutates and returns u."""
-    b = _bvec(u, bg)
-    kappa = None if bg is None else bg.II(u.tau)
+    b = _frame(u, bg)[0]
     u.Q[:] = hodge_dual_Q(curvature_2form(u, bg))
     u.Z[:] = covariant_diff(u.phi, u.eta, u.model, u.grid, "higgs", bvec=b)
-    u.S[:] = covariant_diff(u.psi, u.eta, u.model, u.grid, "spinor", bvec=b, II=kappa)
+    u.S[:] = recompute_S(u, bg)
     u.psidot[:] = dirac_operator_rhs(u, bg)
     return u
 
 
 def _cov_grad(phi_lie, u, bg):
     """Covariant gradient of a Lie-valued scalar, (3, dim_g, grid)."""
-    return covariant_diff(phi_lie, u.eta, u.model, u.grid, "adjoint", bvec=_bvec(u, bg))
+    return covariant_diff(phi_lie, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
 
 
 def _cov_div(vec, u, bg):
-    grid, lie = u.grid, u.model.lie
-    b = _bvec(u, bg)
-    out = np.zeros(vec.shape[1:], dtype=vec.dtype)
-    for k in range(3):
-        out += diff(vec[k], k, grid) / b[k] + algebra.bracket(lie, u.eta[k], vec[k])
-    return out
+    """Covariant divergence of a Lie-valued 1-form, (dim_g, grid)."""
+    return covariant_div(vec, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
 
 
 def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
@@ -235,7 +223,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
         raise SolverError("Gauss CG did not converge: |r| = %.3e after %d iterations"
                           % (np.sqrt(rs * w), n_iter))
     u.E -= _cov_grad(x, u, bg)
-    res = _l2(gauss_constraint(u, bg), w)
+    res = l2_norm(gauss_constraint(u, bg), w)
     info = {
         "iterations": n_iter,
         "converged": bool(rs <= target),
@@ -286,7 +274,7 @@ def propagation_monitor(reports, initial_fields=None, final_fields=None,
         drift = {}
         for name in names:
             d = final_fields[name] - initial_fields[name]
-            drift[name] = _l2(d, weight, two_form=(name == "curvature"))
+            drift[name] = l2_norm(d, weight, two_form=(name == "curvature"))
         out["terminal_drift"] = drift
     return out
 

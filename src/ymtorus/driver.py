@@ -18,13 +18,8 @@ import numpy as np
 
 from . import algebra, conformal, constraints, dynamics, energy, geometry
 from . import lattice, plots
+from .errors import ConfigError
 from .version import VERSION
-
-
-class ConfigError(ValueError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.violations))
 
 
 KNOWN_KEYS = {
@@ -243,6 +238,13 @@ def build_grid(cfg):
                         order=int(cfg["grid", "stencil_order"]))
 
 
+def build_run(cfg):
+    """(grid, model, background, couplings) of a validated config."""
+    model = build_model(cfg)
+    return (build_grid(cfg), model, build_background(cfg),
+            dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"])))
+
+
 def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
     """Random data -> derived sectors -> Gauss solve -> energy normalization.
 
@@ -290,10 +292,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     out_dir = out_dir or cfg["outputs", "directory"]
     os.makedirs(out_dir, exist_ok=True)
 
-    grid = build_grid(cfg)
-    model = build_model(cfg)
-    bg = build_background(cfg)
-    couplings = dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"]))
+    grid, model, bg, couplings = build_run(cfg)
     k = int(cfg["numerics", "energy_k"])
 
     tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
@@ -340,8 +339,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         w = bg.sqrt_g(state.tau) * grid.cell_volume
         drift_rows.append({
             "tau": state.tau,
-            **{name: float(np.sqrt(np.sum(np.abs(cf[name] - initial_cfields[name]) ** 2)
-                                   * w * (0.5 if name == "curvature" else 1.0)))
+            **{name: constraints.l2_norm(cf[name] - initial_cfields[name], w,
+                                         two_form=(name == "curvature"))
                for name in cf}
         })
         if m in snap_steps:
@@ -376,7 +375,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             fit = conformal.decay_fit(taus, phys, fmap, rescale=0.0)
             l2[name] = fit.as_dict()
         decay["l2_diagnostic"] = l2
-    except (conformal.InputError, ValueError) as err:
+    except ValueError as err:
         decay = {"error": str(err)}
 
     write_energy_csv(os.path.join(out_dir, "energy.csv"), energy_rows)
@@ -506,10 +505,7 @@ def replot(out_dir):
 def run_gauge_invariance(cfg, n_compare=12):
     """Evolve the preset's initial data and its gauge transform side by side;
     return the worst relative sector-energy mismatch over the run."""
-    grid = build_grid(cfg)
-    model = build_model(cfg)
-    bg = build_background(cfg)
-    couplings = dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"]))
+    grid, model, bg, couplings = build_run(cfg)
     k = int(cfg["numerics", "energy_k"])
     u0, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     gt = lattice.GaugeTransform.random_smooth(
@@ -549,9 +545,7 @@ def run_gauge_invariance(cfg, n_compare=12):
 def run_automorphism_check(cfg):
     """Build the bundle automorphism for a prescribed smooth temporal
     coefficient and verify its defining property and unitarity."""
-    grid = build_grid(cfg)
-    model = build_model(cfg)
-    bg = build_background(cfg)
+    grid, model, bg, _ = build_run(cfg)
     amp = float(cfg.get("gauge_experiment", "alpha_amplitude", "0.3"))
     n_steps = int(cfg.get("gauge_experiment", "alpha_steps", "320"))
     tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T

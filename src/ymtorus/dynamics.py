@@ -2,29 +2,30 @@
 
 State u = (eta, Q, E, phi, phidot, Z, psi, psidot, S) in the adapted
 orthonormal frame of a diagonal homogeneous background; Q is the spatial
-Hodge dual of the magnetic field B, the reference connection is flat, and
-d_k denotes the frame-scaled periodic stencil (1/b_k) * diff.
+Hodge dual of the magnetic field B and the reference connection is flat.
+D_k is the covariant derivative of lattice.covariant_d: the frame-scaled
+periodic stencil (1/b_k) * diff plus the fiber action of eta_k ([eta_k, .],
+rho*(eta_k) or chi*(eta_k)) plus, on spinors, the spin-connection piece
+(1/2) kappa_k g0 gk.
 
 With kappa_i = II_ii (diagonal), H = sum(kappa)/3 and Scal the spacetime
 scalar curvature, the evolution reads
 
   d eta_i /dtau   = kappa_i eta_i + E_i
-  d Q_i /dtau     = eps_ijk (d_j E_k + [eta_j, E_k]) + 3H Q_i - kappa_i Q_i
-  d E_i /dtau     = d_k B_ki + eps_jki [eta_k, Q_j] + 3H E_i - kappa_i E_i + J_i
+  d Q_i /dtau     = eps_ijk D_j E_k + 3H Q_i - kappa_i Q_i
+  d E_i /dtau     = D_k B_ki + 3H E_i - kappa_i E_i + J_i
   d phi /dtau     = phidot
-  d phidot /dtau  = d_k Z_k + rho*(eta_k) Z_k + 3H phidot - (Scal/6) phi
+  d phidot /dtau  = D_k Z_k + 3H phidot - (Scal/6) phi
                     - lam |phi|^2 phi - <psi, i Y^- psi>
-  d Z_i /dtau     = d_i phidot + rho*(eta_i) phidot + rho*(E_i) phi + kappa_i Z_i
+  d Z_i /dtau     = D_i phidot + rho*(E_i) phi + kappa_i Z_i
   d psi /dtau     = psidot
-  d psidot /dtau  = D_k S_k + chi*(eta_k) S_k + 3H psidot - (Scal/4) psi
+  d psidot /dtau  = D_k S_k + 3H psidot - (Scal/4) psi
                     + g0 gk chi*(E_k) psi - (1/2) gi gj chi*(B_ij) psi
                     + g0 Y_phidot psi - gk Y_{Z_k} psi + Y_phi^2 psi
-  d S_i /dtau     = D_i psidot + chi*(eta_i) psidot
-                    + (1/2)(dkappa_i - kappa_i^2) g0 gi psi
+  d S_i /dtau     = D_i psidot + (1/2)(dkappa_i - kappa_i^2) g0 gi psi
                     + chi*(E_i) psi + kappa_i S_i
 
-where D_k on spinors carries the spin-connection piece (1/2) kappa_k g0 gk
-and J is the matter current
+where J is the matter current
   J_i = -Re<Z_i, rho* phi> + (1/2) Im<gi psi, chi* psi>.
 """
 
@@ -34,15 +35,9 @@ import numpy as np
 
 from . import algebra, lattice
 from .clifford import G0G, GG, GAMMA, gamma_apply
-from .lattice import EPS, FieldState, diff, hodge_dual_B
-
-
-class BlowUpError(RuntimeError):
-    pass
-
-
-class InputError(ValueError):
-    pass
+from .errors import BlowUpError, InputError
+from .lattice import EPS, FieldState, covariant_d, covariant_div, hodge_dual_B
+from .lattice import diff  # noqa: F401  (unused; perfbench's tracer test reads dynamics.diff)
 
 
 @dataclass
@@ -67,10 +62,6 @@ class StepControl:
             raise InputError(
                 "dtau = %g violates CFL bound %g" % (self.dtau, self.cfl * grid.dx * bmin)
             )
-
-
-def _chi_apply(model, xi, psi):
-    return algebra.chi_spinor_apply(model.chi, xi, psi)
 
 
 def currents(u, bg=None):
@@ -102,11 +93,13 @@ def rhs(u, bg, couplings):
     H = bg.H(u.tau)
     scal = bg.scal_h(u.tau)
     lam = couplings.lam
-    lie = model.lie
     yuk = model.yukawa
 
-    def d(fld, k):
-        return diff(fld, k, grid) / b[k]
+    def D(fld, k, kind):
+        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa)
+
+    def div(vec, kind):
+        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa)
 
     out = FieldState.zeros(grid, model, tau=u.tau)
     B = hodge_dual_B(u.Q)
@@ -121,17 +114,13 @@ def rhs(u, bg, couplings):
             for k in range(3):
                 e = EPS[i, j, k]
                 if e:
-                    acc = acc + e * (d(u.E[k], j) + algebra.bracket(lie, u.eta[j], u.E[k]))
+                    acc = acc + e * D(u.E[k], j, "adjoint")
         out.Q[i] = acc
 
         acc = 3.0 * H * u.E[i] - kappa[i] * u.E[i] + J[i]
         for k in range(3):
-            if k != i:  # B[k, k] = 0
-                acc = acc + d(B[k, i], k)
-            for j in range(3):
-                e = EPS[j, k, i]
-                if e:
-                    acc = acc + e * algebra.bracket(lie, u.eta[k], u.Q[j])
+            if k != i:  # B[i, i] = 0
+                acc = acc + D(B[k, i], k, "adjoint")
         out.E[i] = acc
 
     # Higgs triple
@@ -140,12 +129,9 @@ def rhs(u, bg, couplings):
         - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
     if model.yukawa_acts:
         acc = acc - yukawa_source(u)
-    for k in range(3):
-        acc = acc + d(u.Z[k], k) + algebra.rho_star_apply(model.rho, u.eta[k], u.Z[k])
-    out.phidot[:] = acc
+    out.phidot[:] = acc + div(u.Z, "higgs")
     for i in range(3):
-        out.Z[i] = (d(u.phidot, i)
-                    + algebra.rho_star_apply(model.rho, u.eta[i], u.phidot)
+        out.Z[i] = (D(u.phidot, i, "higgs")
                     + algebra.rho_star_apply(model.rho, u.E[i], u.phi)
                     + kappa[i] * u.Z[i])
 
@@ -153,17 +139,16 @@ def rhs(u, bg, couplings):
     # identically (adding their zeros changes no value)
     chi_acts = model.acts["spinor"]
     out.psi[:] = u.psidot
-    acc = 3.0 * H * u.psidot - (scal / 4.0) * u.psi
-    for k in range(3):
-        acc = acc + d(u.S[k], k) + 0.5 * kappa[k] * gamma_apply(G0G[k], u.S[k])
-        if chi_acts:
-            acc = acc + _chi_apply(model, u.eta[k], u.S[k])
-            acc = acc + gamma_apply(G0G[k], _chi_apply(model, u.E[k], u.psi))
+    acc = div(u.S, "spinor")  # first: its temporaries then share memory with no other term
+    acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
     if chi_acts:
+        for k in range(3):
+            acc = acc + gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    acc = acc - 0.5 * gamma_apply(GG[i, j], _chi_apply(model, B[i, j], u.psi))
+                    acc = acc - 0.5 * gamma_apply(
+                        GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
     if model.yukawa_acts:
         acc = acc + gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
         for k in range(3):
@@ -173,12 +158,10 @@ def rhs(u, bg, couplings):
             yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
     out.psidot[:] = acc
     for i in range(3):
-        acc = d(u.psidot, i) + 0.5 * kappa[i] * gamma_apply(G0G[i], u.psidot)
-        if chi_acts:
-            acc = acc + _chi_apply(model, u.eta[i], u.psidot)
+        acc = D(u.psidot, i, "spinor")
         acc = acc + 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
         if chi_acts:
-            acc = acc + _chi_apply(model, u.E[i], u.psi)
+            acc = acc + algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
         out.S[i] = acc + kappa[i] * u.S[i]
     return out
 

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .lattice import covariant_diff
-
-
-class InputError(ValueError):
-    pass
 
 
 SECTOR_KINDS = {

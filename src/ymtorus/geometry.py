@@ -24,13 +24,7 @@ Ricci_mn = eta^{lr} R_{l m n r}:
 import numpy as np
 from scipy import integrate, interpolate, optimize
 
-
-class ConfigurationError(ValueError):
-    pass
-
-
-class InputError(ValueError):
-    pass
+from .errors import InputError
 
 
 class ScaleProfile:
@@ -48,37 +42,37 @@ class ScaleProfile:
         if kind == "desitter":
             self.a = float(params.get("a", 1.0))
             if self.a <= 0:
-                raise ConfigurationError("desitter scale parameter must be positive")
+                raise InputError("desitter scale parameter must be positive")
         elif kind == "exponential":
             self.s0 = float(params.get("s0", 1.0))
             self.rate = float(params.get("rate", 1.0))
             if self.s0 <= 0 or self.rate <= 0:
-                raise ConfigurationError("exponential profile needs s0, rate > 0")
+                raise InputError("exponential profile needs s0, rate > 0")
         elif kind == "power":
             self.s0 = float(params.get("s0", 1.0))
             self.t0 = float(params.get("t0", 1.0))
             self.p = float(params.get("p", 2.0))
             if self.p <= 1:
-                raise ConfigurationError("power profile needs exponent p > 1")
+                raise InputError("power profile needs exponent p > 1")
         elif kind == "constant":
             self.c = float(params.get("c", 1.0))
         elif kind == "table":
             t = np.asarray(params["t"], dtype=float)
             s = np.asarray(params["s"], dtype=float)
             if t.ndim != 1 or t.size < 4 or np.any(np.diff(t) <= 0) or np.any(s <= 0):
-                raise ConfigurationError("profile table needs increasing t and s > 0")
+                raise InputError("profile table needs increasing t and s > 0")
             self._spline = interpolate.CubicSpline(t, s)
             self._tmax = t[-1]
             # crude tail model: exponential fit over the last fifth of the table
             m = max(4, t.size // 5)
             slope = np.polyfit(t[-m:], np.log(s[-m:]), 1)[0]
             if slope <= 1e-12:
-                raise ConfigurationError(
+                raise InputError(
                     "tabulated scale factor does not grow; 1/s is not integrable"
                 )
             self._tail_rate = slope
         else:
-            raise ConfigurationError("unknown scale profile kind %r" % kind)
+            raise InputError("unknown scale profile kind %r" % kind)
 
     # -- scale factor and derivative -------------------------------------
     def s(self, t):
@@ -117,7 +111,7 @@ class ScaleProfile:
     def horizon(self):
         """T = lim_{t->inf} tau(t); raises if 1/s is not integrable."""
         if self.kind == "constant":
-            raise ConfigurationError("constant scale factor: 1/s not integrable, horizon diverges")
+            raise InputError("constant scale factor: 1/s not integrable, horizon diverges")
         if self.kind == "desitter":
             tcut = 40.0 * self.a
             tail = np.pi / 2 - np.arctan(np.sinh(tcut / self.a))
@@ -147,7 +141,7 @@ class ScaleProfile:
         while self.tau_of_t(hi) < tau:
             hi *= 2.0
             if hi > 1e12:
-                raise ConfigurationError("t_of_tau: target beyond horizon")
+                raise InputError("t_of_tau: target beyond horizon")
         return optimize.brentq(lambda t: self.tau_of_t(t) - float(tau), 0.0, hi, xtol=1e-13)
 
     def s_of_tau(self, tau):
@@ -163,10 +157,6 @@ def gaussian_time(profile, t):
     if t < 0:
         raise InputError("gaussian_time: t must be >= 0")
     return profile.tau_of_t(t)
-
-
-def horizon(profile):
-    return profile.horizon()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +175,7 @@ class Background:
         self.profile = profile
         self.N = float(lapse)
         if self.N <= 0:
-            raise ConfigurationError("lapse must be positive")
+            raise InputError("lapse must be positive")
         self.name = name or profile.kind
         if b_funcs is None:
             one = np.ones(3)
@@ -215,14 +205,11 @@ class Background:
         bdd = np.asarray(self._bddot(tau), dtype=float)
         return -bdd / b + (bd / b) ** 2
 
-    def scal_g(self, tau):
-        return 0.0  # homogeneous diagonal metrics on the torus are flat
-
     def scal_h(self, tau):
+        """Spacetime scalar curvature; the flat slices add no Scal_g term."""
         kappa = self.II(tau)
         dk = self.dII_dtau(tau)
-        return float(-2.0 * np.sum(dk) + np.sum(kappa ** 2) + np.sum(kappa) ** 2
-                     + self.scal_g(tau))
+        return float(-2.0 * np.sum(dk) + np.sum(kappa ** 2) + np.sum(kappa) ** 2)
 
     def check_tau(self, tau):
         if tau < 0 or tau >= self.T:
@@ -324,7 +311,7 @@ def from_b_table(profile, path, lapse=1.0):
     """CSV columns tau, b1, b2, b3 -> cubic-spline background."""
     data = np.loadtxt(path, delimiter=",", comments="#")
     if data.ndim != 2 or data.shape[1] != 4:
-        raise ConfigurationError("b table must have columns tau, b1, b2, b3")
+        raise InputError("b table must have columns tau, b1, b2, b3")
     tau = data[:, 0]
     splines = [interpolate.CubicSpline(tau, data[:, 1 + i]) for i in range(3)]
 

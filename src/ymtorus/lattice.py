@@ -5,9 +5,11 @@ The grid is the cubic torus [0, L)^3 with n points per axis; derivatives
 are centered stencils of order 2 or 4 with periodic wrap, so summation by
 parts holds exactly and all stencils commute with lattice translations.
 
-Frame-scaled derivatives (the 1/b_i factors of the adapted orthonormal
-frame) are applied by the callers through the `bvec` arguments; the plain
-`diff` below is the coordinate-space stencil.
+The plain `diff` below is the coordinate-space stencil.  This module owns
+the covariant derivative: `covariant_d` is the one place that forms the
+frame-scaled stencil (1/b_k) diff, the fiber action of the connection and
+the spinor spin-connection term; `covariant_diff` and `covariant_div` stack
+and contract it.
 """
 
 import json
@@ -18,10 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import algebra, clifford
-
-
-class InputError(ValueError):
-    pass
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -183,27 +182,46 @@ def connection_action(fld, xi, model, kind):
     return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4)
 
 
-def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
-    """Full covariant spatial derivative, one extra leading 1-form axis.
+def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
+    """Covariant derivative D_k along frame axis k, in this order:
 
-    kind selects the fiber action (see connection_action); 'scalar' means the
-    plain frame derivative.  d_k is the frame-scaled stencil (1/b_k) * diff;
-    pass eta=None for the flat reference connection.  A fiber action that
-    acts by zero (model.acts) is left out.
-    Extra leading 1-form axes of iterated derivatives are carried along (they
-    are flat in the adapted frame).
+      (1/b_k) diff(fld, k) + connection_action(fld, eta_k) + (1/2) II_k g0 g_k fld
+
+    kind selects the fiber action (see connection_action); it is left out for
+    eta=None (the flat reference connection) and where it acts by zero
+    (model.acts).  The spin-connection term enters for kind 'spinor' with
+    II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form axes of fld
+    are carried along (they are flat in the adapted frame).  The result is
+    written into `out` when given.
     """
     b = _frame_scale(bvec)
-    kap = None if II is None else np.asarray(II)
-    # an unknown kind reaches connection_action, which rejects it
-    connected = eta is not None and kind != "scalar" and model.acts.get(kind, True)
+    dk = np.divide(diff(fld, k, grid), b[k], out=out)
+    if eta is not None and model.acts.get(kind, True):
+        # an unknown kind reaches connection_action, which rejects it
+        dk += connection_action(fld, eta[k], model, kind)
+    if kind == "spinor" and II is not None and II[k]:
+        # gamma_apply acts on the leading axis; the spin axis is the fifth from last
+        spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
+        spin *= 0.5 * II[k]
+        dk += np.moveaxis(spin, 0, -5)
+    return dk
+
+
+def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
+    """Full covariant spatial derivative (D_0, D_1, D_2) fld, one extra leading
+    1-form axis; see covariant_d."""
     out = np.empty((3,) + fld.shape, dtype=fld.dtype)
     for k in range(3):
-        dk = np.divide(diff(fld, k, grid), b[k], out=out[k])
-        if connected:
-            dk += connection_action(fld, eta[k], model, kind)
-        if kind == "spinor" and kap is not None and kap[k]:
-            dk += 0.5 * kap[k] * np.einsum("ab,...bvxyz->...avxyz", clifford.G0G[k], fld)
+        covariant_d(fld, k, eta, model, grid, kind, bvec, II, out=out[k])
+    return out
+
+
+def covariant_div(vec, eta, model, grid, kind, bvec=None, II=None):
+    """Covariant divergence sum_k D_k vec_k of a field with a leading 1-form
+    axis, summed in the order k = 0, 1, 2; see covariant_d."""
+    out = covariant_d(vec[0], 0, eta, model, grid, kind, bvec, II)
+    for k in (1, 2):
+        out += covariant_d(vec[k], k, eta, model, grid, kind, bvec, II)
     return out
 
 

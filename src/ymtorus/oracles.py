@@ -21,9 +21,9 @@ curvature coefficients
 
 import numpy as np
 
-from . import algebra, dynamics, lattice
+from . import algebra, dynamics
 from .clifford import G0G, GG, GAMMA, gamma_apply
-from .lattice import diff, hodge_dual_B
+from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B
 
 
 def time_stack(u0, bg, couplings, dtau, half_width=2):
@@ -51,20 +51,11 @@ def _d2(series, dtau):
             - series[4]) / (12 * dtau ** 2)
 
 
-def _covd(fld, u, bg, kind):
-    b = None if bg is None else bg.b(u.tau)
-    II = None if bg is None else bg.II(u.tau)
-    return lattice.covariant_diff(fld, u.eta, u.model, u.grid, kind, bvec=b,
-                                  II=II if kind == "spinor" else None)
-
-
 def _box_spatial(fld, u, bg, kind):
     """-D*D fld = sum_k D_k D_k fld with the full covariant stencil."""
-    Df = _covd(fld, u, bg, kind)
-    out = np.zeros_like(fld)
-    for k in range(3):
-        out += _covd(Df[k], u, bg, kind)[k]
-    return out
+    b, II = bg.b(u.tau), bg.II(u.tau)
+    return covariant_div(covariant_diff(fld, u.eta, u.model, u.grid, kind, bvec=b, II=II),
+                         u.eta, u.model, u.grid, kind, bvec=b, II=II)
 
 
 def _l2(x, u, bg):
@@ -100,12 +91,12 @@ def dirac_wave_residual(stack, bg, couplings):
     B = hodge_dual_B(u.Q)
     rhs = (scal / 4.0) * u.psi
     for k in range(3):
-        rhs = rhs - gamma_apply(G0G[k], dynamics._chi_apply(model, u.E[k], u.psi))
+        rhs = rhs - gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
     for i in range(3):
         for j in range(3):
             if i != j:
-                rhs = rhs + 0.5 * gamma_apply(GG[i, j],
-                                              dynamics._chi_apply(model, B[i, j], u.psi))
+                rhs = rhs + 0.5 * gamma_apply(
+                    GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
     # Y_{grad phi} . psi = -g0 Y_phidot psi + gk Y_{Z_k} psi
     rhs = rhs - gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
     for k in range(3):
@@ -143,19 +134,12 @@ def em_wave_residuals(stack, bg, couplings):
     trd = float(np.sum(dk))
 
     B = hodge_dual_B(u.Q)
-    DE = np.zeros((3, 3) + u.E.shape[1:])
-    DB = np.zeros((3, 3, 3) + u.E.shape[1:])
     Bstack = [hodge_dual_B(s.Q) for s in stack]
-    grid = u.grid
     b = bg.b(u.tau)
-    for k in range(3):
-        for i in range(3):
-            DE[k, i] = diff(u.E[i], k, grid) / b[k] \
-                + algebra.bracket(lie, u.eta[k], u.E[i])
-            for j in range(3):
-                if i != j:
-                    DB[k, i, j] = diff(B[i, j], k, grid) / b[k] \
-                        + algebra.bracket(lie, u.eta[k], B[i, j])
+    DE = covariant_diff(u.E, u.eta, model, u.grid, "adjoint", bvec=b)  # DE[k, i] = D_k E_i
+
+    def D(fld, k):
+        return covariant_d(fld, k, u.eta, model, u.grid, "adjoint", bvec=b)
 
     def im_pairing(left, right):
         return np.imag(algebra.current_pairing(model.chi, left, right))
@@ -172,7 +156,8 @@ def em_wave_residuals(stack, bg, couplings):
         rhs = (dk[i] - trd + 3 * H * kap[i] - kap[i] ** 2) * u.E[i]
         for k in range(3):
             rhs = rhs + 2.0 * algebra.bracket(lie, u.E[k], B[i, k])
-            rhs = rhs - 2.0 * kap[k] * DB[k, k, i]
+            if k != i:  # B[i, i] = 0
+                rhs = rhs - 2.0 * kap[k] * D(B[k, i], k)
         rhs = rhs + im_pairing(u.psi, u.S[i])  # <g0 psi, X> = psi^dag X
         rhs = rhs - im_pairing(gamma_apply(G0G[i], u.psi), u.psidot)
         rhs = rhs + re_pairing(algebra.rho_star_apply(model.rho, u.E[i], u.phi), u.phi)
@@ -208,10 +193,8 @@ def current_divergence_residual(stack, bg, couplings):
     matter equations hold."""
     u = stack[2]
     model = couplings.model
-    lie = model.lie
     dtau = stack[3].tau - stack[2].tau
     H = bg.H(u.tau)
-    b = bg.b(u.tau)
 
     def J0_of(s):
         out = -np.real(algebra.current_pairing(model.rho, s.phidot, s.phi))
@@ -220,8 +203,6 @@ def current_divergence_residual(stack, bg, couplings):
 
     J0s = [J0_of(s) for s in stack]
     Jsp = dynamics.currents(u)
-    div = np.zeros_like(J0s[2])
-    for k in range(3):
-        div += diff(Jsp[k], k, u.grid) / b[k] + algebra.bracket(lie, u.eta[k], Jsp[k])
+    div = covariant_div(Jsp, u.eta, model, u.grid, "adjoint", bvec=bg.b(u.tau))
     resid = _d1(J0s, dtau) - 3 * H * J0s[2] - div
     return _l2(resid, u, bg)

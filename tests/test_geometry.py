@@ -9,7 +9,7 @@ def test_horizon_closed_forms():
         p = geometry.ScaleProfile("desitter", a=a)
         assert abs(p.horizon() - np.pi / 2) < 1e-9
     assert abs(geometry.ScaleProfile("exponential").horizon() - 1.0) < 1e-9
-    with pytest.raises(geometry.ConfigurationError):
+    with pytest.raises(geometry.InputError):
         geometry.ScaleProfile("constant").horizon()
 
 
@@ -45,7 +45,7 @@ def test_table_profile():
     assert abs(p.horizon() - np.pi / 2) < 1e-3
     assert abs(p.tau_of_t(2.0) - np.arctan(np.sinh(2.0))) < 1e-7
     flat = np.ones_like(t)
-    with pytest.raises(geometry.ConfigurationError):
+    with pytest.raises(geometry.InputError):
         geometry.ScaleProfile("table", t=t, s=flat)
 
 
