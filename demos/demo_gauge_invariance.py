@@ -10,8 +10,9 @@ covariant Sobolev energies agree to the stencil's discretization error.
 from ymtorus import driver, lattice
 
 cfg = driver.preset_config("gauge_invariance")
-model = driver.build_model(cfg)
-grid = driver.build_grid(cfg)
+grid, model, bg, couplings = driver.build_run(cfg)
+u0, _ = driver.prepare_initial_state(cfg, grid, model, bg, couplings,
+                                     k=int(cfg["numerics", "energy_k"]))
 
 gt = lattice.GaugeTransform.random_smooth(
     grid, model, seed=int(cfg["gauge_experiment", "seed"]),
@@ -19,7 +20,7 @@ gt = lattice.GaugeTransform.random_smooth(
 print("gauge transform: random smooth su(2) field, unitarity defect %.2e"
       % lattice.unitarity_defect(gt.matrices(model.lie.defining)))
 
-res = driver.run_gauge_invariance(cfg)
+res = driver.run_gauge_invariance(cfg, u0)
 print("\n tau      rel. mismatch (yang-mills, higgs, dirac)")
 for row in res["rows"]:
     print(" %.3f    %.2e  %.2e  %.2e"

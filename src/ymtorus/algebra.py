@@ -11,8 +11,9 @@ the chiral fermion representation chi = chi_+ (+) chi_- on V = V_+ (+) V_-,
 and a Yukawa map stored as its (w, conj w) coefficient blocks
 Z_w = sum_k w_k A_k + conj(w_k) B_k, Z_w : V_+ -> V_-.
 
-All operations broadcast over trailing grid axes.  The fiber actions run over
-term tables (FiberTerms) built once per model: zero entries cost nothing.
+All operations broadcast over trailing grid axes.  The fiber actions, the
+Yukawa map's included, run over term tables (FiberTerms) built once per
+model: zero entries cost nothing.
 """
 
 import numpy as np
@@ -26,7 +27,8 @@ class FiberTerms:
     `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c])."""
 
     def __init__(self, t):
-        self.dim_out, self.dtype = t.shape[2], t.dtype
+        self.dim_xi, _, self.dim_out = t.shape
+        self.dtype = t.dtype
         self.pairs = [(b, c, [(a, t[a, b, c]) for a in np.flatnonzero(t[:, b, c]).tolist()])
                       for b, c in np.argwhere(np.any(t != 0, axis=0)).tolist()]
 
@@ -228,13 +230,22 @@ def current_pairing(repr_data, left, right):
     left and right share a shape (d, *grid) or (4, d, *grid); the fiber (and
     spin) indices are contracted, the Lie index a survives.
     """
+    return _fiber_pairing(repr_data.terms, left, right)
+
+
+def _fiber_pairing(terms, left, right, first=0):
+    """out[a - first] = <left, T_a right> for the xi components a >= first of a
+    term table (T_a = the matrix of xi_a), over the nonzero pairs only."""
     axis = right.ndim - 4 if right.ndim >= 4 else right.ndim - 1
     lead = (slice(None),) * axis
-    out = np.zeros((repr_data.dim_g,) + right.shape[axis + 1:], dtype=complex)
-    for b, c, coeffs in repr_data.terms.pairs:
-        C = np.sum(np.conj(left[lead + (c,)]) * right[lead + (b,)], axis=tuple(range(axis)))
-        for a, w in coeffs:
-            out[a] += w * C
+    out = np.zeros((terms.dim_xi - first,) + right.shape[axis + 1:], dtype=complex)
+    for b, c, coeffs in terms.pairs:
+        coeffs = [(a - first, w) for a, w in coeffs if a >= first]
+        if coeffs:
+            C = np.sum(np.conj(left[lead + (c,)]) * right[lead + (b,)],
+                       axis=tuple(range(axis)))
+            for a, w in coeffs:
+                out[a] += w * C
     return out
 
 
@@ -252,34 +263,40 @@ def direct_sum(r1, r2):
 # ---------------------------------------------------------------------------
 
 class YukawaData:
-    """R-linear Yukawa map, stored through Z_w = sum_k w_k A_k + conj(w_k) B_k."""
+    """R-linear Yukawa map Y_w = [[0, -Z_w^H], [Z_w, 0]] on V = V_+ (+) V_-, with
+    Z_w = sum_k w_k A_k + conj(w_k) B_k : V_+ -> V_-.
+
+    `terms` is its fiber table over xi = (w, conj w), built once:
+    Y_w = sum_k w_k L_k + conj(w_k) R_k with L_k = [[0, -B_k^H], [A_k, 0]] and
+    R_k = [[0, -A_k^H], [B_k, 0]].
+    """
 
     def __init__(self, a_lin, a_bar, name=""):
         self.a_lin = np.asarray(a_lin, dtype=complex)   # (dim_W, dim_Vm, dim_Vp)
         self.a_bar = np.asarray(a_bar, dtype=complex)
-        self.dim_W = self.a_lin.shape[0]
-        self.dim_Vm = self.a_lin.shape[1]
-        self.dim_Vp = self.a_lin.shape[2]
+        self.dim_W, self.dim_Vm, self.dim_Vp = self.a_lin.shape
         self.name = name
+        dp, dV = self.dim_Vp, self.dim_Vp + self.dim_Vm
+        blocks = np.zeros((2, self.dim_W, dV, dV), dtype=complex)
+        for blk, (lower, upper) in enumerate(((self.a_lin, self.a_bar),
+                                              (self.a_bar, self.a_lin))):
+            blocks[blk, :, dp:, :dp] = lower
+            blocks[blk, :, :dp, dp:] = -np.conj(np.swapaxes(upper, 1, 2))
+        self.terms = FiberTerms(np.swapaxes(blocks.reshape(2 * self.dim_W, dV, dV), 1, 2))
 
     @classmethod
     def zero(cls, dim_W, dim_Vp, dim_Vm):
         z = np.zeros((dim_W, dim_Vm, dim_Vp))
         return cls(z, z, name="zero")
 
-    def z_block(self, w):
-        """Z_w as a (dim_Vm, dim_Vp, *grid) array."""
-        return (np.einsum("kvw,k...->vw...", self.a_lin, w)
-                + np.einsum("kvw,k...->vw...", self.a_bar, np.conj(w)))
-
     def matrix(self, w):
-        """Full skew-Hermitian Y_w on V = V_+ (+) V_-, shape (dV, dV, *grid)."""
-        z = self.z_block(w)
-        dp, dm = self.dim_Vp, self.dim_Vm
-        out = np.zeros((dp + dm, dp + dm) + z.shape[2:], dtype=complex)
-        out[dp:, :dp] = z
-        out[:dp, dp:] = -np.conj(np.swapaxes(z, 0, 1))
-        return out
+        """Y_w as a (dV, dV) matrix for a constant W-vector w."""
+        return yukawa_apply(self, w, np.eye(self.dim_Vp + self.dim_Vm))
+
+
+def _w_and_conj(w):
+    w = np.asarray(w)
+    return np.concatenate([w, np.conj(w)])
 
 
 def yukawa_apply(yuk, w, v):
@@ -287,36 +304,25 @@ def yukawa_apply(yuk, w, v):
     v = np.asarray(v)
     if v.shape[0] != yuk.dim_Vp + yuk.dim_Vm:
         raise InputError("yukawa_apply: V dimension mismatch")
-    return np.einsum("VW...,W...->V...", yuk.matrix(np.asarray(w)), v)
+    return _fiber_apply(yuk.terms, _w_and_conj(w), v)
 
 
 def yukawa_spinor_apply(yuk, w, psi):
     """Y_w acting on the internal index of a twisted spinor (4, dV, ...)."""
-    M = yuk.matrix(np.asarray(w))
-    d = M.shape[0]
-    if M.ndim == 2:
-        return np.einsum("VW,sW...->sV...", M, psi)
-    flat = np.einsum("VWx,sWx->sVx", M.reshape(d, d, -1), psi.reshape(4, d, -1))
-    return flat.reshape(psi.shape)
+    return _fiber_apply(yuk.terms, _w_and_conj(w), np.asarray(psi), axis=1)
 
 
 def yukawa_antilinear_current(yuk, psi):
     """Higgs-equation source <psi, i Y^- psi>, a W-vector field.
 
-    Expanded in an orthonormal basis W_k of W the coefficients are
-    (1/2) <psi, (i Y_{W_k} - Y_{i W_k}) psi> with the indefinite spinor
-    pairing; the defining property 2 Re<w, out> = <psi, i Y_w psi> holds for
+    Expanded in an orthonormal basis e_k of W the coefficients are
+    (1/2) <psi, (i Y_{e_k} - Y_{i e_k}) psi> = i <g0 psi, R_k psi> with the
+    indefinite spinor pairing, a contraction over the conj-w block of the
+    table; the defining property 2 Re<w, out> = <psi, i Y_w psi> holds for
     every w.
     """
-    grid = psi.shape[2:]
-    out = np.zeros((yuk.dim_W,) + grid, dtype=complex)
-    eye = np.eye(yuk.dim_W)
-    for k in range(yuk.dim_W):
-        y1 = yuk.matrix(eye[k])
-        y2 = yuk.matrix(1j * eye[k])
-        op = 1j * y1 - y2
-        out[k] = 0.5 * clifford.spin_inner(psi, np.einsum("VW,sW...->sV...", op, psi))
-    return out
+    left = clifford.gamma_apply(clifford.GAMMA[0], psi)
+    return 1j * _fiber_pairing(yuk.terms, left, psi, first=yuk.dim_W)
 
 
 def check_equivariance(repr_W, repr_V, yuk, samples=100, seed=0):
@@ -354,12 +360,13 @@ class GaugeModel:
         self.dim_Vp = chi_plus.dim_W
         self.dim_Vm = chi_minus.dim_W
         self.dim_V = self.dim_Vp + self.dim_Vm
-        # the term table of each fiber kind and whether it acts at all: an
-        # empty table (u(1) brackets, trivial representations) acts by zero,
-        # and so does a zero Yukawa map; rhs and covariant_diff skip such terms
+        # the term table of each connection's fiber kind, and whether each
+        # table, the Yukawa map's included, acts at all: an empty table (u(1)
+        # brackets, trivial representations, a zero Yukawa map) acts by zero,
+        # and rhs and covariant_diff skip its terms
         self.terms = {"adjoint": lie.terms, "higgs": rho.terms, "spinor": self.chi.terms}
-        self.acts = {kind: bool(terms.pairs) for kind, terms in self.terms.items()}
-        self.yukawa_acts = bool(np.any(yukawa.a_lin) or np.any(yukawa.a_bar))
+        self.acts = {kind: bool(terms.pairs)
+                     for kind, terms in {**self.terms, "yukawa": yukawa.terms}.items()}
         # chirality-consistent fiber mask: spin rows 0,1 carry V_+, rows 2,3 V_-
         mask = np.zeros((4, self.dim_V))
         mask[:2, : self.dim_Vp] = 1.0

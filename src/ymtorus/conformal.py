@@ -80,8 +80,7 @@ class DecayFit:
         }
 
 
-def decay_fit(taus, sup_tilde, fmap, exponent_guess=None, window_frac=0.4,
-              rescale=0.0):
+def decay_fit(taus, sup_tilde, fmap, window_frac=0.4, rescale=0.0):
     """Least-squares slope of log sup|X_phys| against log s(t) over the final
     window_frac of the run (in tau).
 

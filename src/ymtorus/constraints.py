@@ -94,7 +94,7 @@ def gauss_constraint(u, bg=None):
 def dirac_operator_rhs(u, bg=None):
     """g0 ( gk S_k + Y_phi psi ) with the evolved S (the psidot a solution has)."""
     model = u.model
-    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.yukawa_acts else 0.0
+    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.acts["yukawa"] else 0.0
     for k in range(3):
         acc = acc + gamma_apply(GAMMA[k + 1], u.S[k])
     return gamma_apply(GAMMA[0], acc)
@@ -173,7 +173,7 @@ def _cov_div(vec, u, bg):
     return covariant_div(vec, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
 
 
-def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
+def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     """Project E so the Gauss constraint holds: E -> E - grad_omega(phi) with
     the covariant Poisson problem  -div_omega grad_omega phi = -C0(E).
 
@@ -224,16 +224,13 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None, log=None):
                           % (np.sqrt(rs * w), n_iter))
     u.E -= _cov_grad(x, u, bg)
     res = l2_norm(gauss_constraint(u, bg), w)
-    info = {
+    return {
         "iterations": n_iter,
         "converged": bool(rs <= target),
         "residual": res,
         "removed_mean": mean.tolist(),
         "removed_mean_norm": float(np.linalg.norm(mean)),
     }
-    if log is not None:
-        log.update(info)
-    return info
 
 
 def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
@@ -255,27 +252,15 @@ def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
 # Drift monitoring
 # ---------------------------------------------------------------------------
 
-def propagation_monitor(reports, initial_fields=None, final_fields=None,
-                        weight=None):
-    """Summarize a trajectory of ConstraintReport rows.
-
-    Returns per-constraint series, max/initial ratios against the post-solve
-    floor, and (when the initial and final constraint fields are supplied)
-    the fieldwise terminal drift ||c(tau_end) - c(0)||_L2, which cancels any
-    constant harmonic offset.
-    """
+def propagation_monitor(reports):
+    """Summarize a trajectory of ConstraintReport rows: per-constraint series
+    and their initial (post-solve floor) and maximum values."""
     names = ("curvature", "bianchi", "gauss", "dirac")
     series = {name: np.array([getattr(r, name) for r in reports]) for name in names}
     series["tau"] = np.array([r.tau for r in reports])
     out = {"series": series}
     out["initial"] = {name: series[name][0] for name in names}
     out["max"] = {name: series[name].max() for name in names}
-    if initial_fields is not None and final_fields is not None and weight is not None:
-        drift = {}
-        for name in names:
-            d = final_fields[name] - initial_fields[name]
-            drift[name] = l2_norm(d, weight, two_form=(name == "curvature"))
-        out["terminal_drift"] = drift
     return out
 
 

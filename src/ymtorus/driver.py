@@ -179,6 +179,20 @@ def validate_config(raw):
     if snapshots is not None and snapshots < 0:
         violations.append("outputs.snapshots must be >= 0")
 
+    if "gauge_experiment" in merged:
+        exp = merged["gauge_experiment"]
+        if exp.get("kind") not in ("static", "automorphism"):
+            violations.append("gauge_experiment.kind %r unknown (static, automorphism)"
+                              % exp.get("kind"))
+        # alpha_steps >= 4: the 4th-order check of the automorphism needs 5 samples
+        for key, conv, low in (("seed", int, None), ("amplitude", float, 0),
+                               ("cutoff", int, 1), ("alpha_amplitude", float, None),
+                               ("alpha_steps", int, 4)):
+            if key in exp:
+                val = num("gauge_experiment", key, conv)
+                if val is not None and low is not None and not val >= low:
+                    violations.append("gauge_experiment.%s must be >= %d" % (key, low))
+
     if violations:
         raise ConfigError(violations)
     return RunConfig(merged)
@@ -245,12 +259,12 @@ def build_run(cfg):
             dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"])))
 
 
-def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
+def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
     """Random data -> derived sectors -> Gauss solve -> energy normalization.
 
-    Iterates the rescale because the derived sectors and the Gauss projection
-    are nonlinear in the free data; converges in a couple of passes at small
-    amplitude.  Returns (state, info).
+    Iterates the rescale (at most six passes) because the derived sectors and
+    the Gauss projection are nonlinear in the free data; converges in a couple
+    of passes at small amplitude.  Returns (state, info).
     """
     seed = int(cfg["initial", "seed"])
     amplitude = float(cfg["initial", "amplitude"])
@@ -268,7 +282,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, max_fixups=6):
         return u, info
 
     target = amplitude ** 2
-    for _ in range(max_fixups):
+    for _ in range(6):
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
         e = energy.energy_report(u, dynamics.rhs(u, bg, couplings), bg, k=k,
@@ -388,7 +402,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     gauge_experiment = None
     exp_kind = cfg.get("gauge_experiment", "kind")
     if exp_kind == "static":
-        res = run_gauge_invariance(cfg)
+        res = run_gauge_invariance(cfg, u)  # evolve left u untouched
         gauge_experiment = {"kind": "static",
                             "worst_relative_mismatch": res["worst_relative_mismatch"],
                             "unitarity_defect": res["unitarity_defect"]}
@@ -502,12 +516,12 @@ def replot(out_dir):
 # Gauge experiments (driven by the optional [gauge_experiment] block)
 # ---------------------------------------------------------------------------
 
-def run_gauge_invariance(cfg, n_compare=12):
-    """Evolve the preset's initial data and its gauge transform side by side;
-    return the worst relative sector-energy mismatch over the run."""
+def run_gauge_invariance(cfg, u0):
+    """Evolve the initial data u0 of cfg (from prepare_initial_state) and its
+    gauge transform side by side in 12 steps; return the worst relative
+    sector-energy mismatch over the run."""
     grid, model, bg, couplings = build_run(cfg)
     k = int(cfg["numerics", "energy_k"])
-    u0, _ = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     gt = lattice.GaugeTransform.random_smooth(
         grid, model, seed=int(cfg.get("gauge_experiment", "seed", "77")),
         amplitude=float(cfg.get("gauge_experiment", "amplitude", "1e-2")),
@@ -515,7 +529,7 @@ def run_gauge_invariance(cfg, n_compare=12):
     ug = lattice.apply_gauge(u0, gt, bvec=bg.b(u0.tau))
 
     tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
-    n_steps = n_compare
+    n_steps = 12
     dtau = tau_end / n_steps
     control = dynamics.StepControl(dtau=dtau, cfl=1.2, tau_end=tau_end)
     control.validate(grid, bg)

@@ -77,11 +77,6 @@ def currents(u, bg=None):
     return J
 
 
-def yukawa_source(u):
-    """Higgs-equation source <psi, i Y^- psi> (complex W-vector field)."""
-    return algebra.yukawa_antilinear_current(u.model.yukawa, u.psi)
-
-
 def rhs(u, bg, couplings):
     """State derivative of the first-order system at u.tau."""
     model = couplings.model
@@ -127,8 +122,8 @@ def rhs(u, bg, couplings):
     out.phi[:] = u.phidot
     acc = 3.0 * H * u.phidot - (scal / 6.0) * u.phi \
         - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
-    if model.yukawa_acts:
-        acc = acc - yukawa_source(u)
+    if model.acts["yukawa"]:
+        acc = acc - algebra.yukawa_antilinear_current(yuk, u.psi)
     out.phidot[:] = acc + div(u.Z, "higgs")
     for i in range(3):
         out.Z[i] = (D(u.phidot, i, "higgs")
@@ -149,7 +144,7 @@ def rhs(u, bg, couplings):
                 if i != j:
                     acc = acc - 0.5 * gamma_apply(
                         GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
-    if model.yukawa_acts:
+    if model.acts["yukawa"]:
         acc = acc + gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
         for k in range(3):
             acc = acc - gamma_apply(GAMMA[k + 1],

@@ -104,8 +104,13 @@ class ScaleProfile:
         """tau(t) = int_0^t dt'/s(t') by adaptive quadrature."""
         if np.ndim(t) > 0:
             return np.array([self.tau_of_t(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
-        val, _ = integrate.quad(lambda u: 1.0 / self.s(u), 0.0, float(t),
-                                epsabs=1e-13, epsrel=1e-12, limit=200)
+        t = float(t)
+        # a spline is smooth only between its knots: break the integral there
+        knots = self._spline.x if self.kind == "table" else np.empty(0)
+        knots = knots[(knots > min(0.0, t)) & (knots < max(0.0, t))]
+        val, _ = integrate.quad(lambda u: 1.0 / self.s(u), 0.0, t,
+                                epsabs=1e-13, epsrel=1e-12, limit=200 + knots.size,
+                                points=knots if knots.size else None)
         return val
 
     def horizon(self):

@@ -49,10 +49,6 @@ class Grid:
     def cell_volume(self):
         return self.dx ** 3
 
-    def coords(self):
-        x = np.arange(self.n) * self.dx
-        return np.meshgrid(x, x, x, indexing="ij")
-
 
 def diff(f, axis, grid):
     """Centered periodic derivative along grid axis 0, 1 or 2.
@@ -137,9 +133,6 @@ class FieldState:
         kw = {name: getattr(self, name).copy() for name in FIELDS}
         return replace(self, **kw)
 
-    def arrays(self):
-        return {name: getattr(self, name) for name in FIELDS}
-
     def lincomb(self, coeff_self, others, out=None):
         """self*coeff_self + sum(c*u for c, u in others) at self.tau, written
         into the arrays of `out` (a state of the same shapes, returned) or
@@ -196,8 +189,9 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     """
     b = _frame_scale(bvec)
     dk = np.divide(diff(fld, k, grid), b[k], out=out)
-    if eta is not None and model.acts.get(kind, True):
-        # an unknown kind reaches connection_action, which rejects it
+    if eta is not None and (kind not in model.terms or model.acts[kind]):
+        # an unknown kind, 'yukawa' included, reaches connection_action,
+        # which rejects it
         dk += connection_action(fld, eta[k], model, kind)
     if kind == "spinor" and II is not None and II[k]:
         # gamma_apply acts on the leading axis; the spin axis is the fifth from last
@@ -282,16 +276,14 @@ def _band_limited(rng, grid, shape, cutoff, complex_field):
     return np.sqrt(2.0) * out.real
 
 
-def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS,
-                 energy_fn=None):
+def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS):
     """Seeded band-limited random state.
 
     Fills the free data (eta, E, phi, phidot, psi) with independent random
     Fourier modes, zeroes masked-out sectors, projects psi onto the
-    chirality-consistent fiber, and rescales so that energy_fn(state) equals
-    amplitude**2 (default energy_fn: flat-connection k=2 energy of the
-    stored sectors).  The derived sectors (Q, Z, S, psidot) are left zero;
-    constraints.complete_state fills them.
+    chirality-consistent fiber, and rescales so that the flat-connection k=2
+    energy of the stored sectors equals amplitude**2.  The derived sectors
+    (Q, Z, S, psidot) are left zero; constraints.complete_state fills them.
     """
     if amplitude < 0:
         raise InputError("amplitude must be >= 0")
@@ -314,9 +306,7 @@ def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS
         for name in FIELDS:
             getattr(u, name)[:] = 0.0
         return u
-    if energy_fn is None:
-        energy_fn = lambda st: _flat_k2_energy(st)
-    e0 = energy_fn(u)
+    e0 = _flat_k2_energy(u)
     if e0 > 0:
         scale = amplitude / np.sqrt(e0)
         for name in FIELDS:
@@ -437,7 +427,7 @@ def _polar_project(U):
     return W @ Vh
 
 
-def build_automorphism(model, alpha_fn, tau_grid, check_stride=1):
+def build_automorphism(model, alpha_fn, tau_grid):
     """Integrate gdot = -alpha(tau) g per site with RK4 and unitary
     re-projection; alpha_fn(tau) returns a Lie-valued scalar field.
 
@@ -473,7 +463,7 @@ def build_automorphism(model, alpha_fn, tau_grid, check_stride=1):
         worst_unit = max(worst_unit, _unit_defect_stack(U))
 
     worst_alpha = 0.0
-    for i in range(2, len(series) - 2, check_stride):
+    for i in range(2, len(series) - 2):
         dg = (series[i - 2] - 8 * series[i - 1] + 8 * series[i + 1] - series[i + 2]) / (12 * dtau)
         temporal = -dg @ np.conj(np.swapaxes(series[i], -2, -1))
         A = amat(tau_grid[i])

@@ -26,18 +26,12 @@ from .clifford import G0G, GG, GAMMA, gamma_apply
 from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B
 
 
-def time_stack(u0, bg, couplings, dtau, half_width=2):
-    """States at tau0 + m*dtau for m in [-half_width, half_width]."""
-    stack = {0: u0}
-    u = u0
-    for m in range(1, half_width + 1):
-        u = dynamics.step(u, bg, couplings, dtau)
-        stack[m] = u
-    u = u0
-    for m in range(1, half_width + 1):
-        u = dynamics.step(u, bg, couplings, -dtau)
-        stack[-m] = u
-    return [stack[m] for m in range(-half_width, half_width + 1)]
+def time_stack(u0, bg, couplings, dtau):
+    """The 5 states at tau0 + m*dtau, m = -2..2, that _d1 and _d2 read."""
+    back1 = dynamics.step(u0, bg, couplings, -dtau)
+    fwd1 = dynamics.step(u0, bg, couplings, dtau)
+    return [dynamics.step(back1, bg, couplings, -dtau), back1, u0,
+            fwd1, dynamics.step(fwd1, bg, couplings, dtau)]
 
 
 def _d1(series, dtau):

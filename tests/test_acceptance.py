@@ -142,7 +142,10 @@ def test_criterion_5_decay_rates(headline_runs):
 
 def test_criterion_6_gauge_invariance_of_energy():
     cfg = driver.preset_config("gauge_invariance")
-    res = driver.run_gauge_invariance(cfg)
+    grid, model, bg, couplings = driver.build_run(cfg)
+    u0, _ = driver.prepare_initial_state(cfg, grid, model, bg, couplings,
+                                         k=int(cfg["numerics", "energy_k"]))
+    res = driver.run_gauge_invariance(cfg, u0)
     worst = res["worst_relative_mismatch"]
     _report(6, worst <= 1e-6,
             "worst relative sector-energy mismatch %.2e (tol 1e-6) over %d report times"

@@ -88,7 +88,7 @@ def ref_rhs(u, bg, couplings):
     out.phi[:] = u.phidot
     acc = 3.0 * H * u.phidot - (scal / 6.0) * u.phi \
         - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
-    acc = acc - dynamics.yukawa_source(u)
+    acc = acc - algebra.yukawa_antilinear_current(yuk, u.psi)
     for k in range(3):
         acc = acc + d(u.Z[k], k) + algebra.rho_star_apply(model.rho, u.eta[k], u.Z[k])
     out.phidot[:] = acc

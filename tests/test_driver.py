@@ -340,3 +340,43 @@ def test_unconverged_gauss_solve_is_a_warning(tmp_path, monkeypatch):
     assert summary["warnings"] == meta["warnings"]
     monkeypatch.setattr(constraints, "solve_gauss_initial", solve)
     assert driver.run_experiment(cfg, quiet=True)["warnings"] == []
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("kind = automorphsm", "gauge_experiment.kind 'automorphsm' unknown (static, automorphism)"),
+    ("kind = static\nseed = x", "gauge_experiment.seed is not a valid int"),
+    ("kind = static\namplitude = abc", "gauge_experiment.amplitude is not a valid float"),
+    ("kind = static\ncutoff = 0", "gauge_experiment.cutoff must be >= 1"),
+    ("kind = automorphism\nalpha_amplitude = big",
+     "gauge_experiment.alpha_amplitude is not a valid float"),
+    ("kind = automorphism\nalpha_steps = 3", "gauge_experiment.alpha_steps must be >= 4"),
+    ("kind = automorphism\nalpha_steps = 0", "gauge_experiment.alpha_steps must be >= 4"),
+])
+def test_gauge_experiment_keys_checked(lines, message):
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[gauge_experiment]\n%s\n" % lines)
+    assert err.value.violations == [message]
+
+
+def test_static_gauge_experiment_prepares_the_state_once(tmp_path, monkeypatch):
+    raw = driver.preset_config("gauge_invariance").as_dict()
+    raw["grid"]["n"] = "8"
+    raw["background"]["tau_end_fraction"] = "0.05"
+    raw["outputs"] = {"directory": str(tmp_path / "gi"), "plot": "false", "snapshots": "0"}
+    cfg = driver.validate_config(raw)
+    prepare = driver.prepare_initial_state
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "prepare_initial_state", counting)
+    summary = driver.run_experiment(cfg, quiet=True)
+    assert len(calls) == 1
+    # the evolved run leaves its initial state untouched: the experiment sees
+    # the same data as one started from a fresh preparation
+    grid, model, bg, couplings = driver.build_run(cfg)
+    u0, _ = prepare(cfg, grid, model, bg, couplings, k=2)
+    fresh = driver.run_gauge_invariance(cfg, u0)["worst_relative_mismatch"]
+    assert summary["gauge_experiment"]["worst_relative_mismatch"] == fresh

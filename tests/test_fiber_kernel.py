@@ -1,14 +1,14 @@
 """The sparse fiber-action kernel against the dense einsum formulas.
 
-The dense contractions below multiply every entry of f and of the
-generators; they are the reference the term tables must reproduce, up to
+The dense contractions below multiply every entry of f, of the generators
+and of the Yukawa blocks; they are the reference the term tables must reproduce, up to
 the reassociation of the sums (rtol 1e-13 against the largest entry).
 """
 
 import numpy as np
 import pytest
 
-from ymtorus import algebra, lattice
+from ymtorus import algebra, clifford, lattice
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -136,3 +136,73 @@ def test_su3_table_keeps_only_nonzero_entries():
 def test_list_inputs():
     e = np.eye(3)
     assert np.array_equal(algebra.bracket(algebra.su2(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), e[2])
+
+
+# ---------------------------------------------------------------------------
+# The Yukawa map on its term table
+# ---------------------------------------------------------------------------
+
+def _dense_yukawa(yuk, w):
+    """Y_w = [[0, -Z_w^H], [Z_w, 0]] as a (dV, dV, *grid) array, with
+    Z_w = sum_k w_k A_k + conj(w_k) B_k formed entry by entry."""
+    z = (np.einsum("kvw,k...->vw...", yuk.a_lin, w)
+         + np.einsum("kvw,k...->vw...", yuk.a_bar, np.conj(w)))
+    dp, dm = yuk.dim_Vp, yuk.dim_Vm
+    out = np.zeros((dp + dm, dp + dm) + z.shape[2:], dtype=complex)
+    out[dp:, :dp] = z
+    out[:dp, dp:] = -np.conj(np.swapaxes(z, 0, 1))
+    return out
+
+
+def _dense_current(yuk, psi):
+    """(1/2) <psi, (i Y_{e_k} - Y_{i e_k}) psi> for each basis vector e_k of W."""
+    eye = np.eye(yuk.dim_W)
+    out = []
+    for k in range(yuk.dim_W):
+        op = 1j * _dense_yukawa(yuk, eye[k]) - _dense_yukawa(yuk, 1j * eye[k])
+        out.append(0.5 * clifford.spin_inner(psi, np.einsum("VW,sW...->sV...", op, psi)))
+    return np.stack(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=models, n=sizes, constant_w=st.booleans(), seed=seeds)
+def test_yukawa_map_matches_dense(name, n, constant_w, seed):
+    yuk = MODELS[name]().yukawa
+    rng = np.random.default_rng(seed)
+    grid = (n, n, n)
+    dV = yuk.dim_Vp + yuk.dim_Vm
+    w = _complex(rng, (yuk.dim_W,) + (() if constant_w else grid))
+    Y = _dense_yukawa(yuk, w)
+    lead = "" if constant_w else "..."
+
+    psi = _complex(rng, (4, dV) + grid)
+    _assert_close(algebra.yukawa_spinor_apply(yuk, w, psi),
+                  np.einsum("VW%s,sW...->sV..." % lead, Y, psi))
+    v = _complex(rng, (dV,) + grid)
+    _assert_close(algebra.yukawa_apply(yuk, w, v), np.einsum("VW%s,W...->V..." % lead, Y, v))
+    if constant_w:
+        _assert_close(yuk.matrix(w), Y)
+    _assert_close(algebra.yukawa_antilinear_current(yuk, psi), _dense_current(yuk, psi))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_yukawa_acts_by_the_empty_table_rule(name):
+    model = MODELS[name]()
+    dense_nonzero = bool(np.any(model.yukawa.a_lin) or np.any(model.yukawa.a_bar))
+    assert model.acts["yukawa"] == bool(model.yukawa.terms.pairs) == dense_nonzero
+
+
+@pytest.mark.parametrize("yuk", [algebra.su3_pure().yukawa, algebra.YukawaData.zero(2, 2, 1)],
+                         ids=["su3_pure", "zero_2_2_1"])
+def test_zero_yukawa_map_is_exact_zero(yuk):
+    rng = np.random.default_rng(3)
+    grid = (4, 4, 4)
+    dV = yuk.dim_Vp + yuk.dim_Vm
+    assert yuk.terms.pairs == []
+    w = _complex(rng, (yuk.dim_W,) + grid)
+    psi = _complex(rng, (4, dV) + grid)
+    for out, shape in ((algebra.yukawa_spinor_apply(yuk, w, psi), psi.shape),
+                       (algebra.yukawa_apply(yuk, w, psi[0]), psi.shape[1:]),
+                       (algebra.yukawa_antilinear_current(yuk, psi), w.shape),
+                       (yuk.matrix(w[:, 0, 0, 0]), (dV, dV))):
+        assert out.shape == shape and not out.any()

@@ -107,15 +107,15 @@ def test_skipped_fiber_terms_change_no_value(bianchi_bg):
     # su3_pure: trivial fermions and a zero Yukawa map, so rhs skips the
     # chi* and Yukawa terms; forcing them on adds only (signed) zeros
     model = algebra.su3_pure()
-    assert not model.acts["spinor"] and not model.yukawa_acts
+    assert not model.acts["spinor"] and not model.acts["yukawa"]
     u = make_state(lattice.Grid(8), model, bianchi_bg, seed=7, amplitude=0.1)
     coup = dynamics.Couplings(model, lam=1.0)
     skipped = dynamics.rhs(u, bianchi_bg, coup)
-    model.acts["spinor"] = model.yukawa_acts = True
+    model.acts["spinor"] = model.acts["yukawa"] = True
     full = dynamics.rhs(u, bianchi_bg, coup)
     for name in lattice.FIELDS:
         assert np.array_equal(getattr(skipped, name), getattr(full, name)), name
-    assert algebra.su2_toy().acts["spinor"] and algebra.u1_toy().yukawa_acts
+    assert algebra.su2_toy().acts["spinor"] and algebra.u1_toy().acts["yukawa"]
 
 
 # ---------------------------------------------------------------------------
