@@ -20,7 +20,7 @@ gt = lattice.GaugeTransform.random_smooth(
 print("gauge transform: random smooth su(2) field, unitarity defect %.2e"
       % lattice.unitarity_defect(gt.matrices(model.lie.defining)))
 
-res = driver.run_gauge_invariance(cfg, u0)
+res = driver.run_gauge_invariance(cfg, u0, bg, couplings)
 print("\n tau      rel. mismatch (yang-mills, higgs, dirac)")
 for row in res["rows"]:
     print(" %.3f    %.2e  %.2e  %.2e"

@@ -46,8 +46,15 @@ GG = np.stack([np.stack([GAMMA[i + 1] @ GAMMA[j + 1] for j in range(3)]) for i i
 
 
 def gamma_apply(mat, psi):
-    """Apply a constant 4x4 spin matrix to the spin index of psi."""
-    return np.tensordot(mat, psi, axes=(1, 0))
+    """Apply a constant 4x4 spin matrix to the spin index of psi; one with a
+    single nonzero per row (GAMMA, G0G, GG) is a row permutation times a phase."""
+    nonzero = mat != 0
+    if (nonzero.sum(axis=1) != 1).any():
+        return np.tensordot(mat, psi, axes=(1, 0))
+    cols = nonzero.argmax(axis=1)
+    out = psi[cols].astype(np.result_type(mat, psi), copy=False)
+    out *= mat[np.arange(4), cols].reshape((4,) + (1,) * (psi.ndim - 1))
+    return out
 
 
 def clifford_mul(X, psi):

@@ -46,6 +46,10 @@ DEFAULTS = {
     "outputs": {"directory": "runs/out", "plot": "true", "snapshots": "0"},
 }
 
+CUTOFF_BOUND = ("grid.n must exceed 4*%s.cutoff: quadratic densities of band-limited "
+                "data reach mode 2*cutoff, and the centered stencils cannot see the "
+                "Nyquist mode the Gauss solve would need")
+
 
 class RunConfig:
     """Validated run configuration (attribute bag; see KNOWN_KEYS)."""
@@ -149,10 +153,7 @@ def validate_config(raw):
     if cutoff is not None and cutoff < 1:
         violations.append("initial.cutoff must be >= 1")
     if cutoff is not None and n is not None and n <= 4 * cutoff:
-        violations.append(
-            "grid.n must exceed 4*initial.cutoff: quadratic source densities of "
-            "band-limited data reach mode 2*cutoff, and the centered stencils "
-            "cannot see the Nyquist mode the Gauss solve would need")
+        violations.append(CUTOFF_BOUND % "initial")
     sectors = [s.strip() for s in merged["initial"]["sectors"].split(",") if s.strip()]
     for s in sectors:
         if s not in lattice.ALL_SECTORS:
@@ -192,6 +193,8 @@ def validate_config(raw):
                 val = num("gauge_experiment", key, conv)
                 if val is not None and low is not None and not val >= low:
                     violations.append("gauge_experiment.%s must be >= %d" % (key, low))
+                elif key == "cutoff" and val is not None and n is not None and n <= 4 * val:
+                    violations.append(CUTOFF_BOUND % "gauge_experiment")
 
     if violations:
         raise ConfigError(violations)
@@ -402,7 +405,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     gauge_experiment = None
     exp_kind = cfg.get("gauge_experiment", "kind")
     if exp_kind == "static":
-        res = run_gauge_invariance(cfg, u)  # evolve left u untouched
+        res = run_gauge_invariance(cfg, u, bg, couplings)  # evolve left u untouched
         gauge_experiment = {"kind": "static",
                             "worst_relative_mismatch": res["worst_relative_mismatch"],
                             "unitarity_defect": res["unitarity_defect"]}
@@ -516,11 +519,11 @@ def replot(out_dir):
 # Gauge experiments (driven by the optional [gauge_experiment] block)
 # ---------------------------------------------------------------------------
 
-def run_gauge_invariance(cfg, u0):
+def run_gauge_invariance(cfg, u0, bg, couplings):
     """Evolve the initial data u0 of cfg (from prepare_initial_state) and its
-    gauge transform side by side in 12 steps; return the worst relative
-    sector-energy mismatch over the run."""
-    grid, model, bg, couplings = build_run(cfg)
+    gauge transform side by side in 12 steps with the run's background and
+    couplings; return the worst relative sector-energy mismatch over the run."""
+    grid, model = u0.grid, u0.model
     k = int(cfg["numerics", "energy_k"])
     gt = lattice.GaugeTransform.random_smooth(
         grid, model, seed=int(cfg.get("gauge_experiment", "seed", "77")),
@@ -531,8 +534,7 @@ def run_gauge_invariance(cfg, u0):
     tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
     n_steps = 12
     dtau = tau_end / n_steps
-    control = dynamics.StepControl(dtau=dtau, cfl=1.2, tau_end=tau_end)
-    control.validate(grid, bg)
+    dynamics.StepControl(dtau=dtau, cfl=1.2, tau_end=tau_end).validate(grid, bg)
 
     worst = 0.0
     rows = []

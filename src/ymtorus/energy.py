@@ -5,7 +5,10 @@ sobolev_norm returns the squared H^k norm
     sum_{l <= k} sum_sites |D^l xi|^2 sqrt(g) dx^3
 
 with D the covariant stencil of the requested fiber (see lattice.covariant_diff)
-and the positive spinor pairing on fermion sectors.  Sector energies follow
+and the positive spinor pairing on fermion sectors.  Where the connection
+drops out of D (the reference connection, the u(1) adjoint, trivial
+representations) the sums are taken in Fourier space, which agrees with the
+chain to rounding (lattice.fourier_sobolev_norms).  Sector energies follow
 the first-order formulation: temporal derivatives come from the evolution
 variables (phidot, psidot) or from an rhs evaluation (E, B), never from
 finite-differenced snapshots.
@@ -20,36 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import covariant_diff
-
-
-SECTOR_KINDS = {
-    "eta": ("lie1", "adjoint"),
-    "Q": ("lie1", "adjoint"),
-    "E": ("lie1", "adjoint"),
-    "phi": ("scalar", "higgs"),
-    "phidot": ("scalar", "higgs"),
-    "Z": ("form", "higgs"),
-    "psi": ("scalar", "spinor"),
-    "psidot": ("scalar", "spinor"),
-    "S": ("form", "spinor"),
-}
+from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms
 
 
 def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
                   weight=1.0):
     """Squared H^l norms of a field with fiber action `kind` for l = 0..k.
 
-    The covariant-derivative chain is walked once and only its current level
-    is held; H^l is the running sum of the per-level sums up to l, times
-    `weight`.  Pass eta=None for the flat reference connection.  `weight` is
-    the volume element sqrt(g) dx^3 per site.
+    Where the connection drops out (lattice.drops_connection) they are summed
+    in Fourier space; otherwise the covariant-derivative chain is walked once,
+    holding only its current level.  H^l is the running sum of the per-level
+    sums up to l, times `weight`, the volume element sqrt(g) dx^3 per site.
     """
     if k < 0 or k > 4:
         raise InputError("sobolev_norm supports 0 <= k <= 4")
-    total = 0.0
-    cur = fld
-    total += np.sum(np.abs(cur) ** 2)
+    if drops_connection(eta, model, kind):
+        return fourier_sobolev_norms(fld, k, grid, bvec=bvec, II=II, weight=weight)
+    cur, total = fld, np.sum(np.abs(fld) ** 2)
     norms = [float(total * weight)]
     for _ in range(k):
         cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
@@ -64,58 +54,46 @@ def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
     return sobolev_norms(fld, k, eta, model, grid, kind, bvec, II, weight)[k]
 
 
-def _bg_data(u, bg):
-    if bg is None:
-        return np.ones(3), None, 1.0
-    return bg.b(u.tau), bg.II(u.tau), bg.sqrt_g(u.tau)
-
-
 # The k-th energy of a sector sums, in this order, the H^(k + shift) norms of
-# these fields of the state ("u") or of its rhs evaluation ("rhs"); terms with
-# k + shift < 0 are left out.
+# these fields of the state ("u") or of its rhs evaluation ("rhs"), all of the
+# sector's fiber kind; terms with k + shift < 0 are left out.
 SECTOR_TERMS = {
     "yangmills": (("rhs", "E", -1), ("u", "E", 0), ("rhs", "Q", -1), ("u", "Q", 0)),
     "higgs": (("u", "phidot", -1), ("u", "phi", 0)),
     "dirac": (("u", "psidot", -1), ("u", "psi", 0)),
 }
+SECTOR_KIND = {"yangmills": "adjoint", "higgs": "higgs", "dirac": "spinor"}
 
 
 class _Norms:
-    """H^l norms of the sector fields of one state: each (source, field) chain
-    is walked once per connection up to the largest level asked for."""
+    """Sector energies of one state from the H^l norms (l <= top) of its fields,
+    computed once per connection when an energy first needs them; where a
+    connection acts by zero they are the reference norms and share an entry."""
 
-    def __init__(self, u, rhs_state, bg):
-        self.u, self.rhs_state = u, rhs_state
-        self.b, self.II, sg = _bg_data(u, bg)
+    def __init__(self, u, rhs_state, bg, top):
+        self.u, self.rhs_state, self.top = u, rhs_state, top
+        self.b, self.II, sg = ((np.ones(3), None, 1.0) if bg is None
+                               else (bg.b(u.tau), bg.II(u.tau), bg.sqrt_g(u.tau)))
         self.w = sg * u.grid.cell_volume
-        self.table = {}  # (connection, source, field) -> [H^0, H^1, ...]
-
-    def fill(self, sectors, top, connection="omega"):
-        """Compute the norms that the k <= top energies of `sectors` need."""
-        u, model = self.u, self.u.model
-        eta = u.eta if connection == "omega" else None
-        for sector in sectors:
-            for source, name, shift in SECTOR_TERMS[sector]:
-                key = (connection, source, name)
-                if top + shift < 0 or key in self.table:
-                    continue
-                if source == "rhs" and self.rhs_state is None:
-                    raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
-                kind = SECTOR_KINDS[name][1]
-                shared = self.table.get(("omega", source, name), ())
-                if eta is None and not model.acts[kind] and len(shared) > top + shift:
-                    # covariant_diff drops a connection that acts by zero, so
-                    # the reference chain is the evolved one
-                    self.table[key] = shared
-                    continue
-                fld = getattr(u if source == "u" else self.rhs_state, name)
-                self.table[key] = sobolev_norms(
-                    fld, top + shift, eta, model, u.grid, kind, bvec=self.b,
-                    II=self.II if kind == "spinor" else None, weight=self.w)
+        self.table = {}  # (connection acts, source, field) -> [H^0, H^1, ...]
 
     def energy(self, sector, k, connection="omega"):
-        return sum(self.table[(connection, source, name)][k + shift]
-                   for source, name, shift in SECTOR_TERMS[sector] if k + shift >= 0)
+        u, kind = self.u, SECTOR_KIND[sector]
+        acts = connection == "omega" and u.model.acts[kind]
+        total = 0.0
+        for source, name, shift in SECTOR_TERMS[sector]:
+            if k + shift < 0:
+                continue
+            key = (acts, source, name)
+            if key not in self.table:
+                if source == "rhs" and self.rhs_state is None:
+                    raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
+                self.table[key] = sobolev_norms(
+                    getattr(u if source == "u" else self.rhs_state, name), self.top + shift,
+                    u.eta if acts else None, u.model, u.grid, kind, bvec=self.b,
+                    II=self.II if kind == "spinor" else None, weight=self.w)
+            total += self.table[key][k + shift]
+        return total
 
 
 def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
@@ -128,9 +106,7 @@ def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
     """
     if sector not in SECTOR_TERMS:
         raise InputError("unknown sector %r" % sector)
-    norms = _Norms(u, rhs_state, bg)
-    norms.fill((sector,), k, connection)
-    return norms.energy(sector, k, connection)
+    return _Norms(u, rhs_state, bg, k).energy(sector, k, connection)
 
 
 def sup_norms(u):
@@ -175,18 +151,14 @@ def energy_report(u, rhs_state, bg=None, k=2, k_list=(0, 1, 2)):
     """Sector energies for each k in k_list plus the headline total at k and
     the reference-connection variant (which adds ||eta||^2_{H^k}).
 
-    Every field's covariant-derivative chain is walked once, up to the
-    largest k, and every energy is summed from its per-level sums."""
+    Every field's norms are computed once per connection, up to the largest
+    k, and every energy is summed from its per-level sums."""
     if k not in k_list:
         k_list = tuple(k_list) + (k,)
-    sectors = ("yangmills", "higgs", "dirac")
-    norms = _Norms(u, rhs_state, bg)
-    norms.fill(sectors, max(k_list))
-    norms.fill(sectors, k, "reference")
-    ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in sectors)
+    norms = _Norms(u, rhs_state, bg, max(k_list))
+    ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = ym[k] + hg[k] + dr[k]
-    ref = (norms.energy("yangmills", k, "reference") + norms.energy("higgs", k, "reference")
-           + norms.energy("dirac", k, "reference")
+    ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)
            + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", bvec=norms.b,
                           weight=norms.w))
     return EnergyReport(tau=u.tau, k=k, yangmills=ym, higgs=hg, dirac=dr,

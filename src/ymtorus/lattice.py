@@ -15,9 +15,10 @@ and contract it.
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import fft
 
 from . import algebra, clifford
 from .errors import InputError
@@ -86,6 +87,44 @@ def _centered_difference(rows, s, out):
     np.subtract(rows[:, s:2 * s], rows[:, n - s:], out=out[:, :s])
     np.subtract(rows[:, :s], rows[:, n - 2 * s:n - s], out=out[:, n - s:])
     return out
+
+
+def modified_wavenumber(grid):
+    """s(kappa) of the stencil at the FFT wavenumbers of one axis: diff maps
+    exp(i kappa x) to i s(kappa) exp(i kappa x) (Lele, J. Comput. Phys. 103, 1992)."""
+    theta = 2.0 * np.pi * fft.fftfreq(grid.n)  # kappa dx
+    if grid.order == 2:
+        return np.sin(theta) / grid.dx
+    return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * grid.dx)
+
+
+def fourier_sobolev_norms(fld, k, grid, bvec=None, II=None, weight=1.0):
+    """Squared H^l norms [H^0, ..., H^k] for the constant-coefficient D_k =
+    (1/b_k) diff(., k), plus (1/2) II_k g0 g_k on spinors when II is given.
+
+    sum_k |D_k f|^2 has the Fourier symbol lambda = sum_k s(kappa_k)^2 / b_k^2,
+    plus sum_k II_k^2 / 4 (g0 g_k is a Hermitian involution), so level j sums
+    to sum_kappa lambda^j |f_hat|^2 / n^3: one FFT gives every level.  H^0 is
+    the direct sum; a real field takes the half spectrum, counting mirrored
+    modes twice.  H^l = weight * sum_{j <= l} level j.
+    """
+    total = np.sum(np.abs(fld) ** 2)
+    norms = [float(total * weight)]
+    real = not np.iscomplexobj(fld)
+    f_hat = (fft.rfftn if real else fft.fftn)(fld, axes=(-3, -2, -1))
+    last = np.arange(f_hat.shape[-1])
+    mirrored = real & (last > 0) & (2 * last != grid.n)
+    parts = np.square(f_hat.view(np.float64), out=f_hat.view(np.float64))  # re^2, im^2
+    parts = np.sum(parts.reshape((-1,) + f_hat.shape[-3:] + (2,)), axis=0)
+    power = (parts[..., 0] + parts[..., 1]) * (np.where(mirrored, 2.0, 1.0) / grid.n ** 3)
+    s2 = (modified_wavenumber(grid)[None, :] / _frame_scale(bvec)[:, None]) ** 2
+    lam = s2[0][:, None, None] + s2[1][None, :, None] + s2[2][None, None, last]
+    lam += 0.0 if II is None else 0.25 * np.sum(np.square(II))
+    for _ in range(k):
+        power *= lam
+        total += np.sum(power)
+        norms.append(float(total * weight))
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +214,27 @@ def connection_action(fld, xi, model, kind):
     return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4)
 
 
+def drops_connection(eta, model, kind):
+    """True where covariant_d leaves the connection term out (eta=None, the
+    flat reference connection, or a kind that acts by zero): D_k then has
+    constant coefficients.  An unknown kind keeps it: connection_action rejects it."""
+    return eta is None or (kind in model.terms and not model.acts[kind])
+
+
 def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     """Covariant derivative D_k along frame axis k, in this order:
 
       (1/b_k) diff(fld, k) + connection_action(fld, eta_k) + (1/2) II_k g0 g_k fld
 
-    kind selects the fiber action (see connection_action); it is left out for
-    eta=None (the flat reference connection) and where it acts by zero
-    (model.acts).  The spin-connection term enters for kind 'spinor' with
-    II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form axes of fld
-    are carried along (they are flat in the adapted frame).  The result is
-    written into `out` when given.
+    kind selects the fiber action (see connection_action); it is left out
+    where drops_connection holds.  The spin-connection term enters for kind
+    'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
+    axes of fld are carried along (they are flat in the adapted frame).  The
+    result is written into `out` when given.
     """
     b = _frame_scale(bvec)
     dk = np.divide(diff(fld, k, grid), b[k], out=out)
-    if eta is not None and (kind not in model.terms or model.acts[kind]):
-        # an unknown kind, 'yukawa' included, reaches connection_action,
-        # which rejects it
+    if not drops_connection(eta, model, kind):
         dk += connection_action(fld, eta[k], model, kind)
     if kind == "spinor" and II is not None and II[k]:
         # gamma_apply acts on the leading axis; the spin axis is the fifth from last
@@ -306,39 +349,14 @@ def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS
         for name in FIELDS:
             getattr(u, name)[:] = 0.0
         return u
-    e0 = _flat_k2_energy(u)
+    e0 = sum(fourier_sobolev_norms(arr, 2, grid, weight=grid.cell_volume)[2]
+             for arr in (getattr(u, name) for name in FIELDS) if np.any(arr))
     if e0 > 0:
         scale = amplitude / np.sqrt(e0)
         for name in FIELDS:
             arr = getattr(u, name)
             arr *= scale
     return u
-
-
-def _flat_k2_energy(u):
-    """Flat-connection k=2 Sobolev energy of the stored sectors (normalizer)."""
-    grid = u.grid
-    total = 0.0
-    for name in FIELDS:
-        arr = getattr(u, name)
-        if not np.any(arr):
-            continue
-        for ell_fields in _derivative_stack(arr, grid, 2):
-            total += np.sum(np.abs(ell_fields) ** 2)
-    return total * grid.cell_volume
-
-
-def _derivative_stack(arr, grid, k):
-    yield arr
-    cur = [arr]
-    for _ in range(k):
-        nxt = []
-        for f in cur:
-            for ax in range(3):
-                nxt.append(diff(f, ax, grid))
-        stacked = np.stack(nxt)
-        yield stacked
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------

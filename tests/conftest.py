@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from ymtorus import algebra, dynamics, geometry, lattice
+from ymtorus import algebra, geometry, lattice
 
 
 @pytest.fixture(scope="session")

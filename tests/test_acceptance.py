@@ -5,13 +5,11 @@ fixture below.  Run with `pytest -s tests/test_acceptance.py` to see the
 per-criterion lines as they complete.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
 from ymtorus import algebra, clifford, conformal, constraints, dynamics
-from ymtorus import driver, energy, geometry, lattice, oracles
+from ymtorus import driver, geometry, lattice, oracles
 
 
 def _report(num, ok, detail):
@@ -145,7 +143,7 @@ def test_criterion_6_gauge_invariance_of_energy():
     grid, model, bg, couplings = driver.build_run(cfg)
     u0, _ = driver.prepare_initial_state(cfg, grid, model, bg, couplings,
                                          k=int(cfg["numerics", "energy_k"]))
-    res = driver.run_gauge_invariance(cfg, u0)
+    res = driver.run_gauge_invariance(cfg, u0, bg, couplings)
     worst = res["worst_relative_mismatch"]
     _report(6, worst <= 1e-6,
             "worst relative sector-energy mismatch %.2e (tol 1e-6) over %d report times"

@@ -96,3 +96,16 @@ def test_covector_clifford_musical_sign():
     theta = np.array([1.0, 0, 0, 0])
     assert np.abs(clifford.covector_clifford(theta, psi)
                   + clifford.clifford_mul(theta, psi)).max() == 0.0
+
+
+def test_gamma_apply_equals_tensordot_for_every_matrix():
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal((4, 3, 8, 8, 8)) + 1j * rng.standard_normal((4, 3, 8, 8, 8))
+    X = rng.standard_normal(4)
+    mats = [*clifford.GAMMA, *clifford.G0G, *clifford.GG.reshape(9, 4, 4), clifford.OMEGA,
+            clifford.PROJ_PLUS, clifford.PROJ_MINUS, clifford.MINKOWSKI,
+            np.einsum("m,mab->ab", X, clifford.GAMMA)]
+    for i, mat in enumerate(mats):
+        out = clifford.gamma_apply(mat, psi)
+        assert out.dtype == complex
+        assert np.array_equal(out, np.tensordot(mat, psi, axes=(1, 0))), i

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymtorus import algebra, conformal, dynamics, geometry, lattice
+from ymtorus import conformal, dynamics, geometry, lattice
 from conftest import make_state
 
 

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from ymtorus import algebra, constraints, dynamics, lattice
+from ymtorus import algebra, constraints, lattice
 from conftest import make_state
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ymtorus import driver, lattice
+from ymtorus import algebra, driver, lattice
 
 
 def test_presets_parse_and_validate():
@@ -364,19 +364,38 @@ def test_static_gauge_experiment_prepares_the_state_once(tmp_path, monkeypatch):
     raw["background"]["tau_end_fraction"] = "0.05"
     raw["outputs"] = {"directory": str(tmp_path / "gi"), "plot": "false", "snapshots": "0"}
     cfg = driver.validate_config(raw)
-    prepare = driver.prepare_initial_state
-    calls = []
+    prepare, equivariance = driver.prepare_initial_state, algebra.check_equivariance
+    calls = {"prepare": 0, "equivariance": 0}
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls["prepare"] += 1
         return prepare(*args, **kwargs)
 
+    def counting_equivariance(*args, **kwargs):
+        calls["equivariance"] += 1
+        return equivariance(*args, **kwargs)
+
     monkeypatch.setattr(driver, "prepare_initial_state", counting)
+    monkeypatch.setattr(algebra, "check_equivariance", counting_equivariance)
     summary = driver.run_experiment(cfg, quiet=True)
-    assert len(calls) == 1
+    # the experiment reuses the run's state, model and background
+    assert calls == {"prepare": 1, "equivariance": 1}
     # the evolved run leaves its initial state untouched: the experiment sees
     # the same data as one started from a fresh preparation
     grid, model, bg, couplings = driver.build_run(cfg)
     u0, _ = prepare(cfg, grid, model, bg, couplings, k=2)
-    fresh = driver.run_gauge_invariance(cfg, u0)["worst_relative_mismatch"]
+    fresh = driver.run_gauge_invariance(cfg, u0, bg, couplings)["worst_relative_mismatch"]
     assert summary["gauge_experiment"]["worst_relative_mismatch"] == fresh
+
+
+def test_gauge_experiment_cutoff_bounded_by_grid():
+    text = ("[grid]\nn = 8\n[initial]\ncutoff = 1\n"
+            "[gauge_experiment]\nkind = static\nseed = x\ncutoff = %d\n")
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text(text % 4)
+    assert err.value.violations == ["gauge_experiment.seed is not a valid int",
+                                    driver.CUTOFF_BOUND % "gauge_experiment"]
+    assert "4*gauge_experiment.cutoff" in err.value.violations[1]
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text(text.replace("n = 8", "n = 17") % 4)
+    assert err.value.violations == ["gauge_experiment.seed is not a valid int"]

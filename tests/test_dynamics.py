@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymtorus import algebra, constraints, dynamics, geometry, lattice
+from ymtorus import algebra, constraints, dynamics, lattice
 from conftest import make_state
 
 

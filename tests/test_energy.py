@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymtorus import algebra, constraints, dynamics, energy, geometry, lattice
+from ymtorus import dynamics, energy, lattice
 from conftest import make_state
 
 

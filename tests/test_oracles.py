@@ -1,7 +1,6 @@
 import numpy as np
 
-from ymtorus import algebra, constraints, dynamics, geometry, lattice, oracles
-from conftest import make_state
+from ymtorus import constraints, dynamics, geometry, lattice, oracles
 
 
 def _stack_for(model, bg, n, seed=11, amp=0.25, dt_scale=0.1, lam=1.0):

@@ -3,7 +3,8 @@
 Each test compares the single-pass code against the formula it replaced,
 kept here as the reference: the np.roll stencil, the RK4 step with a fresh
 rhs and a fresh state per stage, and the energies with one covariant-
-derivative chain per field and k.
+derivative chain per field and k.  Energies summed in Fourier space (see
+lattice.fourier_sobolev_norms) match the chain to rounding, not bit for bit.
 """
 
 import numpy as np
@@ -183,6 +184,18 @@ def per_k_sector_energy(u, sector, k, du, bg, connection="omega"):
     return H(u.psidot, k - 1, "spinor") + H(u.psi, k, "spinor")
 
 
+SECTOR_KIND = {"yangmills": "adjoint", "higgs": "higgs", "dirac": "spinor"}
+
+
+def matches_per_k(value, expect, model, sector, connection="omega"):
+    """Exact where the connection acts (the same chain); within rounding where
+    the energy is summed in Fourier space (reference chains, kinds that act
+    by zero), which reassociates the sums."""
+    if connection == "omega" and model.acts[SECTOR_KIND[sector]]:
+        return value == expect
+    return value == pytest.approx(expect, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_energy_report_matches_per_k_norms(name, bianchi_bg):
     model = MODELS[name]()
@@ -194,19 +207,21 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
     sectors = {"yangmills": rep.yangmills, "higgs": rep.higgs, "dirac": rep.dirac}
     for sector, values in sectors.items():
         for kk in (0, 1, 2):
-            assert values[kk] == per_k_sector_energy(u, sector, kk, du, bianchi_bg), (
-                sector, kk)
+            assert matches_per_k(values[kk], per_k_sector_energy(u, sector, kk, du, bianchi_bg),
+                                 model, sector), (sector, kk)
     assert rep.total == rep.yangmills[2] + rep.higgs[2] + rep.dirac[2]
     b, w = bianchi_bg.b(u.tau), bianchi_bg.sqrt_g(u.tau) * u.grid.cell_volume
     ref = (per_k_sector_energy(u, "yangmills", 2, du, bianchi_bg, "reference")
            + per_k_sector_energy(u, "higgs", 2, du, bianchi_bg, "reference")
            + per_k_sector_energy(u, "dirac", 2, du, bianchi_bg, "reference")
            + per_k_sobolev(u.eta, 2, None, model, u.grid, "adjoint", b, None, w))
-    assert rep.reference_total == ref
+    assert rep.reference_total == pytest.approx(ref, rel=1e-13, abs=0)
     for sector in sectors:
         for connection in ("omega", "reference"):
-            assert (energy.sector_energy(u, sector, 2, du, bianchi_bg, connection)
-                    == per_k_sector_energy(u, sector, 2, du, bianchi_bg, connection))
+            assert matches_per_k(
+                energy.sector_energy(u, sector, 2, du, bianchi_bg, connection),
+                per_k_sector_energy(u, sector, 2, du, bianchi_bg, connection),
+                model, sector, connection)
 
 
 def test_sobolev_norms_are_the_per_k_norms(su2_model, bianchi_bg):
