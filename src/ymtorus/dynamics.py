@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, lattice
+from . import algebra
 from .clifford import G0G, GG, GAMMA, gamma_apply
 from .errors import BlowUpError, InputError
-from .lattice import EPS, FieldState, covariant_d, covariant_div, hodge_dual_B
+from .lattice import EPS, FIELDS, FieldState, covariant_d, covariant_div, hodge_dual_B
 from .lattice import diff  # noqa: F401  (unused; perfbench's tracer test reads dynamics.diff)
 
 
@@ -77,8 +77,27 @@ def currents(u, bg=None):
     return J
 
 
-def rhs(u, bg, couplings):
-    """State derivative of the first-order system at u.tau."""
+def _live_fields(u, model, zero=()):
+    """Fields whose derivative at u can be nonzero; the others are zeroed in
+    the states `zero`.  The Dirac triple's derivative is linear in (psi,
+    psidot, S), and the Higgs triple's vanishes when the triple is zero and
+    the Dirac triple is zero or the Yukawa map acts by zero."""
+    dirac = any(np.any(getattr(u, name)) for name in FIELDS[6:])
+    higgs = (dirac and model.acts["yukawa"]) or any(np.any(getattr(u, n)) for n in FIELDS[3:6])
+    live = FIELDS[:3] + (FIELDS[3:6] if higgs else ()) + (FIELDS[6:] if dirac else ())
+    for arr in (getattr(s, name) for s in zero for name in FIELDS if name not in live):
+        if np.any(arr):  # a buffer that is zero already is not written
+            arr.fill(0.0)
+    return live
+
+
+def rhs(u, bg, couplings, out=None):
+    """State derivative of the first-order system at u.tau, summed term by
+    term in the order of the formulas above into `out` (a state of u's
+    shapes, not u; returned) or a new state.  Matter triples outside
+    _live_fields(u) are zeroed, not evaluated (J is quadratic in matter)."""
+    if out is u:
+        raise InputError("rhs cannot write into the state it reads")
     model = couplings.model
     grid = u.grid
     bg.check_tau(u.tau)
@@ -90,74 +109,76 @@ def rhs(u, bg, couplings):
     lam = couplings.lam
     yuk = model.yukawa
 
-    def D(fld, k, kind):
-        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa)
+    def D(fld, k, kind, out=None):
+        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
 
-    def div(vec, kind):
-        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa)
+    def div(vec, kind, out=None):
+        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
 
-    out = FieldState.zeros(grid, model, tau=u.tau)
+    out = FieldState.zeros(grid, model) if out is None else out
+    out.tau = u.tau
+    live = _live_fields(u, model, zero=[out])
+    higgs, dirac = "phi" in live, "psi" in live
     B = hodge_dual_B(u.Q)
-
-    J = currents(u)
+    J = currents(u) if higgs or dirac else np.zeros_like(u.E)
 
     for i in range(3):
-        out.eta[i] = kappa[i] * u.eta[i] + u.E[i]
+        np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
 
-        acc = 3.0 * H * u.Q[i] - kappa[i] * u.Q[i]
+        acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
         for j in range(3):
             for k in range(3):
                 e = EPS[i, j, k]
                 if e:
-                    acc = acc + e * D(u.E[k], j, "adjoint")
-        out.Q[i] = acc
+                    acc += e * D(u.E[k], j, "adjoint")
 
-        acc = 3.0 * H * u.E[i] - kappa[i] * u.E[i] + J[i]
+        acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
+        acc += J[i]
         for k in range(3):
             if k != i:  # B[i, i] = 0
-                acc = acc + D(B[k, i], k, "adjoint")
-        out.E[i] = acc
+                acc += D(B[k, i], k, "adjoint")
 
-    # Higgs triple
-    out.phi[:] = u.phidot
-    acc = 3.0 * H * u.phidot - (scal / 6.0) * u.phi \
-        - lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
-    if model.acts["yukawa"]:
-        acc = acc - algebra.yukawa_antilinear_current(yuk, u.psi)
-    out.phidot[:] = acc + div(u.Z, "higgs")
-    for i in range(3):
-        out.Z[i] = (D(u.phidot, i, "higgs")
-                    + algebra.rho_star_apply(model.rho, u.E[i], u.phi)
-                    + kappa[i] * u.Z[i])
+    if higgs:
+        np.copyto(out.phi, u.phidot)
+        acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)
+        acc -= lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
+        if dirac and model.acts["yukawa"]:
+            acc -= algebra.yukawa_antilinear_current(yuk, u.psi)
+        acc += div(u.Z, "higgs")
+        for i in range(3):
+            acc = D(u.phidot, i, "higgs", out=out.Z[i])
+            acc += algebra.rho_star_apply(model.rho, u.E[i], u.phi)
+            acc += kappa[i] * u.Z[i]
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
-    # identically (adding their zeros changes no value)
+    # identically, as is the spin-connection term where its coefficient is
+    # zero (adding their zeros changes no value)
     chi_acts = model.acts["spinor"]
-    out.psi[:] = u.psidot
-    acc = div(u.S, "spinor")  # first: its temporaries then share memory with no other term
-    acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
-    if chi_acts:
-        for k in range(3):
-            acc = acc + gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    acc = acc - 0.5 * gamma_apply(
-                        GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
-    if model.acts["yukawa"]:
-        acc = acc + gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
-        for k in range(3):
-            acc = acc - gamma_apply(GAMMA[k + 1],
-                                    algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
-        acc = acc + algebra.yukawa_spinor_apply(
-            yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
-    out.psidot[:] = acc
-    for i in range(3):
-        acc = D(u.psidot, i, "spinor")
-        acc = acc + 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+    if dirac:
+        np.copyto(out.psi, u.psidot)
+        acc = div(u.S, "spinor", out=out.psidot)
+        acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
         if chi_acts:
-            acc = acc + algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
-        out.S[i] = acc + kappa[i] * u.S[i]
+            for k in range(3):
+                acc += gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
+            for i in range(3):
+                for j in range(3):
+                    if i != j:
+                        acc -= 0.5 * gamma_apply(
+                            GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
+        if model.acts["yukawa"]:
+            acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
+            for k in range(3):
+                acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
+            acc += algebra.yukawa_spinor_apply(
+                yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
+        for i in range(3):
+            acc = D(u.psidot, i, "spinor", out=out.S[i])
+            if dkappa[i] != kappa[i] ** 2:
+                acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+            if chi_acts:
+                acc += algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
+            acc += kappa[i] * u.S[i]
     return out
 
 
@@ -207,35 +228,39 @@ def principal_symbol_dtau():
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def step(u, bg, couplings, dtau, k1=None):
+def _axpy(out, u, c, du, scratch, names):
+    """out = u + c du on the named fields, with c du formed in `scratch`
+    (which may be out, unless out is u)."""
+    for name in names:
+        cdu = np.multiply(getattr(du, name), c, out=getattr(scratch, name))
+        np.add(getattr(u, name), cdu, out=getattr(out, name))
+
+
+def step(u, bg, couplings, dtau, k1=None, work=None):
     """Classic RK4 update; raises BlowUpError on non-finite output.
 
-    k1 is rhs(u, bg, couplings) when the caller has already evaluated it
-    (evolve does, for its callback); it is then not evaluated again.  The three
-    stage states and the result share one new state's arrays, filled in the
-    order a fresh lincomb per stage would use, so the result is the same.
+    k1 is rhs(u) when the caller has already evaluated it (evolve does, for
+    its callback).  work = (out, stage, k) are states of u's shapes that the
+    step overwrites (None allocates them; k1 may be k): each stage is formed
+    in stage, and its rhs lands in k and is added to out at once.  That sums
+    u + (dtau/6) k1 + (dtau/3) k2 + (dtau/3) k3 + (dtau/6) k4 left to right.
+    Fields outside _live_fields(u) stay zero.  Returns out.
     """
-    if k1 is None:
-        k1 = rhs(u, bg, couplings)
-    stage = u.lincomb(1.0, [(dtau / 2, k1)])
-    stage.tau = u.tau + dtau / 2
-    k2 = rhs(stage, bg, couplings)
-    u.lincomb(1.0, [(dtau / 2, k2)], out=stage)
-    stage.tau = u.tau + dtau / 2
-    k3 = rhs(stage, bg, couplings)
-    u.lincomb(1.0, [(dtau, k3)], out=stage)
-    stage.tau = u.tau + dtau
-    k4 = rhs(stage, bg, couplings)
-    out = u.lincomb(1.0, [(dtau / 6, k1), (dtau / 3, k2), (dtau / 3, k3), (dtau / 6, k4)],
-                    out=stage)
+    out, stage, k = work or [FieldState.zeros(u.grid, u.model) for _ in range(3)]
+    live = _live_fields(u, couplings.model, zero=[out, stage])
+    dk = rhs(u, bg, couplings, out=k) if k1 is None else k1
+    _axpy(out, u, dtau / 6, dk, out, live)
+    for c_stage, c_out in ((dtau / 2, dtau / 3), (dtau / 2, dtau / 3), (dtau, dtau / 6)):
+        _axpy(stage, u, c_stage, dk, stage, live)
+        stage.tau = u.tau + c_stage
+        dk = rhs(stage, bg, couplings, out=k)
+        _axpy(out, out, c_out, dk, stage, live)  # rhs has read stage
     out.tau = u.tau + dtau
-    for name in lattice.FIELDS:
-        arr = getattr(out, name)
-        if arr.size and not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise BlowUpError(
-                "non-finite %s at index %s, tau = %.6f" % (name, bad.tolist(), out.tau)
-            )
+    for name in live:
+        bad = np.argwhere(~np.isfinite(getattr(out, name)))
+        if bad.size:
+            raise BlowUpError("non-finite %s at index %s, tau = %.6f"
+                              % (name, bad[0].tolist(), out.tau))
     return out
 
 
@@ -244,12 +269,16 @@ def evolve(u, bg, couplings, dtau, n_steps, callback=None):
 
     du is rhs(state), evaluated once per state: the callback reads it (a
     report needs it for the energies) and the next step takes it as its k1.
+    The states live in four buffers allocated once (two results in turn, a
+    stage and an rhs), so state and du are overwritten after the callback
+    returns: a caller that keeps them copies them.  u itself is not written.
     """
-    k1 = None
+    *results, stage, k = [FieldState.zeros(u.grid, u.model) for _ in range(4)]
+    du = None
     for m in range(n_steps + 1):
         if m:
-            u, k1 = step(u, bg, couplings, dtau, k1=k1), None  # drop k1 once used
+            u = step(u, bg, couplings, dtau, k1=du, work=(results[m % 2], stage, k))
         if callback is not None:
-            k1 = rhs(u, bg, couplings)
-            callback(m, u, k1)
+            du = rhs(u, bg, couplings, out=k)
+            callback(m, u, du)
     return u

@@ -51,25 +51,29 @@ class Grid:
         return self.dx ** 3
 
 
-def diff(f, axis, grid):
+def diff(f, axis, grid, out=None):
     """Centered periodic derivative along grid axis 0, 1 or 2.
 
     The grid axes are the trailing three axes of f.  The differences are
     taken between periodic slices of f, with no shifted copies, and every
     site gets the arithmetic of (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]))
-    / (12 dx) (order 4) or (f[i+1] - f[i-1]) / (2 dx) (order 2).
+    / (12 dx) (order 4) or (f[i+1] - f[i-1]) / (2 dx) (order 2).  The result
+    is written into `out` when given; it must be C-contiguous with f's shape.
     """
     f = np.ascontiguousarray(f)
+    out = np.empty_like(f) if out is None else out
+    if out.shape != f.shape or not out.flags.c_contiguous:
+        raise InputError("diff writes into a C-contiguous array of shape %s" % (f.shape,))
     ax = f.ndim - 3 + axis
     rows = f.reshape(-1, f.shape[ax], math.prod(f.shape[ax + 1:]))
-    out = _centered_difference(rows, 1, np.empty_like(rows))
+    dk = _centered_difference(rows, 1, out.reshape(rows.shape))  # a view: out is contiguous
     if grid.order == 2:
-        out /= 2.0 * grid.dx
+        dk /= 2.0 * grid.dx
     else:
-        out *= 8.0
-        out -= _centered_difference(rows, 2, np.empty_like(rows))
-        out /= 12.0 * grid.dx
-    return out.reshape(f.shape)
+        dk *= 8.0
+        dk -= _centered_difference(rows, 2, np.empty_like(rows))
+        dk /= 12.0 * grid.dx
+    return out
 
 
 def _centered_difference(rows, s, out):
@@ -172,21 +176,15 @@ class FieldState:
         kw = {name: getattr(self, name).copy() for name in FIELDS}
         return replace(self, **kw)
 
-    def lincomb(self, coeff_self, others, out=None):
-        """self*coeff_self + sum(c*u for c, u in others) at self.tau, written
-        into the arrays of `out` (a state of the same shapes, returned) or
-        into a new state."""
+    def lincomb(self, coeff_self, others):
+        """self*coeff_self + sum(c*u for c, u in others), a new state at self.tau."""
         kw = {}
         for name in FIELDS:
-            acc = np.multiply(coeff_self, getattr(self, name),
-                              out=None if out is None else getattr(out, name))
+            acc = coeff_self * getattr(self, name)
             for c, u in others:
                 acc += c * getattr(u, name)
             kw[name] = acc
-        if out is None:
-            return replace(self, **kw)
-        out.tau = self.tau
-        return out
+        return replace(self, **kw)
 
     def max_abs(self):
         return max(np.abs(getattr(self, name)).max() for name in FIELDS)
@@ -230,10 +228,12 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     where drops_connection holds.  The spin-connection term enters for kind
     'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
     axes of fld are carried along (they are flat in the adapted frame).  The
-    result is written into `out` when given.
+    result is written into `out` (C-contiguous, see diff) when given.
     """
     b = _frame_scale(bvec)
-    dk = np.divide(diff(fld, k, grid), b[k], out=out)
+    dk = diff(fld, k, grid, out=out)
+    if b[k] != 1.0:  # dividing by one changes no value
+        dk /= b[k]
     if not drops_connection(eta, model, kind):
         dk += connection_action(fld, eta[k], model, kind)
     if kind == "spinor" and II is not None and II[k]:
@@ -253,10 +253,10 @@ def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
     return out
 
 
-def covariant_div(vec, eta, model, grid, kind, bvec=None, II=None):
+def covariant_div(vec, eta, model, grid, kind, bvec=None, II=None, out=None):
     """Covariant divergence sum_k D_k vec_k of a field with a leading 1-form
-    axis, summed in the order k = 0, 1, 2; see covariant_d."""
-    out = covariant_d(vec[0], 0, eta, model, grid, kind, bvec, II)
+    axis, summed in the order k = 0, 1, 2 (into `out` when given); see covariant_d."""
+    out = covariant_d(vec[0], 0, eta, model, grid, kind, bvec, II, out=out)
     for k in (1, 2):
         out += covariant_d(vec[k], k, eta, model, grid, kind, bvec, II)
     return out

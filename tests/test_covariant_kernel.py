@@ -242,6 +242,36 @@ def test_rhs_matches_hand_written(name, bianchi_bg):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("zero", [lattice.FIELDS[6:], lattice.FIELDS[3:]], ids=["dirac", "matter"])
+def test_rhs_skips_zero_matter(name, zero, bianchi_bg):
+    # the skipped triples are written as the zeros the full formula gives,
+    # also into a buffer that held something else
+    u = state(name, bianchi_bg)
+    for field in zero:
+        getattr(u, field)[:] = 0.0
+    coup = dynamics.Couplings(u.model, lam=1.0)
+    buf = FieldState.zeros(u.grid, u.model)
+    for field in lattice.FIELDS:
+        getattr(buf, field).fill(np.nan)
+    new, ref = dynamics.rhs(u, bianchi_bg, coup, out=buf), ref_rhs(u, bianchi_bg, coup)
+    for field in lattice.FIELDS:
+        if field in zero:
+            assert np.array_equal(getattr(new, field), getattr(ref, field)), field
+        assert_close(getattr(new, field), getattr(ref, field), field)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_rhs_skips_zero_spin_connection_term(name, desitter_bg):
+    # (1/2)(dII_k - II_k^2) is 0 on desitter; ref_rhs adds the term anyway
+    u = state(name, desitter_bg)
+    assert not np.any(desitter_bg.dII_dtau(TAU) - desitter_bg.II(TAU) ** 2)
+    assert np.any(u.psi)
+    coup = dynamics.Couplings(u.model, lam=1.0)
+    new, ref = dynamics.rhs(u, desitter_bg, coup), ref_rhs(u, desitter_bg, coup)
+    assert np.array_equal(new.S, ref.S)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_constraint_fields_match_hand_written(name, bianchi_bg):
     u = state(name, bianchi_bg)
     new = constraints.constraint_fields(u, bianchi_bg)

@@ -95,15 +95,6 @@ def test_step_with_reported_k1_is_bit_identical(name, bianchi_bg):
     assert states_same_bits(plain, fresh_stage_step(u, bianchi_bg, coup, 0.02))
 
 
-def test_lincomb_into_buffer_matches_new_state(su2_model, flat_bg):
-    u = make_state(lattice.Grid(8), su2_model, flat_bg, seed=5)
-    v = make_state(lattice.Grid(8), su2_model, flat_bg, seed=6)
-    buf = lattice.FieldState.zeros(u.grid, su2_model, tau=9.0)
-    into = u.lincomb(0.3, [(0.7, v), (-1.1, u)], out=buf)
-    assert into is buf
-    assert states_same_bits(into, u.lincomb(0.3, [(0.7, v), (-1.1, u)]))
-
-
 def test_skipped_fiber_terms_change_no_value(bianchi_bg):
     # su3_pure: trivial fermions and a zero Yukawa map, so rhs skips the
     # chi* and Yukawa terms; forcing them on adds only (signed) zeros
