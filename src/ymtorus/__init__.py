@@ -20,6 +20,11 @@ twisted spinor      (4, dim_V, n, n, n)                      complex128
 spinor 1-form       (3, 4, dim_V, n, n, n)                   complex128
 ==================  =======================================  =========
 
+A lattice.FieldState holds the nine fields of the state as views into three
+flat sector buffers, u.sectors["gauge" | "higgs" | "dirac"] (lattice.SECTORS:
+eta, Q, E | phi, phidot, Z | psi, psidot, S); assigning a field copies into
+its view.
+
 Pointwise algebra (brackets, representation actions, Yukawa maps, Clifford
 products, inner products) broadcasts over the trailing grid axes, so the
 same functions work on single fiber vectors and on whole lattices.

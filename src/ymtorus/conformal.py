@@ -118,11 +118,8 @@ def decay_fit(taus, sup_tilde, fmap, window_frac=0.4, rescale=0.0):
 
 def decay_report(taus, sup_series, fmap, window_frac=0.4):
     """Fits for the Higgs, electric and fermion sup-norm series."""
-    fits = {}
-    for name, exp in (("phi", -1.0), ("E", -1.0), ("psi", -1.5)):
-        fits[name] = decay_fit(taus, sup_series[name], fmap,
-                               window_frac=window_frac, rescale=exp)
-    return fits
+    return {name: decay_fit(taus, sup_series[name], fmap, window_frac=window_frac,
+                            rescale=RESCALING_EXPONENTS[name]) for name in ("phi", "E", "psi")}
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class ConstraintReport:
         }
 
 
-def _volume_weight(u, bg):
+def volume_weight(u, bg):
+    """The volume element sqrt(g) dx^3 of one site (the unit frame without bg)."""
     return (1.0 if bg is None else bg.sqrt_g(u.tau)) * u.grid.cell_volume
 
 
@@ -127,7 +128,7 @@ def constraint_report(u, bg=None, fields=None):
     `fields` are constraint_fields(u, bg) when the caller has them already."""
     if fields is None:
         fields = constraint_fields(u, bg)
-    w = _volume_weight(u, bg)
+    w = volume_weight(u, bg)
     return ConstraintReport(
         tau=u.tau,
         curvature=l2_norm(fields["curvature"], w, two_form=True),
@@ -186,7 +187,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     grid = u.grid
     if max_iter is None:
         max_iter = 10 * grid.n ** 3
-    w = _volume_weight(u, bg)
+    w = volume_weight(u, bg)
 
     def demean(y):
         m = y.mean(axis=(-3, -2, -1))

@@ -156,7 +156,7 @@ def validate_config(raw):
         violations.append(CUTOFF_BOUND % "initial")
     sectors = [s.strip() for s in merged["initial"]["sectors"].split(",") if s.strip()]
     for s in sectors:
-        if s not in lattice.ALL_SECTORS:
+        if s not in lattice.SECTORS:
             violations.append("initial.sectors entry %r unknown" % s)
 
     cfl = num("numerics", "cfl")
@@ -293,9 +293,8 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
         info["energy"] = e
         if abs(e - target) <= 1e-10 + 1e-9 * target:
             break
-        scale = np.sqrt(target / e)
-        for name in lattice.FIELDS:
-            getattr(u, name)[:] *= scale
+        for buf in u.sectors.values():
+            buf *= np.sqrt(target / e)
     return u, info
 
 
@@ -353,7 +352,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         crep = constraints.constraint_report(state, bg, fields=cf)
         energy_rows.append(erep)
         constraint_rows.append(crep)
-        w = bg.sqrt_g(state.tau) * grid.cell_volume
+        w = constraints.volume_weight(state, bg)
         drift_rows.append({
             "tau": state.tau,
             **{name: constraints.l2_norm(cf[name] - initial_cfields[name], w,
@@ -496,8 +495,8 @@ def replot(out_dir):
             fmap = conformal.FrameMap(bg.profile, N=bg.N)
             svals = np.array([fmap.s_at_tau(t) for t in e["tau"]])
             series = {}
-            for name, exp in (("phi", -1.0), ("E", -1.0), ("psi", -1.5)):
-                phys = e["sup_" + name] * svals ** exp
+            for name in ("phi", "E", "psi"):
+                phys = e["sup_" + name] * svals ** conformal.RESCALING_EXPONENTS[name]
                 series[name] = phys
                 fit = decay.get(name, {})
                 if fit and not fit.get("undefined", True):

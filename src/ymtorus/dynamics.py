@@ -36,7 +36,7 @@ import numpy as np
 from . import algebra
 from .clifford import G0G, GG, GAMMA, gamma_apply
 from .errors import BlowUpError, InputError
-from .lattice import EPS, FIELDS, FieldState, covariant_d, covariant_div, hodge_dual_B
+from .lattice import EPS, SECTORS, FieldState, covariant_d, covariant_div, hodge_dual_B
 from .lattice import diff  # noqa: F401  (unused; perfbench's tracer test reads dynamics.diff)
 
 
@@ -77,17 +77,17 @@ def currents(u, bg=None):
     return J
 
 
-def _live_fields(u, model, zero=()):
-    """Fields whose derivative at u can be nonzero; the others are zeroed in
+def _live_sectors(u, model, zero=()):
+    """Sectors whose derivative at u can be nonzero; the others are zeroed in
     the states `zero`.  The Dirac triple's derivative is linear in (psi,
     psidot, S), and the Higgs triple's vanishes when the triple is zero and
     the Dirac triple is zero or the Yukawa map acts by zero."""
-    dirac = any(np.any(getattr(u, name)) for name in FIELDS[6:])
-    higgs = (dirac and model.acts["yukawa"]) or any(np.any(getattr(u, n)) for n in FIELDS[3:6])
-    live = FIELDS[:3] + (FIELDS[3:6] if higgs else ()) + (FIELDS[6:] if dirac else ())
-    for arr in (getattr(s, name) for s in zero for name in FIELDS if name not in live):
-        if np.any(arr):  # a buffer that is zero already is not written
-            arr.fill(0.0)
+    dirac = np.any(u.sectors["dirac"])
+    higgs = (dirac and model.acts["yukawa"]) or np.any(u.sectors["higgs"])
+    live = ("gauge",) + (("higgs",) if higgs else ()) + (("dirac",) if dirac else ())
+    for buf in (s.sectors[name] for s in zero for name in SECTORS if name not in live):
+        if np.any(buf):  # a buffer that is zero already is not written
+            buf.fill(0.0)
     return live
 
 
@@ -95,7 +95,7 @@ def rhs(u, bg, couplings, out=None):
     """State derivative of the first-order system at u.tau, summed term by
     term in the order of the formulas above into `out` (a state of u's
     shapes, not u; returned) or a new state.  Matter triples outside
-    _live_fields(u) are zeroed, not evaluated (J is quadratic in matter)."""
+    _live_sectors(u) are zeroed, not evaluated (J is quadratic in matter)."""
     if out is u:
         raise InputError("rhs cannot write into the state it reads")
     model = couplings.model
@@ -117,8 +117,8 @@ def rhs(u, bg, couplings, out=None):
 
     out = FieldState.zeros(grid, model) if out is None else out
     out.tau = u.tau
-    live = _live_fields(u, model, zero=[out])
-    higgs, dirac = "phi" in live, "psi" in live
+    live = _live_sectors(u, model, zero=[out])
+    higgs, dirac = "higgs" in live, "dirac" in live
     B = hodge_dual_B(u.Q)
     J = currents(u) if higgs or dirac else np.zeros_like(u.E)
 
@@ -186,13 +186,6 @@ def rhs(u, bg, couplings, out=None):
 # Principal symbol
 # ---------------------------------------------------------------------------
 
-SYMBOL_LABELS = (
-    ["eta%d" % i for i in range(3)] + ["Q%d" % i for i in range(3)]
-    + ["E%d" % i for i in range(3)] + ["phi", "phidot"]
-    + ["Z%d" % i for i in range(3)] + ["psi", "psidot"] + ["S%d" % i for i in range(3)]
-)
-
-
 def principal_symbol(xi):
     """Structural principal symbol sigma_L(xi) of the spatial part.
 
@@ -228,12 +221,12 @@ def principal_symbol_dtau():
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _axpy(out, u, c, du, scratch, names):
-    """out = u + c du on the named fields, with c du formed in `scratch`
+def _axpy(out, u, c, du, scratch, sectors):
+    """out = u + c du on the named sectors, with c du formed in `scratch`
     (which may be out, unless out is u)."""
-    for name in names:
-        cdu = np.multiply(getattr(du, name), c, out=getattr(scratch, name))
-        np.add(getattr(u, name), cdu, out=getattr(out, name))
+    for name in sectors:
+        cdu = np.multiply(du.sectors[name], c, out=scratch.sectors[name])
+        np.add(u.sectors[name], cdu, out=out.sectors[name])
 
 
 def step(u, bg, couplings, dtau, k1=None, work=None):
@@ -244,10 +237,10 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
     step overwrites (None allocates them; k1 may be k): each stage is formed
     in stage, and its rhs lands in k and is added to out at once.  That sums
     u + (dtau/6) k1 + (dtau/3) k2 + (dtau/3) k3 + (dtau/6) k4 left to right.
-    Fields outside _live_fields(u) stay zero.  Returns out.
+    Sectors outside _live_sectors(u) stay zero.  Returns out.
     """
     out, stage, k = work or [FieldState.zeros(u.grid, u.model) for _ in range(3)]
-    live = _live_fields(u, couplings.model, zero=[out, stage])
+    live = _live_sectors(u, couplings.model, zero=[out, stage])
     dk = rhs(u, bg, couplings, out=k) if k1 is None else k1
     _axpy(out, u, dtau / 6, dk, out, live)
     for c_stage, c_out in ((dtau / 2, dtau / 3), (dtau / 2, dtau / 3), (dtau, dtau / 6)):
@@ -256,11 +249,11 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
         dk = rhs(stage, bg, couplings, out=k)
         _axpy(out, out, c_out, dk, stage, live)  # rhs has read stage
     out.tau = u.tau + dtau
-    for name in live:
-        bad = np.argwhere(~np.isfinite(getattr(out, name)))
-        if bad.size:
-            raise BlowUpError("non-finite %s at index %s, tau = %.6f"
-                              % (name, bad[0].tolist(), out.tau))
+    for sector in live:
+        if not np.isfinite(out.sectors[sector]).all():  # find the field only on failure
+            name = next(f for f in SECTORS[sector] if not np.isfinite(getattr(out, f)).all())
+            raise BlowUpError("non-finite %s at index %s, tau = %.6f" % (
+                name, np.argwhere(~np.isfinite(getattr(out, name)))[0].tolist(), out.tau))
     return out
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import volume_weight
 from .errors import InputError
 from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms
 
@@ -72,9 +73,8 @@ class _Norms:
 
     def __init__(self, u, rhs_state, bg, top):
         self.u, self.rhs_state, self.top = u, rhs_state, top
-        self.b, self.II, sg = ((np.ones(3), None, 1.0) if bg is None
-                               else (bg.b(u.tau), bg.II(u.tau), bg.sqrt_g(u.tau)))
-        self.w = sg * u.grid.cell_volume
+        self.b, self.II = (np.ones(3), None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
+        self.w = volume_weight(u, bg)
         self.table = {}  # (connection acts, source, field) -> [H^0, H^1, ...]
 
     def energy(self, sector, k, connection="omega"):

@@ -15,7 +15,7 @@ and contract it.
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -135,59 +135,68 @@ def fourier_sobolev_norms(fld, k, grid, bvec=None, II=None, weight=1.0):
 # Field state
 # ---------------------------------------------------------------------------
 
-FIELDS = ("eta", "Q", "E", "phi", "phidot", "Z", "psi", "psidot", "S")
+# The sectors of the energy estimate and the fields of each, in storage order.
+SECTORS = {"gauge": ("eta", "Q", "E"), "higgs": ("phi", "phidot", "Z"),
+           "dirac": ("psi", "psidot", "S")}
+FIELDS = sum(SECTORS.values(), ())
+_DTYPES = {"gauge": np.float64, "higgs": np.complex128, "dirac": np.complex128}
 
 
-@dataclass
+def _field_shapes(grid, model):
+    dg, dW, dV = model.dim_g, model.dim_W, model.dim_V
+    fibers = {"eta": (3, dg), "Q": (3, dg), "E": (3, dg), "phi": (dW,), "phidot": (dW,),
+              "Z": (3, dW), "psi": (4, dV), "psidot": (4, dV), "S": (3, 4, dV)}
+    return {name: fiber + grid.shape for name, fiber in fibers.items()}
+
+
+def _field(name):
+    return property(lambda u: u._fields[name],
+                    lambda u, value: np.copyto(u._fields[name], value),
+                    doc="view of %r into its sector buffer; assigning copies into it" % name)
+
+
 class FieldState:
-    """First-order state u = (eta, Q, E, phi, phidot, Z, psi, psidot, S)."""
+    """First-order state u = (eta, Q, E | phi, phidot, Z | psi, psidot, S).
 
-    grid: Grid
-    model: "algebra.GaugeModel"
-    tau: float
-    eta: np.ndarray
-    Q: np.ndarray
-    E: np.ndarray
-    phi: np.ndarray
-    phidot: np.ndarray
-    Z: np.ndarray
-    psi: np.ndarray
-    psidot: np.ndarray
-    S: np.ndarray
+    Each sector of SECTORS is one flat buffer, u.sectors[name]: float64 for
+    the gauge sector, complex128 for the two matter sectors.  The nine fields
+    are views into those buffers in SECTORS order, and assigning a field
+    copies into its view, so no field can come apart from its buffer.
+    """
+
+    eta, Q, E, phi, phidot, Z, psi, psidot, S = (_field(name) for name in FIELDS)
+
+    def __init__(self, grid, model, tau, sectors):
+        self.grid, self.model, self.tau, self.sectors = grid, model, tau, sectors
+        shapes, self._fields = _field_shapes(grid, model), {}
+        for sector, names in SECTORS.items():
+            ends = np.cumsum([math.prod(shapes[name]) for name in names])
+            for name, start, end in zip(names, [0, *ends], ends):
+                self._fields[name] = sectors[sector][start:end].reshape(shapes[name])
 
     @classmethod
     def zeros(cls, grid, model, tau=0.0):
-        g = grid.shape
-        dg, dW, dV = model.dim_g, model.dim_W, model.dim_V
-        return cls(
-            grid=grid, model=model, tau=tau,
-            eta=np.zeros((3, dg) + g),
-            Q=np.zeros((3, dg) + g),
-            E=np.zeros((3, dg) + g),
-            phi=np.zeros((dW,) + g, dtype=complex),
-            phidot=np.zeros((dW,) + g, dtype=complex),
-            Z=np.zeros((3, dW) + g, dtype=complex),
-            psi=np.zeros((4, dV) + g, dtype=complex),
-            psidot=np.zeros((4, dV) + g, dtype=complex),
-            S=np.zeros((3, 4, dV) + g, dtype=complex),
-        )
+        shapes = _field_shapes(grid, model)
+        return cls(grid, model, tau, {
+            sector: np.zeros(sum(math.prod(shapes[name]) for name in names), _DTYPES[sector])
+            for sector, names in SECTORS.items()})
 
     def copy(self):
-        kw = {name: getattr(self, name).copy() for name in FIELDS}
-        return replace(self, **kw)
+        return FieldState(self.grid, self.model, self.tau,
+                          {name: buf.copy() for name, buf in self.sectors.items()})
 
     def lincomb(self, coeff_self, others):
         """self*coeff_self + sum(c*u for c, u in others), a new state at self.tau."""
-        kw = {}
-        for name in FIELDS:
-            acc = coeff_self * getattr(self, name)
+        sectors = {}
+        for name, buf in self.sectors.items():
+            acc = coeff_self * buf
             for c, u in others:
-                acc += c * getattr(u, name)
-            kw[name] = acc
-        return replace(self, **kw)
+                acc += c * u.sectors[name]
+            sectors[name] = acc
+        return FieldState(self.grid, self.model, self.tau, sectors)
 
     def max_abs(self):
-        return max(np.abs(getattr(self, name)).max() for name in FIELDS)
+        return max(np.abs(buf).max(initial=0.0) for buf in self.sectors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +302,6 @@ _EPS_TERMS = [(i, j, k, EPS[i, j, k]) for i in range(3) for j in range(3)
 # Random band-limited states
 # ---------------------------------------------------------------------------
 
-ALL_SECTORS = ("gauge", "higgs", "dirac")
-
-
 def _band_limited(rng, grid, shape, cutoff, complex_field):
     """Zero-mean random field with Fourier support 0 < |k_i|_inf <= cutoff.
 
@@ -319,7 +325,7 @@ def _band_limited(rng, grid, shape, cutoff, complex_field):
     return np.sqrt(2.0) * out.real
 
 
-def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS):
+def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=tuple(SECTORS)):
     """Seeded band-limited random state.
 
     Fills the free data (eta, E, phi, phidot, psi) with independent random
@@ -332,30 +338,19 @@ def random_state(grid, model, seed, amplitude, cutoff=1, sector_mask=ALL_SECTORS
         raise InputError("amplitude must be >= 0")
     rng = np.random.default_rng(seed)
     u = FieldState.zeros(grid, model)
-    dg, dW, dV = model.dim_g, model.dim_W, model.dim_V
     # draw every sector from the stream so masked runs stay reproducible
-    eta = _band_limited(rng, grid, (3, dg), cutoff, False)
-    E = _band_limited(rng, grid, (3, dg), cutoff, False)
-    phi = _band_limited(rng, grid, (dW,), cutoff, True)
-    phidot = _band_limited(rng, grid, (dW,), cutoff, True)
-    psi = _band_limited(rng, grid, (4, dV), cutoff, True)
-    if "gauge" in sector_mask:
-        u.eta[:], u.E[:] = eta, E
-    if "higgs" in sector_mask:
-        u.phi[:], u.phidot[:] = phi, phidot
-    if "dirac" in sector_mask:
-        u.psi[:] = psi * model.fer_mask[..., None, None, None]
-    if amplitude == 0.0:
-        for name in FIELDS:
-            getattr(u, name)[:] = 0.0
-        return u
+    for name in ("eta", "E", "phi", "phidot", "psi"):
+        fld = getattr(u, name)
+        fld[...] = _band_limited(rng, grid, fld.shape[:-3], cutoff, np.iscomplexobj(fld))
+    u.psi *= model.fer_mask[..., None, None, None]
+    for sector, buf in u.sectors.items():
+        if sector not in sector_mask or amplitude == 0.0:
+            buf.fill(0.0)
     e0 = sum(fourier_sobolev_norms(arr, 2, grid, weight=grid.cell_volume)[2]
              for arr in (getattr(u, name) for name in FIELDS) if np.any(arr))
     if e0 > 0:
-        scale = amplitude / np.sqrt(e0)
-        for name in FIELDS:
-            arr = getattr(u, name)
-            arr *= scale
+        for buf in u.sectors.values():
+            buf *= amplitude / np.sqrt(e0)
     return u
 
 
@@ -528,9 +523,8 @@ def save_state(path, u, metadata=None):
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in FIELDS:
-            arr = np.ascontiguousarray(getattr(u, name))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        for buf in u.sectors.values():  # the fields in header order
+            fh.write(buf.astype(buf.dtype.newbyteorder("<"), copy=False).data)
     side = dict(header)
     side["metadata"] = metadata or {}
     with open(str(path) + ".json", "w") as fh:
@@ -539,24 +533,30 @@ def save_state(path, u, metadata=None):
 
 def load_state(path, model):
     """Read a snapshot written by save_state for `model`; raises InputError
-    when the header names another model or a sector shape does not match."""
+    when the header is unreadable or names another model, a sector does not
+    match the model's (name, shape, dtype) in order, or the data is short or
+    runs on."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InputError("not a ymtorus snapshot: %s" % path)
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        grid = Grid(**header["grid"])
-        u = FieldState.zeros(grid, model, tau=header["tau"])
-        found = {s["name"]: tuple(s["shape"]) for s in header["sectors"]}
+        try:
+            (hlen,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (struct.error, ValueError) as err:  # JSON and UTF-8 errors are ValueErrors
+            raise InputError("snapshot %s has an unreadable header: %s" % (path, err)) from err
+        u = FieldState.zeros(Grid(**header["grid"]), model, tau=header["tau"])
+        want = [(name, getattr(u, name).shape, str(getattr(u, name).dtype)) for name in FIELDS]
+        found = [(s["name"], tuple(s["shape"]), s["dtype"]) for s in header["sectors"]]
         bad = [] if header["model"] == model.name else ["model %r" % header["model"]]
-        bad += ["%s %s" % (name, shape) for name, shape in found.items()
-                if name not in FIELDS or shape != getattr(u, name).shape]
-        if bad or len(found) != len(FIELDS):
+        bad += ["%s %s %s" % sector for sector in found if sector not in want]
+        if bad or found != want:
             raise InputError("snapshot %s does not fit model %r: %s" % (
-                path, model.name, ", ".join(bad) or "sectors missing"))
-        for sector in header["sectors"]:
-            dtype = np.dtype(sector["dtype"]).newbyteorder("<")
-            count = int(np.prod(sector["shape"]))
-            data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
-            getattr(u, sector["name"])[:] = data.reshape(sector["shape"])
+                path, model.name, ", ".join(bad) or "sectors missing or out of order"))
+        for buf in u.sectors.values():
+            data = fh.read(buf.nbytes)
+            if len(data) != buf.nbytes:
+                raise InputError("snapshot %s is truncated" % path)
+            buf[:] = np.frombuffer(data, dtype=buf.dtype.newbyteorder("<"))
+        if fh.read(1):
+            raise InputError("snapshot %s has bytes after its data" % path)
     return u

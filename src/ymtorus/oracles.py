@@ -22,6 +22,7 @@ curvature coefficients
 import numpy as np
 
 from . import algebra, dynamics
+from .constraints import l2_norm, volume_weight
 from .clifford import G0G, GG, GAMMA, gamma_apply
 from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B
 
@@ -52,11 +53,6 @@ def _box_spatial(fld, u, bg, kind):
                          u.eta, u.model, u.grid, kind, bvec=b, II=II)
 
 
-def _l2(x, u, bg):
-    w = (1.0 if bg is None else bg.sqrt_g(u.tau)) * u.grid.cell_volume
-    return float(np.sqrt(np.sum(np.abs(x) ** 2) * w))
-
-
 def higgs_wave_residual(stack, bg, couplings):
     """|| Box phi - (Scal/6) phi - lam |phi|^2 phi - <psi, iY- psi> ||."""
     u = stack[2]
@@ -69,7 +65,7 @@ def higgs_wave_residual(stack, bg, couplings):
     rhs = (scal / 6.0) * u.phi \
         + couplings.lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi \
         + algebra.yukawa_antilinear_current(model.yukawa, u.psi)
-    return _l2(box - rhs, u, bg)
+    return l2_norm(box - rhs, volume_weight(u, bg))
 
 
 def dirac_wave_residual(stack, bg, couplings):
@@ -97,7 +93,7 @@ def dirac_wave_residual(stack, bg, couplings):
         rhs = rhs + gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
     rhs = rhs - algebra.yukawa_spinor_apply(yuk, u.phi,
                                             algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
-    return _l2(box - rhs, u, bg)
+    return l2_norm(box - rhs, volume_weight(u, bg))
 
 
 def em_wave_residuals(stack, bg, couplings):
@@ -157,7 +153,7 @@ def em_wave_residuals(stack, bg, couplings):
         rhs = rhs + re_pairing(algebra.rho_star_apply(model.rho, u.E[i], u.phi), u.phi)
         rhs = rhs - 2.0 * re_pairing(u.phidot, u.Z[i])
         res_E += np.sum(np.abs(boxE_i - rhs) ** 2)
-    res_E = float(np.sqrt(res_E * bg.sqrt_g(u.tau) * u.grid.cell_volume))
+    res_E = float(np.sqrt(res_E * volume_weight(u, bg)))
 
     # magnetic part (independent components ij = 01, 02, 12)
     res_B = 0.0
@@ -177,7 +173,7 @@ def em_wave_residuals(stack, bg, couplings):
             rhs = rhs + re_pairing(algebra.rho_star_apply(model.rho, B[i, j], u.phi), u.phi)
             rhs = rhs - 2.0 * re_pairing(u.Z[i], u.Z[j])
             res_B += np.sum(np.abs(boxB - rhs) ** 2)
-    res_B = float(np.sqrt(res_B * bg.sqrt_g(u.tau) * u.grid.cell_volume))
+    res_B = float(np.sqrt(res_B * volume_weight(u, bg)))
     return res_E, res_B
 
 
@@ -199,4 +195,4 @@ def current_divergence_residual(stack, bg, couplings):
     Jsp = dynamics.currents(u)
     div = covariant_div(Jsp, u.eta, model, u.grid, "adjoint", bvec=bg.b(u.tau))
     resid = _d1(J0s, dtau) - 3 * H * J0s[2] - div
-    return _l2(resid, u, bg)
+    return l2_norm(resid, volume_weight(u, bg))

@@ -2,14 +2,18 @@
 
 An imported name that the module never uses is an error, except on a line
 marked `# noqa: F401` (a binding kept on purpose) or when the module lists
-the name in `__all__`.
+the name in `__all__`.  So is a module-level UPPER_CASE constant of the
+package that no code of the repository reads.
 """
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "ymtorus").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "ymtorus").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(path):
@@ -47,3 +51,33 @@ def test_every_import_is_used():
     found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
              for path in SOURCES for line, name in unused_imports(path)]
     assert found == []
+
+
+def unread_constants():
+    """module.NAME of every module-level UPPER_CASE assignment in the package
+    that no Name or attribute in READERS loads."""
+    defined = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    defined.append((target.id, "%s.%s" % (path.stem, target.id)))
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(where for name, where in defined if name not in read)
+
+
+def test_scan_sees_the_constants():
+    names = {path.name for path in READERS}
+    assert {"lattice.py", "test_hygiene.py", "demo_maxwell_waves.py", "tracer.py",
+            "test_perfbench.py"} <= names
+
+
+def test_every_constant_is_read():
+    assert unread_constants() == []

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -235,3 +238,72 @@ def test_load_state_checks_model_and_shapes(tmp_path, u1_model, flat_bg):
     with pytest.raises(lattice.InputError, match=r"^snapshot .* 'u1_toy': eta \(3, 1, 8, 8, 8\)"):
         lattice.load_state(path, renamed)
     assert lattice.load_state(path, u1_model).grid == grid
+
+
+BROKEN = {  # how a good snapshot is broken -> what load_state says
+    "header": (lambda data: data[:40], "has an unreadable header"),
+    "short": (lambda data: data[:-8], "is truncated"),
+    "long": (lambda data: data + bytes(16), "has bytes after its data"),
+    "dtype": (lambda data: data.replace(b'"E", "shape": [3, 1, 8, 8, 8], "dtype": "float64"',
+                                        b'"E", "shape": [3, 1, 8, 8, 8], "dtype": "float32"'),
+              r"does not fit model 'u1_toy': E \(3, 1, 8, 8, 8\) float32$"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_load_state_rejects_broken_files(tmp_path, u1_model, flat_bg, broken):
+    path = tmp_path / "u1.ymt"
+    lattice.save_state(path, make_state(lattice.Grid(8), u1_model, flat_bg, seed=2))
+    edit, message = BROKEN[broken]
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(lattice.InputError, match="^snapshot %s .*%s" % (re.escape(str(path)), message)):
+        lattice.load_state(path, u1_model)
+
+
+def test_snapshot_bytes_are_pinned(tmp_path, u1_model):
+    # the .ymt layout: header, then each field in FIELDS order, little-endian
+    u = lattice.FieldState.zeros(lattice.Grid(4), u1_model, tau=0.25)
+    for i, name in enumerate(lattice.FIELDS):
+        fld = getattr(u, name)
+        vals = np.arange(fld.size).reshape(fld.shape) + 1000.0 * i
+        fld[...] = vals * (1 - 0.5j) if np.iscomplexobj(fld) else vals
+    path = tmp_path / "pinned.ymt"
+    lattice.save_state(path, u)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1658da5b2a1e9d8b8d0f73d97176135ac0bbc62a58a71dceaa3b09487a941c44")
+
+
+def test_fields_tile_their_sector_buffers(su2_model):
+    u = lattice.FieldState.zeros(lattice.Grid(4), su2_model)
+    assert lattice.FIELDS == sum(lattice.SECTORS.values(), ())
+    for sector, names in lattice.SECTORS.items():
+        buf = u.sectors[sector]
+        assert buf.ndim == 1 and buf.dtype == (float if sector == "gauge" else complex)
+        for i, name in enumerate(names):
+            assert np.shares_memory(getattr(u, name), buf)
+            getattr(u, name).fill(i + 1)
+        assert np.array_equal(np.concatenate([getattr(u, name).ravel() for name in names]), buf)
+        assert np.all(buf != 0)  # the views cover the buffer
+
+
+def test_assigning_a_field_writes_its_buffer(su2_model):
+    u = lattice.FieldState.zeros(lattice.Grid(4), su2_model)
+    view = u.E
+    u.E = np.ones(u.E.shape)
+    u.Q += 2.0
+    u.psi = 1j * np.ones(u.psi.shape)
+    assert u.E is view and np.all(view == 1.0)
+    assert np.sum(u.sectors["gauge"]) == 3.0 * u.E.size
+    assert np.sum(u.sectors["dirac"]) == 1j * u.psi.size
+    with pytest.raises(ValueError):
+        u.E = np.ones((2, 2))  # a field keeps its shape
+
+
+def test_copy_is_independent(su2_model, flat_bg):
+    u = make_state(lattice.Grid(4), su2_model, flat_bg, seed=5)
+    v, phi = u.copy(), u.phi.copy()
+    v.phi += 1.0
+    v.sectors["gauge"][:] = 0.0
+    assert not np.shares_memory(u.sectors["dirac"], v.sectors["dirac"])
+    assert np.any(u.eta) and not np.any(v.eta)
+    assert np.array_equal(u.phi, phi) and not np.array_equal(v.phi, phi)
