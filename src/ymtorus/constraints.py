@@ -21,7 +21,7 @@ import numpy as np
 from . import algebra
 from .clifford import GAMMA, gamma_apply
 from .errors import SolverError
-from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B, hodge_dual_Q
+from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B, hodge_dual_Q, sq_norm
 
 
 @dataclass
@@ -116,7 +116,7 @@ def s_consistency(u, bg=None):
 
 def l2_norm(field, weight, two_form=False):
     """Weighted L2 norm; a 2-form counts each independent component once."""
-    val = np.sum(np.abs(field) ** 2) * weight
+    val = sq_norm(field) * weight
     if two_form:
         val *= 0.5
     return float(np.sqrt(val))

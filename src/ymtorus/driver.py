@@ -158,6 +158,8 @@ def validate_config(raw):
     for s in sectors:
         if s not in lattice.SECTORS:
             violations.append("initial.sectors entry %r unknown" % s)
+    if not sectors and amp is not None and amp > 0:  # zero data cannot reach amplitude**2
+        violations.append("initial.sectors is empty but initial.amplitude > 0")
 
     cfl = num("numerics", "cfl")
     if cfl is not None and not (0 < cfl <= 1.5):

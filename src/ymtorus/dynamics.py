@@ -152,20 +152,21 @@ def rhs(u, bg, couplings, out=None):
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
     # identically, as is the spin-connection term where its coefficient is
-    # zero (adding their zeros changes no value)
+    # zero (adding their zeros changes no value).  The (j, i) curvature term is
+    # the (i, j) one, formed once (B_ji = -B_ij and GG[j, i] = -GG[i, j] exactly)
     chi_acts = model.acts["spinor"]
     if dirac:
         np.copyto(out.psi, u.psidot)
         acc = div(u.S, "spinor", out=out.psidot)
         acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
         if chi_acts:
+            chi_E = [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
             for k in range(3):
-                acc += gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
-            for i in range(3):
-                for j in range(3):
-                    if i != j:
-                        acc -= 0.5 * gamma_apply(
-                            GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
+                acc += gamma_apply(G0G[k], chi_E[k])
+            curv = {(i, j): 0.5 * gamma_apply(GG[i, j], algebra.chi_spinor_apply(
+                model.chi, B[i, j], u.psi)) for i, j in ((0, 1), (0, 2), (1, 2))}
+            for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+                acc -= curv[min(i, j), max(i, j)]
         if model.acts["yukawa"]:
             acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
             for k in range(3):
@@ -177,7 +178,7 @@ def rhs(u, bg, couplings, out=None):
             if dkappa[i] != kappa[i] ** 2:
                 acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
             if chi_acts:
-                acc += algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
+                acc += chi_E[i]
             acc += kappa[i] * u.S[i]
     return out
 

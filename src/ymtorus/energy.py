@@ -24,7 +24,7 @@ import numpy as np
 
 from .constraints import volume_weight
 from .errors import InputError
-from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms
+from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms, sq_norm
 
 
 def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
@@ -40,11 +40,11 @@ def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
         raise InputError("sobolev_norm supports 0 <= k <= 4")
     if drops_connection(eta, model, kind):
         return fourier_sobolev_norms(fld, k, grid, bvec=bvec, II=II, weight=weight)
-    cur, total = fld, np.sum(np.abs(fld) ** 2)
+    cur, total = fld, sq_norm(fld)
     norms = [float(total * weight)]
     for _ in range(k):
         cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
-        total += np.sum(np.abs(cur) ** 2)
+        total += sq_norm(cur)
         norms.append(float(total * weight))
     return norms
 

@@ -62,6 +62,22 @@ def test_numerics_violations_listed_together():
     assert len(violations) == 3
 
 
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_empty_sectors_rejected_with_positive_amplitude(value):
+    # all-zero initial data cannot be scaled to amplitude**2 (it divided by zero mid-run)
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[initial]\namplitude = 0.01\nsectors = %s\n"
+                                 "[numerics]\nreport_every = 0\n" % value)
+    assert err.value.violations == ["initial.sectors is empty but initial.amplitude > 0",
+                                    "numerics.report_every must be >= 1"]
+    cfg = driver.parse_config_text("[initial]\namplitude = 0\nsectors = %s\n" % value)
+    assert cfg["initial", "amplitude"] == "0"
+    # a negative amplitude is its own violation, not an empty-sectors one
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[initial]\namplitude = -0.01\nsectors = %s\n" % value)
+    assert err.value.violations == ["initial.amplitude must be >= 0"]
+
+
 def test_unknown_group_lists_known():
     with pytest.raises(driver.ConfigError) as err:
         driver.parse_config_text("[gauge]\nmodel = e8_toy\n")

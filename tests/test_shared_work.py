@@ -1,0 +1,158 @@
+"""Complex stencils scaled on their float view and each Dirac product formed
+once per rhs: the values of the code they replaced.
+
+The references below are that code: the np.roll stencil with numpy's complex
+division and the Dirac rows of rhs with every chi* product formed where it is
+used.  Complex
+results are compared with np.array_equal (value for value: only the sign of
+an exact zero may differ), real ones bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from ymtorus import algebra, dynamics, geometry, lattice
+from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
+from ymtorus.lattice import FieldState, covariant_d, covariant_div, hodge_dual_B
+from conftest import make_state
+from test_report_reuse import roll_diff, same_bits
+
+MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy}
+BVEC = (1.0, 1.3, 0.8)  # b_0 = 1 skips the division
+
+
+def bianchi_state(name, seed=41):
+    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    u = make_state(lattice.Grid(8), MODELS[name](), bg, seed=seed, amplitude=0.1)
+    u.tau = 0.3
+    return u, bg, dynamics.Couplings(u.model, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Stencils
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [12 * 2 * np.pi / 16, 12 * 2 * np.pi / 32, 2 * 2 * np.pi / 16,
+                               1.002, 3.0, 7.0, 1.0 / 3.0])
+def test_complex_division_is_the_reciprocal_product_on_the_float_view(d):
+    # numpy divides complex by real as (re + im*0) * (1/d), (im - re*0) * (1/d); the
+    # stencils rely on it, so a numpy whose complex division differs fails here
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(2 * 10 ** 5) * 10.0 ** rng.integers(-300, 300, 2 * 10 ** 5)
+    z[::97] = 0.0
+    z[::89] = -0.0
+    z = z.view(np.complex128)
+    assert np.array_equal(z / d, (z.view(np.float64) * (1.0 / d)).view(np.complex128))
+
+
+def test_float_view_division_differs_only_where_a_part_is_not_finite():
+    # an inf imaginary part makes numpy's re + im*0 NaN; the float view keeps re/d,
+    # and the inf stays, so a blow-up is still seen
+    z = np.array([complex(1.5, np.inf), complex(np.inf, 2.0), complex(1.5, np.nan)])
+    a = z.copy()
+    lattice._divide(a, 3.0)
+    with np.errstate(invalid="ignore"):
+        numpy_div = z / 3.0
+    assert np.isnan(numpy_div[0].real) and a[0] == complex(0.5, np.inf)
+    assert np.isnan(numpy_div[1].imag) and a[1] == complex(np.inf, 2.0 / 3.0)
+    assert np.isnan(numpy_div[2].real) and a[2].real == 0.5 and np.isnan(a[2].imag)
+    assert not np.isfinite(a).any()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("lead", [(), (3,), (3, 4, 2)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_diff_and_covariant_d_match_roll_and_true_division(order, lead, complex_field):
+    grid = lattice.Grid(8, L=1.7, order=order)
+    rng = np.random.default_rng(order + len(lead))
+    f = rng.standard_normal(lead + grid.shape)
+    if complex_field:
+        f = f + 1j * rng.standard_normal(f.shape)
+    f[..., 0, 0, :] = 0.0  # exact zeros
+    match = np.array_equal if complex_field else same_bits
+    for k in range(3):
+        assert match(lattice.diff(f, k, grid), roll_diff(f, k, grid))
+        # eta=None: the connection term drops out, leaving (1/b_k) diff
+        assert match(covariant_d(f, k, None, None, grid, "higgs", bvec=BVEC),
+                     roll_diff(f, k, grid) / BVEC[k])
+
+
+# ---------------------------------------------------------------------------
+# Dirac rows of rhs
+# ---------------------------------------------------------------------------
+
+def ref_dirac_rows(u, bg, couplings):
+    """The Dirac rows of rhs with each chi* product formed where it is used."""
+    model = couplings.model
+    grid = u.grid
+    b = bg.b(u.tau)
+    kappa = bg.II(u.tau)
+    dkappa = bg.dII_dtau(u.tau)
+    H = bg.H(u.tau)
+    scal = bg.scal_h(u.tau)
+    yuk = model.yukawa
+
+    def D(fld, k, kind, out=None):
+        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+
+    def div(vec, kind, out=None):
+        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+
+    out = FieldState.zeros(grid, model)
+    B = hodge_dual_B(u.Q)
+    chi_acts = model.acts["spinor"]
+    np.copyto(out.psi, u.psidot)
+    acc = div(u.S, "spinor", out=out.psidot)
+    acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
+    if chi_acts:
+        for k in range(3):
+            acc += gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    acc -= 0.5 * gamma_apply(
+                        GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
+    if model.acts["yukawa"]:
+        acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
+        for k in range(3):
+            acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
+        acc += algebra.yukawa_spinor_apply(
+            yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
+    for i in range(3):
+        acc = D(u.psidot, i, "spinor", out=out.S[i])
+        if dkappa[i] != kappa[i] ** 2:
+            acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+        if chi_acts:
+            acc += algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
+        acc += kappa[i] * u.S[i]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_dirac_rows_match_products_formed_where_used(name):
+    u, bg, coup = bianchi_state(name)
+    assert u.model.acts["spinor"] and u.model.acts["yukawa"] and np.any(bg.II(u.tau))
+    got, ref = dynamics.rhs(u, bg, coup), ref_dirac_rows(u, bg, coup)
+    for field in lattice.SECTORS["dirac"]:
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+
+def test_chi_and_gamma_calls_per_rhs(monkeypatch):
+    u, bg, coup = bianchi_state("su2_toy")
+    calls = {"chi": 0, "gamma": 0}
+
+    def counting(key, plain):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return plain(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "chi_spinor_apply", counting("chi", algebra.chi_spinor_apply))
+    monkeypatch.setattr(dynamics, "gamma_apply", counting("gamma", dynamics.gamma_apply))
+    dynamics.rhs(u, bg, coup)
+    # chi*(E_k) psi once for both rows, chi*(B_ij) psi once per pair i < j
+    assert calls["chi"] == 6
+    # currents 3, g0 gk chi*(E_k) 3, the curvature pairs 3, Yukawa 4, and one per
+    # S_i row whose (dkappa_i - kappa_i^2) g0 gi psi term is on
+    kappa, dkappa = bg.II(u.tau), bg.dII_dtau(u.tau)
+    assert calls["gamma"] == 13 + int(np.sum(dkappa != kappa ** 2))
