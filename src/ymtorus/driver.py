@@ -287,12 +287,12 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
         return u, info
 
     target = amplitude ** 2
+    du = lattice.FieldState.zeros(grid, model)
     for _ in range(6):
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
-        e = energy.energy_report(u, dynamics.rhs(u, bg, couplings), bg, k=k,
-                                 k_list=(k,)).total
-        info["energy"] = e
+        dynamics.gauge_rhs(u, bg, couplings, du)
+        e = info["energy"] = energy.total_energy(u, du, bg, k=k)
         if abs(e - target) <= 1e-10 + 1e-9 * target:
             break
         for buf in u.sectors.values():

@@ -91,6 +91,33 @@ def _live_sectors(u, model, zero=()):
     return live
 
 
+def gauge_rhs(u, bg, couplings, out, live=None):
+    """Gauge rows (eta, Q, E) of rhs(u) into `out`; returns B = *Q.  J enters E
+    iff a matter sector is live (`live` = _live_sectors(u), scanned if None)."""
+    bg.check_tau(u.tau)
+    b, kappa, H = bg.b(u.tau), bg.II(u.tau), bg.H(u.tau)
+    live = _live_sectors(u, couplings.model) if live is None else live
+    B = hodge_dual_B(u.Q)
+    J = currents(u) if len(live) > 1 else np.zeros_like(u.E)
+
+    def D(fld, k):
+        return covariant_d(fld, k, u.eta, couplings.model, u.grid, "adjoint", bvec=b, II=kappa)
+
+    for i in range(3):
+        np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
+
+        acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
+        for j, k in np.argwhere(EPS[i]):  # the nonzero terms, j ascending
+            acc += EPS[i, j, k] * D(u.E[k], j)
+
+        acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
+        acc += J[i]
+        for k in range(3):
+            if k != i:  # B[i, i] = 0
+                acc += D(B[k, i], k)
+    return B
+
+
 def rhs(u, bg, couplings, out=None):
     """State derivative of the first-order system at u.tau, summed term by
     term in the order of the formulas above into `out` (a state of u's
@@ -98,45 +125,21 @@ def rhs(u, bg, couplings, out=None):
     _live_sectors(u) are zeroed, not evaluated (J is quadratic in matter)."""
     if out is u:
         raise InputError("rhs cannot write into the state it reads")
-    model = couplings.model
-    grid = u.grid
-    bg.check_tau(u.tau)
-    b = bg.b(u.tau)
-    kappa = bg.II(u.tau)
-    dkappa = bg.dII_dtau(u.tau)
-    H = bg.H(u.tau)
-    scal = bg.scal_h(u.tau)
-    lam = couplings.lam
-    yuk = model.yukawa
+    model, grid = couplings.model, u.grid
+    out = FieldState.zeros(grid, model) if out is None else out
+    out.tau = u.tau
+    live = _live_sectors(u, model, zero=[out])
+    higgs, dirac = "higgs" in live, "dirac" in live
+    B = gauge_rhs(u, bg, couplings, out, live)
+    b, kappa, dkappa = bg.b(u.tau), bg.II(u.tau), bg.dII_dtau(u.tau)
+    H, scal = bg.H(u.tau), bg.scal_h(u.tau)
+    lam, yuk = couplings.lam, model.yukawa
 
     def D(fld, k, kind, out=None):
         return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
 
     def div(vec, kind, out=None):
         return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
-
-    out = FieldState.zeros(grid, model) if out is None else out
-    out.tau = u.tau
-    live = _live_sectors(u, model, zero=[out])
-    higgs, dirac = "higgs" in live, "dirac" in live
-    B = hodge_dual_B(u.Q)
-    J = currents(u) if higgs or dirac else np.zeros_like(u.E)
-
-    for i in range(3):
-        np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
-
-        acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
-        for j in range(3):
-            for k in range(3):
-                e = EPS[i, j, k]
-                if e:
-                    acc += e * D(u.E[k], j, "adjoint")
-
-        acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
-        acc += J[i]
-        for k in range(3):
-            if k != i:  # B[i, i] = 0
-                acc += D(B[k, i], k, "adjoint")
 
     if higgs:
         np.copyto(out.phi, u.phidot)

@@ -95,6 +95,9 @@ class _Norms:
             total += self.table[key][k + shift]
         return total
 
+    def total(self, k):
+        return self.energy("yangmills", k) + self.energy("higgs", k) + self.energy("dirac", k)
+
 
 def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
     """k-th total energy of one sector of the state.
@@ -147,17 +150,21 @@ class EnergyReport:
         return row
 
 
-def energy_report(u, rhs_state, bg=None, k=2, k_list=(0, 1, 2)):
-    """Sector energies for each k in k_list plus the headline total at k and
-    the reference-connection variant (which adds ||eta||^2_{H^k}).
+def total_energy(u, rhs_state, bg=None, k=2):
+    """EnergyReport.total alone; of rhs_state it reads only E and Q."""
+    return _Norms(u, rhs_state, bg, k).total(k)
+
+
+def energy_report(u, rhs_state, bg=None, k=2):
+    """Sector energies for k = 0, 1, 2 and k, the headline total at k (as in
+    total_energy) and the reference-connection variant (adds ||eta||^2_{H^k}).
 
     Every field's norms are computed once per connection, up to the largest
     k, and every energy is summed from its per-level sums."""
-    if k not in k_list:
-        k_list = tuple(k_list) + (k,)
+    k_list = sorted({0, 1, 2, k})
     norms = _Norms(u, rhs_state, bg, max(k_list))
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
-    total = ym[k] + hg[k] + dr[k]
+    total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)
            + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", bvec=norms.b,
                           weight=norms.w))
