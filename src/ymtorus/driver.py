@@ -269,7 +269,11 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
 
     Iterates the rescale (at most six passes) because the derived sectors and
     the Gauss projection are nonlinear in the free data; converges in a couple
-    of passes at small amplitude.  Returns (state, info).
+    of passes at small amplitude.  Each pass evaluates only what the k-th
+    total energy reads: the gauge rows of the rhs (dynamics.gauge_rhs) and
+    energy.total_energy.  The returned state is the last one measured, so
+    info["energy"] is its energy; info["converged"] says whether that is
+    amplitude**2 within 1e-10 + 1e-9 amplitude**2.  Returns (state, info).
     """
     seed = int(cfg["initial", "seed"])
     amplitude = float(cfg["initial", "amplitude"])
@@ -284,19 +288,22 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
         info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0,
                          "converged": True}
         info["energy"] = 0.0
+        info["converged"] = True
         return u, info
 
     target = amplitude ** 2
     du = lattice.FieldState.zeros(grid, model)
-    for _ in range(6):
+    for attempt in range(6):
+        if attempt:  # the last pass's state is returned as measured
+            for buf in u.sectors.values():
+                buf *= np.sqrt(target / e)
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
         dynamics.gauge_rhs(u, bg, couplings, du)
         e = info["energy"] = energy.total_energy(u, du, bg, k=k)
-        if abs(e - target) <= 1e-10 + 1e-9 * target:
+        info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
+        if info["converged"]:
             break
-        for buf in u.sectors.values():
-            buf *= np.sqrt(target / e)
     return u, info
 
 
@@ -333,6 +340,10 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         warnings.append("Gauss CG stopped before its residual target (iterations %d, "
                         "residual %.3e)" % (init_info["gauss"]["iterations"],
                                             init_info["gauss"]["residual"]))
+    if not init_info["converged"]:
+        warnings.append("initial energy %.6e missed initial.amplitude**2 = %.6e after six "
+                        "rescaling passes" % (init_info["energy"],
+                                              float(cfg["initial", "amplitude"]) ** 2))
 
     report_every = int(cfg["numerics", "report_every"])
     n_snapshots = int(cfg["outputs", "snapshots"])
@@ -344,6 +355,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     constraint_rows = []
     initial_cfields = constraints.constraint_fields(u, bg)
     drift_rows = []
+    reported = []  # the steps of the rows, which are appended together
 
     def report(m, state, du):
         """Rows for a reported step; du is rhs(state), which evolve evaluated."""
@@ -352,15 +364,13 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         erep = energy.energy_report(state, du, bg, k=k)
         cf = initial_cfields if m == 0 else constraints.constraint_fields(state, bg)
         crep = constraints.constraint_report(state, bg, fields=cf)
+        w = constraints.volume_weight(state, bg)
+        drift = {name: constraints.l2_norm(cf[name] - initial_cfields[name], w,
+                                           two_form=(name == "curvature")) for name in cf}
         energy_rows.append(erep)
         constraint_rows.append(crep)
-        w = constraints.volume_weight(state, bg)
-        drift_rows.append({
-            "tau": state.tau,
-            **{name: constraints.l2_norm(cf[name] - initial_cfields[name], w,
-                                         two_form=(name == "curvature"))
-               for name in cf}
-        })
+        drift_rows.append({"tau": state.tau, **drift})
+        reported.append(m)
         if m in snap_steps:
             lattice.save_state(os.path.join(out_dir, "snapshot_%05d.ymt" % m), state,
                                metadata={"step": m, "tau": state.tau})
@@ -368,7 +378,23 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             print("step %5d  tau %.5f  E %.3e  gauss %.3e"
                   % (m, state.tau, erep.total, crep.gauss))
 
-    u_final = dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
+    def write_rows():
+        write_energy_csv(os.path.join(out_dir, "energy.csv"), energy_rows)
+        write_constraints_csv(os.path.join(out_dir, "constraints.csv"),
+                              constraint_rows, drift_rows)
+
+    try:
+        dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
+    except Exception as err:  # keep what was computed, record the error, re-raise
+        if energy_rows:
+            write_rows()
+        with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
+            json.dump({"config": cfg.as_dict(), "version": VERSION, "n_steps": n_steps,
+                       "last_reported_step": reported[-1] if reported else None,
+                       "initial_data": init_info, "warnings": warnings,
+                       "error": {"type": type(err).__name__, "message": str(err)}},
+                      fh, indent=1, default=float)
+        raise
 
     # post-processing
     taus = [r.tau for r in energy_rows]
@@ -396,9 +422,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     except ValueError as err:
         decay = {"error": str(err)}
 
-    write_energy_csv(os.path.join(out_dir, "energy.csv"), energy_rows)
-    write_constraints_csv(os.path.join(out_dir, "constraints.csv"),
-                          constraint_rows, drift_rows)
+    write_rows()
     with open(os.path.join(out_dir, "decay.json"), "w") as fh:
         json.dump(decay, fh, indent=1)
 

@@ -415,3 +415,31 @@ def test_gauge_experiment_cutoff_bounded_by_grid():
     with pytest.raises(driver.ConfigError) as err:
         driver.parse_config_text(text.replace("n = 8", "n = 17") % 4)
     assert err.value.violations == ["gauge_experiment.seed is not a valid int"]
+
+
+def test_failed_run_keeps_its_rows(tmp_path, monkeypatch):
+    from ymtorus import dynamics
+    from ymtorus.errors import BlowUpError
+
+    step, calls = dynamics.step, []
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise BlowUpError("non-finite E at index [0, 0, 0, 0, 0], tau = 0.030000")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", failing_third)
+    cfg = _tiny_config(tmp_path, amplitude="0.01")
+    with pytest.raises(BlowUpError):
+        driver.run_experiment(cfg, quiet=True)
+    out = tmp_path / "out"
+    # steps 0, 1 and 2 were reported before the third step failed
+    for fname in ("energy.csv", "constraints.csv"):
+        assert len(driver.read_csv(str(out / fname))["tau"]) == 3, fname
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"] == {"type": "BlowUpError", "message":
+                             "non-finite E at index [0, 0, 0, 0, 0], tau = 0.030000"}
+    assert meta["last_reported_step"] == 2 and meta["n_steps"] > 3
+    assert meta["config"] == cfg.as_dict() and meta["warnings"] == []
+    assert meta["initial_data"]["converged"] is True and "version" in meta
