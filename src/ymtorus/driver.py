@@ -294,7 +294,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
     target = amplitude ** 2
     du = lattice.FieldState.zeros(grid, model)
     for attempt in range(6):
-        if attempt:  # the last pass's state is returned as measured
+        if attempt:  # rescale a measured miss; the last pass stays as measured
             for buf in u.sectors.values():
                 buf *= np.sqrt(target / e)
         constraints.complete_state(u, bg)

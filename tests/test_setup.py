@@ -103,10 +103,9 @@ def test_set_up_total_is_the_reported_total(name, bg_name, k):
     assert sorted(rep.yangmills) == sorted({0, 1, 2, k})
 
 
-def small_su2_config(**numerics):
+def small_su2_config():
     raw = driver.preset_config("bianchi1_su2").as_dict()
     raw["grid"]["n"] = "8"
-    raw["numerics"].update(numerics)
     return driver.validate_config(raw)
 
 
