@@ -355,7 +355,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     constraint_rows = []
     initial_cfields = constraints.constraint_fields(u, bg)
     drift_rows = []
-    reported = []  # the steps of the rows, which are appended together
+    reported = []  # the step of each row; a report appends its three rows together
 
     def report(m, state, du):
         """Rows for a reported step; du is rhs(state), which evolve evaluated."""
