@@ -147,7 +147,9 @@ def validate_config(raw):
     num("gauge", "lambda")
 
     amp = num("initial", "amplitude")
-    if amp is not None and amp < 0:
+    if amp is not None and not np.isfinite(amp):  # NaN passes amp < 0
+        violations.append("initial.amplitude must be finite")
+    elif amp is not None and amp < 0:
         violations.append("initial.amplitude must be >= 0")
     cutoff = num("initial", "cutoff", int)
     if cutoff is not None and cutoff < 1:
@@ -167,7 +169,9 @@ def validate_config(raw):
     k = num("numerics", "energy_k", int)
     if k is not None and not (0 <= k <= 4):
         violations.append("numerics.energy_k must lie in [0, 4]")
-    num("numerics", "cg_tol")
+    cg_tol = num("numerics", "cg_tol")
+    if cg_tol is not None and not 0 < cg_tol < np.inf:
+        violations.append("numerics.cg_tol must be finite and > 0")
     report_every = num("numerics", "report_every", int)
     if report_every is not None and report_every < 1:
         violations.append("numerics.report_every must be >= 1")
@@ -455,6 +459,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         "decay": decay,
         "extrinsic_bound_samples": [bg.extrinsic_bound(t)
                                     for t in np.linspace(0, tau_end * 0.999, 5)],
+        "threads": dynamics.threads(u),
         "wall_seconds": time.time() - t_wall,
     }
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
+from . import algebra, parallel
 from .clifford import G0G, GG, GAMMA, gamma_apply
 from .errors import BlowUpError, InputError
 from .lattice import EPS, SECTORS, FieldState, covariant_d, covariant_div, hodge_dual_B
@@ -91,13 +91,14 @@ def _live_sectors(u, model, zero=()):
     return live
 
 
-def gauge_rhs(u, bg, couplings, out, live=None):
-    """Gauge rows (eta, Q, E) of rhs(u) into `out`; returns B = *Q.  J enters E
-    iff a matter sector is live (`live` = _live_sectors(u), scanned if None)."""
+def gauge_rhs(u, bg, couplings, out, live=None, B=None):
+    """Gauge rows (eta, Q, E) of rhs(u) into `out`; returns B = *Q (formed
+    here unless given).  J enters E iff a matter sector is live (`live` =
+    _live_sectors(u), scanned if None)."""
     bg.check_tau(u.tau)
     b, kappa, H = bg.b(u.tau), bg.II(u.tau), bg.H(u.tau)
     live = _live_sectors(u, couplings.model) if live is None else live
-    B = hodge_dual_B(u.Q)
+    B = hodge_dual_B(u.Q) if B is None else B
     J = currents(u) if len(live) > 1 else np.zeros_like(u.E)
 
     def D(fld, k):
@@ -122,7 +123,12 @@ def rhs(u, bg, couplings, out=None):
     """State derivative of the first-order system at u.tau, summed term by
     term in the order of the formulas above into `out` (a state of u's
     shapes, not u; returned) or a new state.  Matter triples outside
-    _live_sectors(u) are zeroed, not evaluated (J is quadratic in matter)."""
+    _live_sectors(u) are zeroed, not evaluated (J is quadratic in matter).
+
+    With the Dirac triple live, the rows form two blocks that read only u
+    and write disjoint rows: (eta, Q, E, phi, phidot, Z, S) and (psi,
+    psidot).  parallel.split runs them side by side on large grids; each
+    row is summed in the same order either way."""
     if out is u:
         raise InputError("rhs cannot write into the state it reads")
     model, grid = couplings.model, u.grid
@@ -130,7 +136,7 @@ def rhs(u, bg, couplings, out=None):
     out.tau = u.tau
     live = _live_sectors(u, model, zero=[out])
     higgs, dirac = "higgs" in live, "dirac" in live
-    B = gauge_rhs(u, bg, couplings, out, live)
+    B = hodge_dual_B(u.Q)
     b, kappa, dkappa = bg.b(u.tau), bg.II(u.tau), bg.dII_dtau(u.tau)
     H, scal = bg.H(u.tau), bg.scal_h(u.tau)
     lam, yuk = couplings.lam, model.yukawa
@@ -141,29 +147,45 @@ def rhs(u, bg, couplings, out=None):
     def div(vec, kind, out=None):
         return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
 
-    if higgs:
-        np.copyto(out.phi, u.phidot)
-        acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)
-        acc -= lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
-        if dirac and model.acts["yukawa"]:
-            acc -= algebra.yukawa_antilinear_current(yuk, u.psi)
-        acc += div(u.Z, "higgs")
-        for i in range(3):
-            acc = D(u.phidot, i, "higgs", out=out.Z[i])
-            acc += algebra.rho_star_apply(model.rho, u.E[i], u.phi)
-            acc += kappa[i] * u.Z[i]
+    def gauge_and_higgs_rows():
+        gauge_rhs(u, bg, couplings, out, live, B)
+        if higgs:
+            np.copyto(out.phi, u.phidot)
+            acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)
+            acc -= lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
+            if dirac and model.acts["yukawa"]:
+                acc -= algebra.yukawa_antilinear_current(yuk, u.psi)
+            acc += div(u.Z, "higgs")
+            for i in range(3):
+                acc = D(u.phidot, i, "higgs", out=out.Z[i])
+                acc += algebra.rho_star_apply(model.rho, u.E[i], u.phi)
+                acc += kappa[i] * u.Z[i]
+
+    if not dirac:
+        gauge_and_higgs_rows()
+        return out
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
     # identically, as is the spin-connection term where its coefficient is
     # zero (adding their zeros changes no value).  The (j, i) curvature term is
     # the (i, j) one, formed once (B_ji = -B_ij and GG[j, i] = -GG[i, j] exactly)
     chi_acts = model.acts["spinor"]
-    if dirac:
+    chi_E = chi_acts and [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
+
+    def S_rows():
+        for i in range(3):
+            acc = D(u.psidot, i, "spinor", out=out.S[i])
+            if dkappa[i] != kappa[i] ** 2:
+                acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+            if chi_acts:
+                acc += chi_E[i]
+            acc += kappa[i] * u.S[i]
+
+    def psi_rows():
         np.copyto(out.psi, u.psidot)
         acc = div(u.S, "spinor", out=out.psidot)
         acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
         if chi_acts:
-            chi_E = [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
             for k in range(3):
                 acc += gamma_apply(G0G[k], chi_E[k])
             curv = {(i, j): 0.5 * gamma_apply(GG[i, j], algebra.chi_spinor_apply(
@@ -176,13 +198,11 @@ def rhs(u, bg, couplings, out=None):
                 acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
             acc += algebra.yukawa_spinor_apply(
                 yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
-        for i in range(3):
-            acc = D(u.psidot, i, "spinor", out=out.S[i])
-            if dkappa[i] != kappa[i] ** 2:
-                acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
-            if chi_acts:
-                acc += chi_E[i]
-            acc += kappa[i] * u.S[i]
+
+    # the S rows join the gauge and Higgs rows so that the blocks cost about
+    # the same: 106 and 96 ms on su2_toy, bianchi1, n = 32 (62 and 127 ms
+    # with every Dirac row in the worker)
+    parallel.split(grid, lambda: (gauge_and_higgs_rows(), S_rows()), psi_rows)
     return out
 
 
@@ -225,12 +245,39 @@ def principal_symbol_dtau():
 # Time stepping
 # ---------------------------------------------------------------------------
 
+def _half(buf, h):
+    """First (h = 0) or second (h = 1) half of a flat sector buffer."""
+    mid = buf.size // 2
+    return buf[mid:] if h else buf[:mid]
+
+
+def threads(u):
+    """Threads that rhs and step use on u: parallel.threads(u.grid) while
+    the Dirac triple is live, else 1.  Without it rhs is one block, and
+    halves of the RK4 updates written by the worker would only slow the
+    one-thread rhs that reads them next (u1_toy at n = 32: 35 ms a step on
+    one thread, 52 ms with split updates)."""
+    return parallel.threads(u.grid) if np.any(u.sectors["dirac"]) else 1
+
+
+def _by_halves(grid, live, fn):
+    """(fn(0), fn(1)), where fn(h) reads and writes only the h halves of
+    flat sector buffers: elementwise work, side by side on large grids
+    while the Dirac triple is live (see threads)."""
+    if "dirac" not in live:
+        return fn(0), fn(1)
+    return parallel.split(grid, lambda: fn(0), lambda: fn(1))
+
+
 def _axpy(out, u, c, du, scratch, sectors):
     """out = u + c du on the named sectors, with c du formed in `scratch`
     (which may be out, unless out is u)."""
-    for name in sectors:
-        cdu = np.multiply(du.sectors[name], c, out=scratch.sectors[name])
-        np.add(u.sectors[name], cdu, out=out.sectors[name])
+    def update(h):
+        for name in sectors:
+            cdu = np.multiply(_half(du.sectors[name], h), c, out=_half(scratch.sectors[name], h))
+            np.add(_half(u.sectors[name], h), cdu, out=_half(out.sectors[name], h))
+
+    _by_halves(u.grid, sectors, update)
 
 
 def step(u, bg, couplings, dtau, k1=None, work=None):
@@ -253,8 +300,10 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
         dk = rhs(stage, bg, couplings, out=k)
         _axpy(out, out, c_out, dk, stage, live)  # rhs has read stage
     out.tau = u.tau + dtau
-    for sector in live:
-        if not np.isfinite(out.sectors[sector]).all():  # find the field only on failure
+    finite = _by_halves(u.grid, live, lambda h: [
+        np.isfinite(_half(out.sectors[s], h)).all() for s in live])
+    for sector, first, second in zip(live, *finite):
+        if not (first and second):  # find the field only on failure
             name = next(f for f in SECTORS[sector] if not np.isfinite(getattr(out, f)).all())
             raise BlowUpError("non-finite %s at index %s, tau = %.6f" % (
                 name, np.argwhere(~np.isfinite(getattr(out, name)))[0].tolist(), out.tau))
@@ -266,15 +315,20 @@ def evolve(u, bg, couplings, dtau, n_steps, callback=None):
 
     du is rhs(state), evaluated once per state: the callback reads it (a
     report needs it for the energies) and the next step takes it as its k1.
-    The states live in four buffers allocated once (two results in turn, a
-    stage and an rhs), so state and du are overwritten after the callback
-    returns: a caller that keeps them copies them.  u itself is not written.
+    The states live in four buffers (two results in turn, a stage and an
+    rhs), so state and du are overwritten after the callback returns: a
+    caller that keeps them copies them.  u itself is not written.  The
+    three step buffers exist only between the first and the last callback,
+    which can take their memory.
     """
-    *results, stage, k = [FieldState.zeros(u.grid, u.model) for _ in range(4)]
+    k, steps = FieldState.zeros(u.grid, u.model), None
     du = None
     for m in range(n_steps + 1):
         if m:
-            u = step(u, bg, couplings, dtau, k1=du, work=(results[m % 2], stage, k))
+            steps = steps or [FieldState.zeros(u.grid, u.model) for _ in range(3)]
+            u = step(u, bg, couplings, dtau, k1=du, work=(steps[m % 2], steps[2], k))
+        if m == n_steps:
+            steps = None
         if callback is not None:
             du = rhs(u, bg, couplings, out=k)
             callback(m, u, du)

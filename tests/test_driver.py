@@ -57,6 +57,21 @@ def test_max_steps_must_be_positive(value):
         "numerics.max_steps must be >= 1"]
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+def test_cg_tol_must_be_finite_and_positive(value):
+    # 0 ran 10 n^3 CG iterations, -1 ran as 1 (the target squares it), NaN made none
+    assert _numerics_violations("cg_tol = %s\n" % value) == [
+        "numerics.cg_tol must be finite and > 0"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_amplitude_must_be_finite(value):
+    # NaN passed amp < 0 and the run failed with BlowUpError at its first step
+    with pytest.raises(driver.ConfigError) as err:
+        driver.parse_config_text("[initial]\namplitude = %s\n" % value)
+    assert err.value.violations == ["initial.amplitude must be finite"]
+
+
 def test_numerics_violations_listed_together():
     violations = _numerics_violations("report_every = 0\ndtau = -1\nmax_steps = 0\n")
     assert len(violations) == 3

@@ -5,6 +5,9 @@ Buffers are pre-filled with NaN, so an entry the buffered call forgets to
 write shows up as a difference.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,29 @@ def test_evolve_reuses_buffers_without_changing_bits(case):
         expect = dynamics.step(expect, bg, coup, DTAU)
     assert states_same_bits(final, expect)
     assert states_same_bits(dynamics.evolve(u, bg, coup, DTAU, 5), expect)
+
+
+def test_evolve_holds_step_buffers_only_while_stepping(monkeypatch):
+    # the first and the last report run without the three step buffers, so a
+    # report's temporaries never sit beside five resident states
+    model, bg = MODELS["su2_toy"](), BACKGROUNDS["bianchi1"]()
+    u = make_state(lattice.Grid(8), model, bg, seed=31, amplitude=0.1)
+    made, zeros = [], lattice.FieldState.zeros
+
+    def tracked(*args, **kwargs):
+        state = zeros(*args, **kwargs)
+        made.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(lattice.FieldState, "zeros", tracked)
+    alive = []
+
+    def callback(m, state, du):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+
+    dynamics.evolve(u, bg, dynamics.Couplings(model, lam=1.0), DTAU, 3, callback=callback)
+    assert alive == [1, 4, 4, 2]  # k; k and the three step buffers; k and the result
 
 
 @pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
