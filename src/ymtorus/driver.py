@@ -2,11 +2,11 @@
 artifact emission (CSV / JSON / SVG).
 
 Configs are flat INI files (UTF-8) with sections [grid], [background],
-[gauge], [initial], [numerics], [outputs] and optional [gauge_experiment];
-every key is validated against the module preconditions before anything is
-allocated, and all violations are reported together.  The exact parsed
-configuration is serialized into metadata.json so every artifact can be
-reproduced from the run directory alone.
+[gauge], [initial], [numerics], [outputs] and optional [gauge_experiment].
+SCHEMA gives every key its type, default and rules; validate_config checks a
+config against it before anything is allocated and reports all violations
+together.  The exact parsed configuration is serialized into metadata.json so
+every artifact can be reproduced from the run directory alone.
 """
 
 import configparser
@@ -22,58 +22,126 @@ from .errors import ConfigError
 from .version import VERSION
 
 
-KNOWN_KEYS = {
-    "grid": {"n", "length", "stencil_order"},
-    "background": {"profile", "a", "s0", "rate", "t0", "p", "lapse",
-                   "tau_end_fraction", "b_kind", "b_eps", "b_table", "s_table"},
-    "gauge": {"model", "lambda", "q_w", "q_plus", "q_minus", "structure_file"},
-    "initial": {"seed", "amplitude", "cutoff", "sectors"},
-    "numerics": {"cfl", "dtau", "cg_tol", "report_every", "energy_k", "max_steps"},
-    "outputs": {"directory", "plot", "snapshots"},
-    "gauge_experiment": {"kind", "seed", "amplitude", "cutoff", "alpha_amplitude",
-                         "alpha_steps"},
-}
-
-DEFAULTS = {
-    "grid": {"n": "16", "length": str(2 * np.pi), "stencil_order": "4"},
-    "background": {"profile": "desitter", "a": "1.0", "lapse": "1.0",
-                   "tau_end_fraction": "0.9", "b_kind": "flat", "b_eps": "0.2"},
-    "gauge": {"model": "u1_toy", "lambda": "1.0"},
-    "initial": {"seed": "1", "amplitude": "0.01", "cutoff": "1",
-                "sectors": "gauge,higgs,dirac"},
-    "numerics": {"cfl": "0.5", "cg_tol": "1e-10", "report_every": "1",
-                 "energy_k": "2", "max_steps": "100000"},
-    "outputs": {"directory": "runs/out", "plot": "true", "snapshots": "0"},
-}
-
 CUTOFF_BOUND = ("grid.n must exceed 4*%s.cutoff: quadratic densities of band-limited "
                 "data reach mode 2*cutoff, and the centered stencils cannot see the "
                 "Nyquist mode the Gauss solve would need")
 
 
-class RunConfig:
-    """Validated run configuration (attribute bag; see KNOWN_KEYS)."""
+class Key:
+    """One config key: `parse` makes the typed value of its text (raising
+    ValueError or KeyError if it cannot); `default` is the text of an omitted
+    key (None: the value is None); `shown` puts the default into as_dict(),
+    which a default read by one branch only is not.  A rule is (test(x, values),
+    message): values maps every (section, key) to its value, and the message is
+    formatted with x and key="section.key".  The first rule that fails is
+    reported, and a float must also be finite."""
 
-    def __init__(self, raw):
-        self.raw = raw  # dict of dicts of strings, fully merged
+    def __init__(self, parse, default, *rules, shown=True):
+        self.parse, self.default, self.rules, self.shown = parse, default, rules, shown
+
+
+def boolean(text):
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _sectors(text):
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _at_least(low):
+    return (lambda x, v: x >= low, "{key} must be >= %d" % low)
+
+
+def _one_of(*names):
+    return (lambda x, v: x in names, "{key} {!r} unknown (%s)" % ", ".join(names))
+
+
+def _table_needs(key):
+    return (lambda x, v: x != "table" or v["background", key] is not None,
+            "{key} = table needs background.%s" % key)
+
+
+def _cutoff_bound(sec):
+    return (lambda x, v: v["grid", "n"] > 4 * x, CUTOFF_BOUND % sec)
+
+
+_POSITIVE = (lambda x, v: x > 0, "{key} must be positive")
+_FINITE = (lambda x, v: x is None or np.isfinite(x), "{key} must be finite")
+_FILE = (lambda x, v: x is None or os.path.isfile(x), "{key} names no file {!r}")
+
+SCHEMA = {
+    ("grid", "n"): Key(int, "16", _at_least(4)),
+    ("grid", "length"): Key(float, str(2 * np.pi), _POSITIVE),
+    ("grid", "stencil_order"): Key(int, "4", (lambda x, v: x in (2, 4), "{key} must be 2 or 4")),
+    ("background", "profile"): Key(str, "desitter", _one_of("desitter", "exponential", "power",
+                                                            "table"), _table_needs("s_table")),
+    ("background", "a"): Key(float, "1.0", _POSITIVE),
+    ("background", "s0"): Key(float, "1.0", _POSITIVE, shown=False),
+    ("background", "rate"): Key(float, "1.0", _POSITIVE, shown=False),
+    ("background", "t0"): Key(float, "1.0", _POSITIVE, shown=False),
+    ("background", "p"): Key(float, "2.0", (lambda x, v: x > 1, "{key} must be > 1"), shown=False),
+    ("background", "s_table"): Key(str, None, _FILE),
+    ("background", "lapse"): Key(float, "1.0", _POSITIVE),
+    ("background", "tau_end_fraction"): Key(float, "0.9", (
+        lambda x, v: 0 < x < 1,
+        "{key} must lie in (0, 1): the run must end before the conformal horizon")),
+    ("background", "b_kind"): Key(str, "flat", _one_of("flat", "bianchi1", "table"),
+                                  _table_needs("b_table")),
+    ("background", "b_eps"): Key(float, "0.2", _at_least(0)),  # b_2 = 1 + eps tau stays >= 1
+    ("background", "b_table"): Key(str, None, _FILE),
+    ("gauge", "model"): Key(str, "u1_toy", (
+        lambda x, v: x in algebra.SHIPPED_MODELS,
+        "{key} {!r} unknown; shipped models: " + ", ".join(sorted(algebra.SHIPPED_MODELS)))),
+    ("gauge", "lambda"): Key(float, "1.0"),
+    ("gauge", "structure_file"): Key(str, None, _FILE),
+    ("initial", "seed"): Key(int, "1", _at_least(0)),
+    ("initial", "amplitude"): Key(float, "0.01", _FINITE, _at_least(0)),
+    ("initial", "cutoff"): Key(int, "1", _at_least(1), _cutoff_bound("initial")),
+    ("initial", "sectors"): Key(_sectors, "gauge,higgs,dirac", (
+        lambda x, v: set(x) <= set(lattice.SECTORS),
+        "{key} {!r} names a sector outside " + ", ".join(lattice.SECTORS)), (
+        lambda x, v: x or not v["initial", "amplitude"] > 0,  # zero data cannot be rescaled
+        "{key} is empty but initial.amplitude > 0")),
+    ("numerics", "cfl"): Key(float, "0.5", (lambda x, v: 0 < x <= 1.5, "{key} must lie in (0, 1.5]")),
+    ("numerics", "dtau"): Key(float, None, (lambda x, v: x is None or x > 0,
+                                            "{key} must be positive when set")),
+    ("numerics", "cg_tol"): Key(float, "1e-10", (lambda x, v: 0 < x < np.inf,
+                                                 "{key} must be finite and > 0")),
+    ("numerics", "report_every"): Key(int, "1", _at_least(1)),
+    ("numerics", "energy_k"): Key(int, "2", (lambda x, v: 0 <= x <= 4, "{key} must lie in [0, 4]")),
+    ("numerics", "max_steps"): Key(int, "100000", _at_least(1)),
+    ("outputs", "directory"): Key(str, "runs/out", (lambda x, v: x and not os.path.isfile(x),
+                                                    "{key} {!r} cannot be a directory")),
+    ("outputs", "plot"): Key(boolean, "true"),
+    ("outputs", "snapshots"): Key(int, "0", _at_least(0)),
+    ("gauge_experiment", "kind"): Key(str, None, _one_of("static", "automorphism")),
+    ("gauge_experiment", "seed"): Key(int, "77", _at_least(0), shown=False),
+    ("gauge_experiment", "amplitude"): Key(float, "1e-2", _at_least(0), shown=False),
+    ("gauge_experiment", "cutoff"): Key(int, "1", _at_least(1), _cutoff_bound("gauge_experiment"),
+                                        shown=False),
+    ("gauge_experiment", "alpha_amplitude"): Key(float, "0.3", shown=False),
+    # the 4th-order check of the automorphism needs 5 samples
+    ("gauge_experiment", "alpha_steps"): Key(int, "320", _at_least(4), shown=False),
+}
+
+
+class RunConfig:
+    """A validated config: cfg.value(section, key) is the typed value (None for
+    an optional key left out) and cfg[section, key] the text it was read from."""
+
+    def __init__(self, text, values):
+        self.text = text  # {section: {key: text}}: the config and the shown defaults
+        self.values = values  # {(section, key): value} for every SCHEMA key
 
     def __getitem__(self, pair):
         sec, key = pair
-        return self.raw[sec][key]
+        return self.text[sec][key]
 
-    def get(self, sec, key, default=None):
-        return self.raw.get(sec, {}).get(key, default)
+    def value(self, sec, key):
+        return self.values[sec, key]
 
     def as_dict(self):
-        return {s: dict(kv) for s, kv in self.raw.items()}
-
-
-def _merge_defaults(raw):
-    merged = {s: dict(kv) for s, kv in DEFAULTS.items()}
-    for sec, kv in raw.items():
-        merged.setdefault(sec, {})
-        merged[sec].update(kv)
-    return merged
+        return {s: dict(kv) for s, kv in self.text.items()}
 
 
 def parse_config_text(text):
@@ -91,120 +159,45 @@ def parse_config(path):
 
 
 def validate_config(raw):
+    """RunConfig of raw ({section: {key: text}}) and the SCHEMA defaults.  A
+    section without shown defaults ([gauge_experiment]) is checked only when
+    raw has it; every violation is listed in one ConfigError."""
     violations = []
+    text = {}
+    for (sec, key), entry in SCHEMA.items():
+        if entry.shown and entry.default is not None:
+            text.setdefault(sec, {})[key] = entry.default
+    sections = {sec for sec, _ in SCHEMA}
     for sec, kv in raw.items():
-        if sec not in KNOWN_KEYS:
+        if sec not in sections:
             violations.append("unknown section [%s]" % sec)
             continue
-        for key in kv:
-            if key not in KNOWN_KEYS[sec]:
-                violations.append("unknown key %s.%s" % (sec, key))
-    merged = _merge_defaults(raw)
+        violations += ["unknown key %s.%s" % (sec, key) for key in kv if (sec, key) not in SCHEMA]
+        text.setdefault(sec, {}).update(kv)
 
-    def num(sec, key, conv=float):
+    values = {}
+    for (sec, key), entry in SCHEMA.items():
+        given = text.get(sec, {}).get(key, entry.default)
         try:
-            return conv(merged[sec][key])
-        except (KeyError, ValueError):
-            violations.append("%s.%s is not a valid %s" % (sec, key, conv.__name__))
-            return None
-
-    n = num("grid", "n", int)
-    if n is not None and n < 4:
-        violations.append("grid.n must be >= 4")
-    L = num("grid", "length")
-    if L is not None and L <= 0:
-        violations.append("grid.length must be positive")
-    order = num("grid", "stencil_order", int)
-    if order is not None and order not in (2, 4):
-        violations.append("grid.stencil_order must be 2 or 4")
-
-    prof = merged["background"]["profile"]
-    if prof not in ("desitter", "exponential", "power", "table"):
-        violations.append("background.profile %r unknown (desitter, exponential, power, table)" % prof)
-    frac = num("background", "tau_end_fraction")
-    if frac is not None and not (0 < frac < 1):
-        violations.append("background.tau_end_fraction must lie in (0, 1): "
-                          "the run must end before the conformal horizon")
-    for key in ("a", "s0", "rate", "t0", "lapse"):
-        if key in merged["background"]:
-            val = num("background", key)
-            if val is not None and not val > 0:
-                violations.append("background.%s must be positive" % key)
-    if "p" in merged["background"]:
-        p = num("background", "p")
-        if p is not None and not p > 1:
-            violations.append("background.p must be > 1")
-    b_kind = merged["background"]["b_kind"]
-    if b_kind not in ("flat", "bianchi1", "table"):
-        violations.append("background.b_kind %r unknown (flat, bianchi1, table)" % b_kind)
-    if b_kind == "table" and "b_table" not in merged["background"]:
-        violations.append("background.b_kind = table needs background.b_table")
-
-    model_name = merged["gauge"]["model"]
-    if model_name not in algebra.SHIPPED_MODELS:
-        violations.append("gauge.model %r unknown; shipped models: %s"
-                          % (model_name, ", ".join(sorted(algebra.SHIPPED_MODELS))))
-    num("gauge", "lambda")
-
-    amp = num("initial", "amplitude")
-    if amp is not None and not np.isfinite(amp):  # NaN passes amp < 0
-        violations.append("initial.amplitude must be finite")
-    elif amp is not None and amp < 0:
-        violations.append("initial.amplitude must be >= 0")
-    cutoff = num("initial", "cutoff", int)
-    if cutoff is not None and cutoff < 1:
-        violations.append("initial.cutoff must be >= 1")
-    if cutoff is not None and n is not None and n <= 4 * cutoff:
-        violations.append(CUTOFF_BOUND % "initial")
-    sectors = [s.strip() for s in merged["initial"]["sectors"].split(",") if s.strip()]
-    for s in sectors:
-        if s not in lattice.SECTORS:
-            violations.append("initial.sectors entry %r unknown" % s)
-    if not sectors and amp is not None and amp > 0:  # zero data cannot reach amplitude**2
-        violations.append("initial.sectors is empty but initial.amplitude > 0")
-
-    cfl = num("numerics", "cfl")
-    if cfl is not None and not (0 < cfl <= 1.5):
-        violations.append("numerics.cfl must lie in (0, 1.5]")
-    k = num("numerics", "energy_k", int)
-    if k is not None and not (0 <= k <= 4):
-        violations.append("numerics.energy_k must lie in [0, 4]")
-    cg_tol = num("numerics", "cg_tol")
-    if cg_tol is not None and not 0 < cg_tol < np.inf:
-        violations.append("numerics.cg_tol must be finite and > 0")
-    report_every = num("numerics", "report_every", int)
-    if report_every is not None and report_every < 1:
-        violations.append("numerics.report_every must be >= 1")
-    if merged["numerics"].get("dtau"):
-        dtau = num("numerics", "dtau")
-        if dtau is not None and not dtau > 0:
-            violations.append("numerics.dtau must be positive when set")
-    max_steps = num("numerics", "max_steps", int)
-    if max_steps is not None and max_steps < 1:
-        violations.append("numerics.max_steps must be >= 1")
-    snapshots = num("outputs", "snapshots", int)
-    if snapshots is not None and snapshots < 0:
-        violations.append("outputs.snapshots must be >= 0")
-
-    if "gauge_experiment" in merged:
-        exp = merged["gauge_experiment"]
-        if exp.get("kind") not in ("static", "automorphism"):
-            violations.append("gauge_experiment.kind %r unknown (static, automorphism)"
-                              % exp.get("kind"))
-        # alpha_steps >= 4: the 4th-order check of the automorphism needs 5 samples
-        for key, conv, low in (("seed", int, None), ("amplitude", float, 0),
-                               ("cutoff", int, 1), ("alpha_amplitude", float, None),
-                               ("alpha_steps", int, 4)):
-            if key in exp:
-                val = num("gauge_experiment", key, conv)
-                if val is not None and low is not None and not val >= low:
-                    violations.append("gauge_experiment.%s must be >= %d" % (key, low))
-                elif key == "cutoff" and val is not None and n is not None and n <= 4 * val:
-                    violations.append(CUTOFF_BOUND % "gauge_experiment")
+            values[sec, key] = None if given is None else entry.parse(given)
+        except (ValueError, KeyError):
+            violations.append("%s.%s is not a valid %s" % (sec, key, entry.parse.__name__))
+    for (sec, key), x in values.items():
+        if sec not in text:  # an optional section the config leaves out
+            continue
+        entry = SCHEMA[sec, key]
+        for test, message in entry.rules + ((_FINITE,) if entry.parse is float else ()):
+            try:
+                broken = not test(x, values)
+            except KeyError:  # the rule reads a key that did not parse
+                broken = False
+            if broken:
+                violations.append(message.format(x, key="%s.%s" % (sec, key)))
+                break
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(merged)
+    return RunConfig(text, values)
 
 
 # ---------------------------------------------------------------------------
@@ -212,60 +205,48 @@ def validate_config(raw):
 # ---------------------------------------------------------------------------
 
 def build_model(cfg):
-    structure_file = cfg.get("gauge", "structure_file")
+    structure_file = cfg.value("gauge", "structure_file")
     if structure_file:
         lie = algebra.load_structure_constants(structure_file)
         return algebra.custom_pure(lie, name="custom:%s" % structure_file)
-    name = cfg["gauge", "model"]
-    factory = algebra.SHIPPED_MODELS[name]
-    if name == "u1_toy":
-        kw = {}
-        for key, attr in (("q_w", "q_w"), ("q_plus", "q_plus"), ("q_minus", "q_minus")):
-            val = cfg.get("gauge", key)
-            if val is not None:
-                kw[attr] = float(val)
-        model = factory(**kw)
-    else:
-        model = factory()
+    model = algebra.SHIPPED_MODELS[cfg.value("gauge", "model")]()
     model.validate()
     return model
 
 
 def build_background(cfg):
-    prof_name = cfg["background", "profile"]
+    prof_name = cfg.value("background", "profile")
     if prof_name == "desitter":
-        profile = geometry.ScaleProfile("desitter", a=float(cfg["background", "a"]))
+        profile = geometry.ScaleProfile("desitter", a=cfg.value("background", "a"))
     elif prof_name == "exponential":
-        profile = geometry.ScaleProfile("exponential",
-                                        s0=float(cfg.get("background", "s0", "1.0")),
-                                        rate=float(cfg.get("background", "rate", "1.0")))
+        profile = geometry.ScaleProfile("exponential", s0=cfg.value("background", "s0"),
+                                        rate=cfg.value("background", "rate"))
     elif prof_name == "power":
-        profile = geometry.ScaleProfile("power",
-                                        s0=float(cfg.get("background", "s0", "1.0")),
-                                        t0=float(cfg.get("background", "t0", "1.0")),
-                                        p=float(cfg.get("background", "p", "2.0")))
+        profile = geometry.ScaleProfile("power", s0=cfg.value("background", "s0"),
+                                        t0=cfg.value("background", "t0"),
+                                        p=cfg.value("background", "p"))
     else:
-        data = np.loadtxt(cfg["background", "s_table"], delimiter=",", comments="#")
+        data = np.loadtxt(cfg.value("background", "s_table"), delimiter=",", comments="#")
         profile = geometry.ScaleProfile("table", t=data[:, 0], s=data[:, 1])
-    lapse = float(cfg["background", "lapse"])
-    b_kind = cfg["background", "b_kind"]
+    lapse = cfg.value("background", "lapse")
+    b_kind = cfg.value("background", "b_kind")
     if b_kind == "bianchi1":
-        return geometry.bianchi1(profile, eps=float(cfg["background", "b_eps"]), lapse=lapse)
+        return geometry.bianchi1(profile, eps=cfg.value("background", "b_eps"), lapse=lapse)
     if b_kind == "table":
-        return geometry.from_b_table(profile, cfg["background", "b_table"], lapse=lapse)
+        return geometry.from_b_table(profile, cfg.value("background", "b_table"), lapse=lapse)
     return geometry.static_flat(profile, lapse=lapse)
 
 
 def build_grid(cfg):
-    return lattice.Grid(n=int(cfg["grid", "n"]), L=float(cfg["grid", "length"]),
-                        order=int(cfg["grid", "stencil_order"]))
+    return lattice.Grid(n=cfg.value("grid", "n"), L=cfg.value("grid", "length"),
+                        order=cfg.value("grid", "stencil_order"))
 
 
 def build_run(cfg):
     """(grid, model, background, couplings) of a validated config."""
     model = build_model(cfg)
     return (build_grid(cfg), model, build_background(cfg),
-            dynamics.Couplings(model, lam=float(cfg["gauge", "lambda"])))
+            dynamics.Couplings(model, lam=cfg.value("gauge", "lambda")))
 
 
 def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
@@ -279,13 +260,9 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
     info["energy"] is its energy; info["converged"] says whether that is
     amplitude**2 within 1e-10 + 1e-9 amplitude**2.  Returns (state, info).
     """
-    seed = int(cfg["initial", "seed"])
-    amplitude = float(cfg["initial", "amplitude"])
-    cutoff = int(cfg["initial", "cutoff"])
-    sectors = tuple(s.strip() for s in cfg["initial", "sectors"].split(",") if s.strip())
-    cg_tol = float(cfg["numerics", "cg_tol"])
-
-    u = lattice.random_state(grid, model, seed, amplitude, cutoff, sectors)
+    amplitude = cfg.value("initial", "amplitude")
+    u = lattice.random_state(grid, model, cfg.value("initial", "seed"), amplitude,
+                             cfg.value("initial", "cutoff"), cfg.value("initial", "sectors"))
     info = {}
     if amplitude == 0.0:
         constraints.complete_state(u, bg)
@@ -302,7 +279,8 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
             for buf in u.sectors.values():
                 buf *= np.sqrt(target / e)
         constraints.complete_state(u, bg)
-        info["gauss"] = constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
+        info["gauss"] = constraints.solve_gauss_initial(
+            u, bg, cg_tol=cfg.value("numerics", "cg_tol"))
         dynamics.gauge_rhs(u, bg, couplings, du)
         e = info["energy"] = energy.total_energy(u, du, bg, k=k)
         info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
@@ -318,24 +296,16 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
 def run_experiment(cfg, out_dir=None, quiet=True):
     """Execute the full pipeline and write artifacts; returns a summary dict."""
     t_wall = time.time()
-    out_dir = out_dir or cfg["outputs", "directory"]
+    out_dir = out_dir or cfg.value("outputs", "directory")
     os.makedirs(out_dir, exist_ok=True)
 
     grid, model, bg, couplings = build_run(cfg)
-    k = int(cfg["numerics", "energy_k"])
+    k = cfg.value("numerics", "energy_k")
 
-    tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
-    cfl = float(cfg["numerics", "cfl"])
-    dtau_cfg = cfg.get("numerics", "dtau")
-    bmin = min(bg.b(t).min() for t in np.linspace(0, tau_end, 33))
-    dtau_max = cfl * grid.dx * bmin
-    dtau = float(dtau_cfg) if dtau_cfg else dtau_max
-    n_steps = max(1, int(np.ceil(tau_end / dtau - 1e-12)))
-    dtau = tau_end / n_steps
-    control = dynamics.StepControl(dtau=dtau, cfl=cfl, tau_end=tau_end,
-                                   max_steps=int(cfg["numerics", "max_steps"]))
-    control.validate(grid, bg)
-    if n_steps > control.max_steps:
+    tau_end = cfg.value("background", "tau_end_fraction") * bg.T
+    dtau, n_steps = dynamics.cfl_steps(grid, bg, tau_end, cfg.value("numerics", "cfl"),
+                                       dtau=cfg.value("numerics", "dtau"))
+    if n_steps > cfg.value("numerics", "max_steps"):
         raise ConfigError(["run needs %d steps > numerics.max_steps" % n_steps])
 
     u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
@@ -347,10 +317,10 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     if not init_info["converged"]:
         warnings.append("initial energy %.6e missed initial.amplitude**2 = %.6e after six "
                         "rescaling passes" % (init_info["energy"],
-                                              float(cfg["initial", "amplitude"]) ** 2))
+                                              cfg.value("initial", "amplitude") ** 2))
 
-    report_every = int(cfg["numerics", "report_every"])
-    n_snapshots = int(cfg["outputs", "snapshots"])
+    report_every = cfg.value("numerics", "report_every")
+    n_snapshots = cfg.value("outputs", "snapshots")
     snap_steps = set()
     if n_snapshots > 0:
         snap_steps = {int(round(x)) for x in np.linspace(0, n_steps, n_snapshots)}
@@ -432,7 +402,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
 
     monitor = constraints.propagation_monitor(constraint_rows)
     gauge_experiment = None
-    exp_kind = cfg.get("gauge_experiment", "kind")
+    exp_kind = cfg.value("gauge_experiment", "kind")
     if exp_kind == "static":
         res = run_gauge_invariance(cfg, u, bg, couplings)  # evolve left u untouched
         gauge_experiment = {"kind": "static",
@@ -465,7 +435,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
         json.dump(summary, fh, indent=1, default=float)
 
-    if cfg["outputs", "plot"].lower() in ("1", "true", "yes"):
+    if cfg.value("outputs", "plot"):
         replot(out_dir)
     return summary
 
@@ -522,7 +492,7 @@ def replot(out_dir):
             meta = json.load(fh)
         decay = meta.get("decay", {})
         if decay and "error" not in decay:
-            bg = build_background(RunConfig(meta["config"]))
+            bg = build_background(validate_config(meta["config"]))
             fmap = conformal.FrameMap(bg.profile, N=bg.N)
             svals = np.array([fmap.s_at_tau(t) for t in e["tau"]])
             series = {}
@@ -554,17 +524,15 @@ def run_gauge_invariance(cfg, u0, bg, couplings):
     gauge transform, 12 steps each, with the run's background and couplings;
     return the worst relative sector-energy mismatch over the run."""
     grid, model = u0.grid, u0.model
-    k = int(cfg["numerics", "energy_k"])
+    k = cfg.value("numerics", "energy_k")
     gt = lattice.GaugeTransform.random_smooth(
-        grid, model, seed=int(cfg.get("gauge_experiment", "seed", "77")),
-        amplitude=float(cfg.get("gauge_experiment", "amplitude", "1e-2")),
-        cutoff=int(cfg.get("gauge_experiment", "cutoff", "1")))
+        grid, model, seed=cfg.value("gauge_experiment", "seed"),
+        amplitude=cfg.value("gauge_experiment", "amplitude"),
+        cutoff=cfg.value("gauge_experiment", "cutoff"))
     ug = lattice.apply_gauge(u0, gt, bvec=bg.b(u0.tau))
 
-    tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
-    n_steps = 12
-    dtau = tau_end / n_steps
-    dynamics.StepControl(dtau=dtau, cfl=1.2, tau_end=tau_end).validate(grid, bg)
+    tau_end = cfg.value("background", "tau_end_fraction") * bg.T
+    dtau, n_steps = dynamics.cfl_steps(grid, bg, tau_end, 1.2, dtau=tau_end / 12)
 
     sectors = ("yangmills", "higgs", "dirac")
     series = []  # per run: (tau, sector energies) of every state
@@ -588,9 +556,9 @@ def run_automorphism_check(cfg):
     """Build the bundle automorphism for a prescribed smooth temporal
     coefficient and verify its defining property and unitarity."""
     grid, model, bg, _ = build_run(cfg)
-    amp = float(cfg.get("gauge_experiment", "alpha_amplitude", "0.3"))
-    n_steps = int(cfg.get("gauge_experiment", "alpha_steps", "320"))
-    tau_end = float(cfg["background", "tau_end_fraction"]) * bg.T
+    amp = cfg.value("gauge_experiment", "alpha_amplitude")
+    n_steps = cfg.value("gauge_experiment", "alpha_steps")
+    tau_end = cfg.value("background", "tau_end_fraction") * bg.T
     x = np.arange(grid.n) * grid.dx
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
     dg = model.dim_g
@@ -612,25 +580,21 @@ def run_automorphism_check(cfg):
 # Presets
 # ---------------------------------------------------------------------------
 
+# a preset gives its grid, profile and model; the keys it leaves out take
+# their SCHEMA defaults
 PRESETS = {
     "desitter_u1_small": """
 [grid]
 n = 16
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 [gauge]
 model = u1_toy
-lambda = 1.0
 [initial]
 seed = 20260808
-amplitude = 0.01
 cutoff = 2
 [numerics]
 cfl = 0.1
-cg_tol = 1e-10
-energy_k = 2
 [outputs]
 directory = runs/desitter_u1_small
 """,
@@ -639,19 +603,13 @@ directory = runs/desitter_u1_small
 n = 16
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 [gauge]
 model = su2_toy
-lambda = 1.0
 [initial]
 seed = 1001
-amplitude = 0.01
 cutoff = 2
 [numerics]
 cfl = 0.1
-cg_tol = 1e-10
-energy_k = 2
 [outputs]
 directory = runs/desitter_su2_small
 """,
@@ -660,21 +618,15 @@ directory = runs/desitter_su2_small
 n = 16
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 b_kind = bianchi1
 b_eps = 0.2
 [gauge]
 model = su2_toy
-lambda = 1.0
 [initial]
 seed = 99
-amplitude = 0.01
 cutoff = 1
 [numerics]
 cfl = 0.1
-cg_tol = 1e-10
-energy_k = 2
 [outputs]
 directory = runs/bianchi1_su2
 """,
@@ -683,19 +635,13 @@ directory = runs/bianchi1_su2
 n = 16
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 [gauge]
 model = su2_toy
-lambda = 1.0
 [initial]
 seed = 5150
-amplitude = 0.01
 cutoff = 1
 [numerics]
 cfl = 0.1
-cg_tol = 1e-10
-energy_k = 2
 [outputs]
 directory = runs/gauge_invariance
 [gauge_experiment]
@@ -709,8 +655,6 @@ cutoff = 1
 n = 12
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 [gauge]
 model = su2_toy
 [initial]
@@ -730,11 +674,8 @@ alpha_steps = 320
 n = 16
 [background]
 profile = desitter
-a = 1.0
-tau_end_fraction = 0.9
 [gauge]
 model = u1_toy
-lambda = 1.0
 [initial]
 seed = 1234
 amplitude = 0.25
@@ -742,7 +683,6 @@ cutoff = 1
 [numerics]
 cfl = 0.1
 cg_tol = 1e-12
-energy_k = 2
 [outputs]
 directory = runs/convergence_study
 """,

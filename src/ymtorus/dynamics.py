@@ -46,22 +46,16 @@ class Couplings:
     lam: float = 0.0
 
 
-@dataclass
-class StepControl:
-    dtau: float
-    cfl: float = 0.5
-    max_steps: int = 100000
-    tau_end: float = 0.0
-
-    def validate(self, grid, bg):
-        if not (0 < self.cfl <= 1.5):
-            raise InputError("CFL factor out of range (0, 1.5]")
-        taus = np.linspace(0.0, self.tau_end, 33)
-        bmin = min(bg.b(t).min() for t in taus)
-        if self.dtau > self.cfl * grid.dx * bmin + 1e-15:
-            raise InputError(
-                "dtau = %g violates CFL bound %g" % (self.dtau, self.cfl * grid.dx * bmin)
-            )
+def cfl_steps(grid, bg, tau_end, cfl, dtau=None):
+    """(dtau, n_steps): the fewest equal steps over [0, tau_end] no longer than
+    dtau, or than the CFL bound cfl * dx * min b (over 33 taus) when dtau is
+    None; raises InputError when such a step exceeds that bound."""
+    bmin = min(bg.b(t).min() for t in np.linspace(0.0, tau_end, 33))
+    bound = cfl * grid.dx * bmin
+    n_steps = max(1, int(np.ceil(tau_end / (dtau or bound) - 1e-12)))
+    if tau_end / n_steps > bound + 1e-15:
+        raise InputError("dtau = %g violates CFL bound %g" % (tau_end / n_steps, bound))
+    return tau_end / n_steps, n_steps
 
 
 def currents(u, bg=None):

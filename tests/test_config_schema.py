@@ -1,0 +1,144 @@
+"""The config schema: every key has a value that validate_config rejects by
+name, path keys are checked for existence, dropped keys are unknown, the
+README lists the schema's keys, and a dtau over the CFL bound stops a run
+before its set-up."""
+
+import pathlib
+import re
+
+import pytest
+
+from ymtorus import driver
+from ymtorus.errors import ConfigError, InputError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# one invalid value per schema key; the comments mark values that passed
+# validate_config before the schema and then ran or failed mid-run
+INVALID = {
+    ("grid", "n"): "3",
+    ("grid", "length"): "nan",  # was accepted
+    ("grid", "stencil_order"): "3",
+    ("background", "profile"): "table",  # no s_table: was a KeyError in build_background
+    ("background", "a"): "0",
+    ("background", "s0"): "-1",
+    ("background", "rate"): "0",
+    ("background", "t0"): "inf",
+    ("background", "p"): "1",
+    ("background", "s_table"): "/nonexistent/s.csv",  # was accepted
+    ("background", "lapse"): "inf",  # was accepted
+    ("background", "tau_end_fraction"): "1",
+    ("background", "b_kind"): "twisted",
+    ("background", "b_eps"): "nan",  # was accepted with b_kind = bianchi1
+    ("background", "b_table"): "/nonexistent/b.csv",
+    ("gauge", "model"): "e8_toy",
+    ("gauge", "lambda"): "nan",  # was accepted
+    ("gauge", "structure_file"): "/nonexistent/f.txt",  # was a FileNotFoundError in build_run
+    ("initial", "seed"): "-3",  # was accepted
+    ("initial", "amplitude"): "-inf",
+    ("initial", "cutoff"): "2",  # 4 * cutoff reaches grid.n = 8
+    ("initial", "sectors"): "gauge,gravity",
+    ("numerics", "cfl"): "2",
+    ("numerics", "dtau"): "inf",  # was accepted
+    ("numerics", "cg_tol"): "0",
+    ("numerics", "report_every"): "0",
+    ("numerics", "energy_k"): "5",
+    ("numerics", "max_steps"): "1.5",
+    ("outputs", "directory"): "",
+    ("outputs", "plot"): "maybe",  # was read as false
+    ("outputs", "snapshots"): "-1",
+    ("gauge_experiment", "kind"): "dynamic",
+    ("gauge_experiment", "seed"): "-1",
+    ("gauge_experiment", "amplitude"): "nan",
+    ("gauge_experiment", "cutoff"): "2",
+    ("gauge_experiment", "alpha_amplitude"): "nan",  # was accepted
+    ("gauge_experiment", "alpha_steps"): "3",
+}
+
+
+def base_raw(sec):
+    raw = {"grid": {"n": "8"}}
+    if sec == "gauge_experiment":
+        raw[sec] = {"kind": "static"}
+    elif sec == "background":
+        raw[sec] = {"b_kind": "bianchi1"}
+    return raw
+
+
+def test_invalid_table_covers_the_schema():
+    assert set(INVALID) == set(driver.SCHEMA)
+
+
+@pytest.mark.parametrize("sec, key", sorted(INVALID))
+def test_invalid_value_is_named(sec, key):
+    driver.validate_config(base_raw(sec))
+    raw = base_raw(sec)
+    raw.setdefault(sec, {})[key] = INVALID[sec, key]
+    with pytest.raises(ConfigError) as err:
+        driver.validate_config(raw)
+    assert any("%s.%s" % (sec, key) in v for v in err.value.violations), err.value.violations
+
+
+@pytest.mark.parametrize("key", ["q_w", "q_plus", "q_minus"])
+def test_dropped_charge_keys_are_unknown(key):
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[gauge]\n%s = 2\n" % key)
+    assert err.value.violations == ["unknown key gauge.%s" % key]
+
+
+@pytest.mark.parametrize("sec, key, lines", [
+    ("gauge", "structure_file", ""),
+    ("background", "s_table", "profile = table\n"),
+    ("background", "b_table", "b_kind = table\n"),
+])
+def test_missing_path_is_a_violation(tmp_path, sec, key, lines):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
+    assert err.value.violations == ["%s.%s names no file %r" % (sec, key, str(missing))]
+    missing.write_text("0,1\n")
+    cfg = driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
+    assert cfg.value(sec, key) == str(missing)
+
+
+def test_table_profile_needs_its_table():
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[background]\nprofile = table\n")
+    assert err.value.violations == ["background.profile = table needs background.s_table"]
+
+
+def test_values_are_typed_and_the_text_is_kept():
+    cfg = driver.parse_config_text("[grid]\nn = 8\n[initial]\nsectors = gauge, higgs\n"
+                                   "[outputs]\nplot = no\n")
+    assert cfg.value("grid", "n") == 8 and cfg["grid", "n"] == "8"
+    assert cfg.value("initial", "sectors") == ("gauge", "higgs")
+    assert cfg.value("outputs", "plot") is False
+    assert cfg.value("numerics", "dtau") is None
+    # a default that only a branch reads is typed but left out of as_dict()
+    assert cfg.value("background", "p") == 2.0
+    assert "p" not in cfg.as_dict()["background"] and "gauge_experiment" not in cfg.as_dict()
+
+
+def readme_keys():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^\| `(\w+)` +\| `(\w+)` +\|", text, flags=re.M)
+
+
+def test_readme_lists_the_schema_keys():
+    keys = readme_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(driver.SCHEMA)
+
+
+def test_dtau_over_the_cfl_bound_stops_before_set_up(tmp_path, monkeypatch):
+    def set_up(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(driver, "prepare_initial_state", set_up)
+    cfg = driver.parse_config_text(
+        "[grid]\nn = 8\n[background]\ntau_end_fraction = 0.2\n[numerics]\ncfl = 0.2\n"
+        "dtau = 0.5\n[outputs]\ndirectory = %s\nplot = false\n" % tmp_path)
+    grid, _, bg, _ = driver.build_run(cfg)
+    bound = 0.2 * grid.dx * min(bg.b(0.0))  # the static frame has b = 1
+    with pytest.raises(InputError, match="violates CFL bound %g$" % bound):
+        driver.run_experiment(cfg)

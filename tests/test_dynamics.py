@@ -140,11 +140,10 @@ def test_blowup_names_the_field_and_index(flat_bg):
 
 def test_cfl_validation(u1_model, desitter_bg):
     grid = lattice.Grid(8)
-    ctrl = dynamics.StepControl(dtau=grid.dx, cfl=0.5, tau_end=1.0)
-    with pytest.raises(dynamics.InputError):
-        ctrl.validate(grid, desitter_bg)
-    ok = dynamics.StepControl(dtau=0.4 * grid.dx, cfl=0.5, tau_end=1.0)
-    ok.validate(grid, desitter_bg)
+    with pytest.raises(dynamics.InputError, match="violates CFL bound"):
+        dynamics.cfl_steps(grid, desitter_bg, 1.0, cfl=0.5, dtau=grid.dx)
+    dtau, n_steps = dynamics.cfl_steps(grid, desitter_bg, 1.0, cfl=0.5, dtau=0.4 * grid.dx)
+    assert n_steps * dtau == pytest.approx(1.0) and dtau <= 0.4 * grid.dx
 
 
 def test_rhs_gauge_equivariance(su2_model, flat_bg):

@@ -3,7 +3,10 @@
 An imported name that the module never uses is an error, except on a line
 marked `# noqa: F401` (a binding kept on purpose) or when the module lists
 the name in `__all__`.  So is a module-level UPPER_CASE constant of the
-package that no code of the repository reads.
+package that no code of the repository reads, a config key of
+driver.SCHEMA that the package never reads, and a float(), int() or
+.split() applied to a config read in the package: the schema is the one
+place where config text becomes values.
 """
 
 import ast
@@ -81,3 +84,67 @@ def test_scan_sees_the_constants():
 
 def test_every_constant_is_read():
     assert unread_constants() == []
+
+
+def config_reads(tree):
+    """(node, (section, key)) of every cfg[section, key], cfg.get(section, key)
+    and cfg.value(section, key) in `tree`; the pair is None where it is not
+    spelled as two string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+            args = node.slice.elts if isinstance(node.slice, ast.Tuple) else []
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "cfg"
+              and node.func.attr in ("get", "value")):
+            args = node.args
+        else:
+            continue
+        pair = tuple(a.value for a in args[:2] if isinstance(a, ast.Constant))
+        yield node, pair if len(pair) == 2 else None
+
+
+def conversions(tree):
+    """Line of every float(), int() or .split() applied to a config read."""
+    reads = dict(config_reads(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) in ("float", "int"):
+                subjects = node.args[:1]
+            elif getattr(node.func, "attr", None) == "split":
+                subjects = [node.func.value]
+            else:
+                continue
+            if any(subject in reads for subject in subjects):
+                yield node.lineno
+
+
+def config_scan():
+    """(the (section, key) pairs the package reads, "file:line" of every
+    conversion of a config read)."""
+    read, converted = set(), []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {pair for _, pair in config_reads(tree) if pair}
+        converted += ["%s:%d" % (path.relative_to(ROOT), line) for line in conversions(tree)]
+    return read, converted
+
+
+def test_config_scan_sees_reads_and_conversions():
+    tree = ast.parse('n = int(cfg["grid", "n"])\ns = cfg.get("initial", "sectors").split(",")\n'
+                     'x = float(cfg.value("numerics", "cfl"))\ny = float(other["a", "b"])\n'
+                     'z = cfg.value("numerics", "dtau")\n')
+    assert {pair for _, pair in config_reads(tree)} == {
+        ("grid", "n"), ("initial", "sectors"), ("numerics", "cfl"), ("numerics", "dtau")}
+    assert sorted(conversions(tree)) == [1, 2, 3]
+
+
+def test_every_config_key_is_read():
+    from ymtorus import driver
+
+    read, _ = config_scan()
+    assert sorted(set(driver.SCHEMA) - read) == []
+
+
+def test_no_config_value_is_converted_outside_the_schema():
+    _, converted = config_scan()
+    assert converted == []
