@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra, conformal, constraints, dynamics, energy, geometry
 from . import lattice, plots
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .version import VERSION
 
 
@@ -161,7 +161,9 @@ def parse_config(path):
 def validate_config(raw):
     """RunConfig of raw ({section: {key: text}}) and the SCHEMA defaults.  A
     section without shown defaults ([gauge_experiment]) is checked only when
-    raw has it; every violation is listed in one ConfigError."""
+    raw has it; every violation is listed in one ConfigError.  A config whose
+    keys are valid then has its background built, from its table files if
+    it names them, and its steps checked (run_steps)."""
     violations = []
     text = {}
     for (sec, key), entry in SCHEMA.items():
@@ -197,7 +199,13 @@ def validate_config(raw):
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(text, values)
+    cfg = RunConfig(text, values)
+    try:
+        bg = build_background(cfg)
+    except (ValueError, IndexError, OSError) as err:  # a table file that does not parse
+        raise ConfigError(["the background cannot be built: %s" % err]) from None
+    run_steps(cfg, build_grid(cfg), bg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +248,20 @@ def build_background(cfg):
 def build_grid(cfg):
     return lattice.Grid(n=cfg.value("grid", "n"), L=cfg.value("grid", "length"),
                         order=cfg.value("grid", "stencil_order"))
+
+
+def run_steps(cfg, grid, bg):
+    """(tau_end, dtau, n_steps) of the run (dynamics.cfl_steps); a ConfigError
+    names a step over the CFL bound or a step count over numerics.max_steps."""
+    tau_end = cfg.value("background", "tau_end_fraction") * bg.T
+    try:
+        dtau, n_steps = dynamics.cfl_steps(grid, bg, tau_end, cfg.value("numerics", "cfl"),
+                                           dtau=cfg.value("numerics", "dtau"))
+    except InputError as err:
+        raise ConfigError([str(err)]) from None
+    if n_steps > cfg.value("numerics", "max_steps"):
+        raise ConfigError(["run needs %d steps > numerics.max_steps" % n_steps])
+    return tau_end, dtau, n_steps
 
 
 def build_run(cfg):
@@ -296,17 +318,11 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
 def run_experiment(cfg, out_dir=None, quiet=True):
     """Execute the full pipeline and write artifacts; returns a summary dict."""
     t_wall = time.time()
+    grid, model, bg, couplings = build_run(cfg)
+    tau_end, dtau, n_steps = run_steps(cfg, grid, bg)  # before anything is written
+    k = cfg.value("numerics", "energy_k")
     out_dir = out_dir or cfg.value("outputs", "directory")
     os.makedirs(out_dir, exist_ok=True)
-
-    grid, model, bg, couplings = build_run(cfg)
-    k = cfg.value("numerics", "energy_k")
-
-    tau_end = cfg.value("background", "tau_end_fraction") * bg.T
-    dtau, n_steps = dynamics.cfl_steps(grid, bg, tau_end, cfg.value("numerics", "cfl"),
-                                       dtau=cfg.value("numerics", "dtau"))
-    if n_steps > cfg.value("numerics", "max_steps"):
-        raise ConfigError(["run needs %d steps > numerics.max_steps" % n_steps])
 
     u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
     warnings = []

@@ -25,6 +25,7 @@ import numpy as np
 from .constraints import volume_weight
 from .errors import InputError
 from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms, sq_norm
+from .parallel import split
 
 
 def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
@@ -67,32 +68,74 @@ SECTOR_KIND = {"yangmills": "adjoint", "higgs": "higgs", "dirac": "spinor"}
 
 
 class _Norms:
-    """Sector energies of one state from the H^l norms (l <= top) of its fields,
-    computed once per connection when an energy first needs them; where a
-    connection acts by zero they are the reference norms and share an entry."""
+    """Sector energies of one state from the H^l norms (l <= top) of its fields.
+
+    An entry, keyed (connection acts, source, field), holds [H^0, H^1, ...]
+    of one field; where a connection acts by zero it is the reference entry.
+    compute() fills every entry that the energies on some connections read,
+    in two threads on large grids; energy() fills a missing entry lazily.
+    """
 
     def __init__(self, u, rhs_state, bg, top):
         self.u, self.rhs_state, self.top = u, rhs_state, top
         self.b, self.II = (np.ones(3), None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
         self.w = volume_weight(u, bg)
-        self.table = {}  # (connection acts, source, field) -> [H^0, H^1, ...]
+        self.table = {}  # key -> [H^0, H^1, ...]
+
+    def _terms(self, sector, connection):
+        """(key, kind, shift) of each term of the sector's energies, in summation order."""
+        kind = SECTOR_KIND[sector]
+        acts = connection == "omega" and self.u.model.acts[kind]
+        return [((acts, source, name), kind, shift) for source, name, shift in SECTOR_TERMS[sector]]
+
+    def _norms(self, key, kind, shift):
+        acts, source, name = key
+        if source == "rhs" and self.rhs_state is None:
+            raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
+        u = self.u
+        return sobolev_norms(getattr(u if source == "u" else self.rhs_state, name),
+                             self.top + shift, u.eta if acts else None, u.model, u.grid, kind,
+                             bvec=self.b, II=self.II if kind == "spinor" else None,
+                             weight=self.w)
+
+    def compute(self, connections):
+        """Fill every missing entry that the energies on `connections` read.
+
+        The entries go into two lists of about equal estimated cost, largest
+        first into the lighter list, and the lists run through parallel.split.
+        The estimate is the field's real multiplications per product (four
+        per complex element, one per real element) times sum_{l <= levels}
+        3^l, the sizes of the chain's levels; a Fourier sum counts one field.
+        Each entry is the same sobolev_norms call as lazily, so no bit changes.
+        """
+        todo = {key: (kind, shift) for connection in connections for sector in SECTOR_TERMS
+                for key, kind, shift in self._terms(sector, connection)
+                if key not in self.table and self.top + shift >= 0}
+
+        def cost(key):  # an rhs field has the shape and dtype of the state's
+            fld, levels = getattr(self.u, key[2]), self.top + todo[key][1]
+            return (fld.size * (4 if np.iscomplexobj(fld) else 1)
+                    * ((3 ** (levels + 1) - 1) // 2 if key[0] else 1))
+
+        lists, loads = ([], []), [0, 0]
+        for key in sorted(todo, key=cost, reverse=True):
+            lighter = int(loads[1] < loads[0])
+            lists[lighter].append(key)
+            loads[lighter] += cost(key)
+
+        def run(keys):
+            return [(key, self._norms(key, *todo[key])) for key in keys]
+
+        for done in split(self.u.grid, lambda: run(lists[0]), lambda: run(lists[1])):
+            self.table.update(done)
 
     def energy(self, sector, k, connection="omega"):
-        u, kind = self.u, SECTOR_KIND[sector]
-        acts = connection == "omega" and u.model.acts[kind]
         total = 0.0
-        for source, name, shift in SECTOR_TERMS[sector]:
-            if k + shift < 0:
-                continue
-            key = (acts, source, name)
-            if key not in self.table:
-                if source == "rhs" and self.rhs_state is None:
-                    raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
-                self.table[key] = sobolev_norms(
-                    getattr(u if source == "u" else self.rhs_state, name), self.top + shift,
-                    u.eta if acts else None, u.model, u.grid, kind, bvec=self.b,
-                    II=self.II if kind == "spinor" else None, weight=self.w)
-            total += self.table[key][k + shift]
+        for key, kind, shift in self._terms(sector, connection):
+            if k + shift >= 0:
+                if key not in self.table:
+                    self.table[key] = self._norms(key, kind, shift)
+                total += self.table[key][k + shift]
         return total
 
     def total(self, k):
@@ -152,7 +195,9 @@ class EnergyReport:
 
 def total_energy(u, rhs_state, bg=None, k=2):
     """EnergyReport.total alone; of rhs_state it reads only E and Q."""
-    return _Norms(u, rhs_state, bg, k).total(k)
+    norms = _Norms(u, rhs_state, bg, k)
+    norms.compute(("omega",))
+    return norms.total(k)
 
 
 def energy_report(u, rhs_state, bg=None, k=2):
@@ -160,9 +205,11 @@ def energy_report(u, rhs_state, bg=None, k=2):
     total_energy) and the reference-connection variant (adds ||eta||^2_{H^k}).
 
     Every field's norms are computed once per connection, up to the largest
-    k, and every energy is summed from its per-level sums."""
+    k, before any energy is summed (_Norms.compute), and every energy is
+    summed from its per-level sums."""
     k_list = sorted({0, 1, 2, k})
     norms = _Norms(u, rhs_state, bg, max(k_list))
+    norms.compute(("omega", "reference"))
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from . import algebra, clifford
+from . import algebra, clifford, parallel
 from .errors import InputError
 
 
@@ -51,6 +51,17 @@ class Grid:
         return self.dx ** 3
 
 
+# diff walks the leading axis of its rows in blocks of about this many bytes,
+# so that a block's second difference is taken while the block is in cache.
+# Per axis, medians of three rounds on a 2-vCPU Xeon host with 4 MB of L2: a
+# level-1 psi chain (3, 4, 3, 32^3) complex took 12.1/13.2/16.4 ms in one
+# pass and 11.1/12.6/13.1 ms in blocks, E at level 1 (3, 3, 3, 32^3)
+# 5.0/4.6/6.2 -> 3.5/3.6/4.7 ms, and (3, 4, 3, 16^3) complex 1.3/1.6/2.1 ->
+# 1.0/1.5/1.4 ms.  Blocks of 64 KB were slower at n = 16, and of 128 KB to
+# 1 MB no faster than 256 KB.
+_BLOCK_BYTES = 256 * 1024
+
+
 def diff(f, axis, grid, out=None):
     """Centered periodic derivative along grid axis 0, 1 or 2.
 
@@ -58,7 +69,9 @@ def diff(f, axis, grid, out=None):
     taken between periodic slices of f, with no shifted copies, and every
     site gets the arithmetic of (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]))
     / (12 dx) (order 4) or (f[i+1] - f[i-1]) / (2 dx) (order 2), divided as
-    _divide does.  Into `out` when given: C-contiguous with f's shape.
+    _divide does.  Into `out` when given: C-contiguous with f's shape.  The
+    rows are taken in blocks of _BLOCK_BYTES, with one block-sized scratch
+    per call for the second difference of order 4.
     """
     f = np.ascontiguousarray(f)
     out = np.empty_like(f) if out is None else out
@@ -66,13 +79,18 @@ def diff(f, axis, grid, out=None):
         raise InputError("diff writes into a C-contiguous array of shape %s" % (f.shape,))
     ax = f.ndim - 3 + axis
     rows = f.reshape(-1, f.shape[ax], math.prod(f.shape[ax + 1:]))
-    dk = _centered_difference(rows, 1, out.reshape(rows.shape))  # a view: out is contiguous
-    if grid.order == 2:
-        _divide(dk, 2.0 * grid.dx)
-    else:
-        dk *= 8.0
-        dk -= _centered_difference(rows, 2, np.empty_like(rows))
-        _divide(dk, 12.0 * grid.dx)
+    out_rows = out.reshape(rows.shape)  # a view: out is contiguous
+    block = max(1, _BLOCK_BYTES // (rows.shape[1] * rows.shape[2] * rows.itemsize))
+    scratch = np.empty_like(rows[:block]) if grid.order == 4 else None
+    for start in range(0, rows.shape[0], block):
+        part = rows[start:start + block]
+        dk = _centered_difference(part, 1, out_rows[start:start + block])
+        if grid.order == 2:
+            _divide(dk, 2.0 * grid.dx)
+        else:
+            dk *= 8.0
+            dk -= _centered_difference(part, 2, scratch[:len(part)])
+            _divide(dk, 12.0 * grid.dx)
     return out
 
 
@@ -251,20 +269,28 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     kind selects the fiber action (see connection_action); it is left out
     where drops_connection holds.  The spin-connection term enters for kind
     'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
-    axes of fld are carried along (they are flat in the adapted frame).  The
-    result is written into `out` (C-contiguous, see diff) when given.
+    axes of fld are carried along (they are flat in the adapted frame).  On a
+    grid where evaluations split (parallel.threads), two chains' temporaries
+    coexist, so there the two fiber terms are added one component of the first
+    leading axis at a time, with the same arithmetic per site: their
+    temporaries are a component's size.  The result is written into `out`
+    (C-contiguous, see diff) when given.
     """
     b = _frame_scale(bvec)
     dk = diff(fld, k, grid, out=out)
     if b[k] != 1.0:  # dividing by one changes no value
         _divide(dk, b[k])
-    if not drops_connection(eta, model, kind):
-        dk += connection_action(fld, eta[k], model, kind)
-    if kind == "spinor" and II is not None and II[k]:
-        # gamma_apply acts on the leading axis; the spin axis is the fifth from last
-        spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
-        spin *= 0.5 * II[k]
-        dk += np.moveaxis(spin, 0, -5)
+    spin = kind == "spinor" and II is not None and II[k]
+    acts = not drops_connection(eta, model, kind)
+    per_component = fld.ndim > (5 if kind == "spinor" else 4) and parallel.threads(grid) == 2
+    for i in range(fld.shape[0]) if per_component else [...]:
+        if acts:
+            dk[i] += connection_action(fld[i], eta[k], model, kind)
+        if spin:
+            # gamma_apply acts on the leading axis; the spin axis is the fifth from last
+            term = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld[i], -5, 0))
+            term *= 0.5 * II[k]
+            dk[i] += np.moveaxis(term, 0, -5)
     return dk
 
 

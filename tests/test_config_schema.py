@@ -1,14 +1,16 @@
 """The config schema: every key has a value that validate_config rejects by
-name, path keys are checked for existence, dropped keys are unknown, the
-README lists the schema's keys, and a dtau over the CFL bound stops a run
-before its set-up."""
+name, path keys are checked for existence, table files must build the
+background, dropped keys are unknown, the README lists the schema's keys,
+and a config whose steps break the CFL bound or numerics.max_steps fails
+validation, and stops a run before it writes anything."""
 
+import math
 import pathlib
 import re
 
 import pytest
 
-from ymtorus import driver
+from ymtorus import driver, lattice
 from ymtorus.errors import ConfigError, InputError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -96,9 +98,23 @@ def test_missing_path_is_a_violation(tmp_path, sec, key, lines):
     with pytest.raises(ConfigError) as err:
         driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
     assert err.value.violations == ["%s.%s names no file %r" % (sec, key, str(missing))]
-    missing.write_text("0,1\n")
+    # columns t, s(t) for s_table and tau, b1, b2, b3 for b_table; a structure
+    # file is read only by build_model
+    missing.write_text("".join("%g,%r,%r,%r\n" % ((0.5 * i,) + (math.exp(0.5 * i),) * 3)
+                               for i in range(7)))
     cfg = driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
     assert cfg.value(sec, key) == str(missing)
+
+
+@pytest.mark.parametrize("lines, key", [("profile = table\n", "s_table"),
+                                        ("b_kind = table\n", "b_table")])
+def test_table_that_builds_no_background_is_a_violation(tmp_path, lines, key):
+    table = tmp_path / "one_row.csv"
+    table.write_text("0,1\n")
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[background]\n%s%s = %s\n" % (lines, key, table))
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith("the background cannot be built: ")
 
 
 def test_table_profile_needs_its_table():
@@ -130,15 +146,33 @@ def test_readme_lists_the_schema_keys():
     assert set(keys) == set(driver.SCHEMA)
 
 
+CFL_TEXT = ("[grid]\nn = 8\n[initial]\ncutoff = 1\n[background]\ntau_end_fraction = 0.2\n"
+            "[numerics]\ncfl = 0.2\ndtau = 0.5\n")
+
+
+def test_steps_over_the_cfl_bound_or_max_steps_fail_validation():
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text(CFL_TEXT)
+    grid = lattice.Grid(8)
+    bound = 0.2 * grid.dx  # the static frame has b = 1
+    [violation] = err.value.violations
+    assert re.fullmatch(r"dtau = \S+ violates CFL bound %g" % bound, violation), violation
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[grid]\nn = 8\n[numerics]\nmax_steps = 3\n")
+    assert re.fullmatch(r"run needs \d+ steps > numerics.max_steps", err.value.violations[0])
+
+
 def test_dtau_over_the_cfl_bound_stops_before_set_up(tmp_path, monkeypatch):
     def set_up(*args, **kwargs):
         raise AssertionError("set-up ran")
 
     monkeypatch.setattr(driver, "prepare_initial_state", set_up)
-    cfg = driver.parse_config_text(
-        "[grid]\nn = 8\n[background]\ntau_end_fraction = 0.2\n[numerics]\ncfl = 0.2\n"
-        "dtau = 0.5\n[outputs]\ndirectory = %s\nplot = false\n" % tmp_path)
+    out = tmp_path / "out"
+    cfg = driver.parse_config_text(CFL_TEXT.replace("dtau = 0.5\n", "") +
+                                   "[outputs]\ndirectory = %s\nplot = false\n" % out)
+    cfg.values["numerics", "dtau"] = 0.5  # a config that bypassed validation
     grid, _, bg, _ = driver.build_run(cfg)
-    bound = 0.2 * grid.dx * min(bg.b(0.0))  # the static frame has b = 1
+    bound = 0.2 * grid.dx * min(bg.b(0.0))
     with pytest.raises(InputError, match="violates CFL bound %g$" % bound):
         driver.run_experiment(cfg)
+    assert not out.exists()

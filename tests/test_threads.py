@@ -1,10 +1,12 @@
-"""The second thread changes no bit, and the pool survives a fork.
+"""The second thread changes no bit, the pool survives a fork, a split
+inside the worker runs there, and diff's blocks change no bit.
 
 Each comparison forces the thread count through the CPU affinity that
 parallel.threads reads, so it runs the split and the serial path on any
 host.  Under `taskset -c 0` the unforced tests see the one-core path.
 """
 
+import math
 import os
 import signal
 import threading
@@ -13,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from ymtorus import algebra, driver, dynamics, geometry, lattice, parallel
+from ymtorus import algebra, driver, dynamics, energy, geometry, lattice, parallel
 
 from conftest import make_state
 
@@ -56,6 +58,45 @@ def test_split_runs_second_in_the_worker_and_raises_its_errors(monkeypatch):
     assert done  # split waited for it
     force_threads(monkeypatch, 1)
     assert parallel.split(grid, threading.get_ident, threading.get_ident) == (here, here)
+
+
+def test_split_inside_the_worker_runs_both_there(monkeypatch):
+    force_threads(monkeypatch, 2)
+    monkeypatch.setattr(parallel, "_worker", None)  # a pool of this test's own
+    grid = lattice.Grid(32)
+
+    def nested():
+        return threading.get_ident(), parallel.split(grid, threading.get_ident,
+                                                     threading.get_ident)
+
+    results = []
+    caller = threading.Thread(daemon=True, target=lambda: results.append(
+        parallel.split(grid, lambda: None, nested)))
+    caller.start()
+    caller.join(timeout=30)
+    pool = parallel._worker[1]
+    try:
+        if caller.is_alive():  # the worker waits for itself: free it, then fail
+            while not pool._work_queue.empty():
+                pool._work_queue.get_nowait().future.cancel()
+            pytest.fail("a split inside the worker waited for the worker")
+    finally:
+        pool.shutdown(wait=False)
+    [(_, (worker, (first, second)))] = results
+    assert first == second == worker != threading.get_ident()
+
+
+def test_free_memory_is_released_only_where_the_worker_exists(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parallel, "_libc", lambda name: lambda pad: calls.append((name, pad)))
+    monkeypatch.setattr(parallel, "_worker", None)
+    parallel.release_free_memory()
+    monkeypatch.setattr(parallel, "_worker", (os.getpid() + 1, None))  # a parent's worker
+    parallel.release_free_memory()
+    assert calls == []
+    monkeypatch.setattr(parallel, "_worker", (os.getpid(), None))
+    parallel.release_free_memory()
+    assert calls == [("malloc_trim", 0)]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -120,3 +161,63 @@ def test_run_is_byte_identical_with_one_and_two_threads(tmp_path, monkeypatch):
     assert names[0] == names[1] and len(names[0]) == 4  # two CSVs, two snapshots
     for name in names[0]:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("model_fn", [algebra.u1_toy, algebra.su2_toy, algebra.su3_pure])
+def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
+    model = model_fn()
+    cfg = driver.validate_config({
+        "grid": {"n": "20"}, "gauge": {"model": model.name},
+        "background": {"b_kind": "bianchi1", "tau_end_fraction": "0.05"},
+        "initial": {"amplitude": "0.02", "seed": "4"}})
+    grid, model, bg, coup = driver.build_run(cfg)
+    u = make_state(grid, model, bg, seed=5, amplitude=0.1)
+    u.tau = 0.2
+    du = dynamics.rhs(u, bg, coup)
+    results = []
+    for count in (1, 2):
+        force_threads(monkeypatch, count)
+        state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)
+        results.append((energy.total_energy(u, du, bg), energy.energy_report(u, du, bg).as_row(),
+                        state, info["energy"]))
+    (e1, row1, s1, i1), (e2, row2, s2, i2) = results
+    assert e1 == e2 and row1 == row2 and i1 == i2
+    for name in lattice.SECTORS:
+        assert np.array_equal(s1.sectors[name].view(np.uint64), s2.sectors[name].view(np.uint64))
+
+
+def diff_in_one_pass(f, axis, grid, out=None):
+    """lattice.diff as it was before it took its rows in blocks."""
+    f = np.ascontiguousarray(f)
+    out = np.empty_like(f) if out is None else out
+    ax = f.ndim - 3 + axis
+    rows = f.reshape(-1, f.shape[ax], math.prod(f.shape[ax + 1:]))
+    dk = lattice._centered_difference(rows, 1, out.reshape(rows.shape))
+    if grid.order == 2:
+        lattice._divide(dk, 2.0 * grid.dx)
+    else:
+        dk *= 8.0
+        dk -= lattice._centered_difference(rows, 2, np.empty_like(rows))
+        lattice._divide(dk, 12.0 * grid.dx)
+    return out
+
+
+@pytest.mark.parametrize("block_bytes", [lattice._BLOCK_BYTES, 3000])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_blocked_diff_equals_the_one_pass_stencil(monkeypatch, block_bytes, order, dtype):
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(order)
+    # (3, 4, 3, 16^3) spans 4 to 9 blocks of 256 KB on each axis; 3000 bytes
+    # leaves a part-filled last block on the 12^3 grid
+    for n, lead in ((16, (3, 4, 3)), (12, (5,)), (12, ())):
+        grid = lattice.Grid(n, order=order)
+        f = rng.standard_normal(lead + grid.shape)
+        if dtype is np.complex128:
+            f = f + 1j * rng.standard_normal(f.shape)
+        f[..., 0, :, :] = 0.0  # exact zeros, whose sign may differ
+        for axis in range(3):
+            got, want = lattice.diff(f, axis, grid), diff_in_one_pass(f, axis, grid)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(np.float64)),
+                                  np.signbit(want.view(np.float64)))
