@@ -323,9 +323,6 @@ def evolve(u, bg, couplings, dtau, n_steps, callback=None):
             u = step(u, bg, couplings, dtau, k1=du, work=(steps[m % 2], steps[2], k))
         if m == n_steps:
             steps = None
-            # where two threads left the freed buffers varies; without this the last
-            # report of a su2_toy run at n = 32 peaked at 435 MB, not 381, at times
-            parallel.release_free_memory()
         if callback is not None:
             du = rhs(u, bg, couplings, out=k)
             callback(m, u, du)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from . import algebra, clifford, parallel
+from . import algebra, clifford
 from .errors import InputError
 
 
@@ -269,28 +269,20 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     kind selects the fiber action (see connection_action); it is left out
     where drops_connection holds.  The spin-connection term enters for kind
     'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
-    axes of fld are carried along (they are flat in the adapted frame).  On a
-    grid where evaluations split (parallel.threads), two chains' temporaries
-    coexist, so there the two fiber terms are added one component of the first
-    leading axis at a time, with the same arithmetic per site: their
-    temporaries are a component's size.  The result is written into `out`
-    (C-contiguous, see diff) when given.
+    axes of fld are carried along (they are flat in the adapted frame).  The
+    result is written into `out` (C-contiguous, see diff) when given.
     """
     b = _frame_scale(bvec)
     dk = diff(fld, k, grid, out=out)
     if b[k] != 1.0:  # dividing by one changes no value
         _divide(dk, b[k])
-    spin = kind == "spinor" and II is not None and II[k]
-    acts = not drops_connection(eta, model, kind)
-    per_component = fld.ndim > (5 if kind == "spinor" else 4) and parallel.threads(grid) == 2
-    for i in range(fld.shape[0]) if per_component else [...]:
-        if acts:
-            dk[i] += connection_action(fld[i], eta[k], model, kind)
-        if spin:
-            # gamma_apply acts on the leading axis; the spin axis is the fifth from last
-            term = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld[i], -5, 0))
-            term *= 0.5 * II[k]
-            dk[i] += np.moveaxis(term, 0, -5)
+    if not drops_connection(eta, model, kind):
+        dk += connection_action(fld, eta[k], model, kind)
+    if kind == "spinor" and II is not None and II[k]:
+        # gamma_apply acts on the leading axis; the spin axis is the fifth from last
+        spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
+        spin *= 0.5 * II[k]
+        dk += np.moveaxis(spin, 0, -5)
     return dk
 
 

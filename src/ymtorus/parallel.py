@@ -7,8 +7,8 @@ interpreter lock inside its array loops, so the pieces overlap in two
 threads.  dynamics.rhs splits its row blocks and dynamics.step its sector
 updates this way while the Dirac triple is live (dynamics.threads), and
 energy._Norms.compute splits the H^l norms that set-up and every report
-read into two lists of about equal cost (threads(grid)).  A split called
-in the worker runs both pieces there.
+read into two lists of about equal cost (threads(grid)).  No piece splits
+again: a split called in the worker raises, where it would wait for itself.
 
 The split pays only on grids of at least MIN_SITES sites, and only where the
 process may run on two CPUs: the CPU affinity is the switch, so
@@ -16,9 +16,7 @@ process may run on two CPUs: the CPU affinity is the switch, so
 on first use in each process (a forked child makes its own: the parent's
 thread does not exist there), and before it starts, glibc is asked for a
 single malloc arena, so that the worker's freed temporaries go back to the
-heap the main thread allocates from instead of a second arena's.  Once the
-worker exists, release_free_memory hands free heap pages back to the system
-(dynamics.evolve calls it when it drops its step buffers).
+heap the main thread allocates from instead of a second arena's.
 """
 
 import ctypes
@@ -32,8 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 MIN_SITES = 20 ** 3
 
 _M_ARENA_MAX = -8  # mallopt parameter, glibc's malloc.h
+_WORKER_NAME = "ymtorus"  # the pool names its thread ymtorus_0
 _worker = None  # (pid, executor) of the process that created it
-_local = threading.local()  # in_worker is True in the worker thread
 
 
 def threads(grid):
@@ -46,39 +44,18 @@ def threads(grid):
     return min(2, len(os.sched_getaffinity(0)))
 
 
-def _mark_worker():
-    _local.in_worker = True
-
-
-def _libc(name):
-    """The C library function `name`, or None without C library symbols to
-    look up or where the library is not glibc."""
-    try:
-        return getattr(ctypes.CDLL(None), name)
-    except (OSError, AttributeError):
-        return None
-
-
 def _executor():
     global _worker
     if _worker is None or _worker[0] != os.getpid():
-        mallopt = _libc("mallopt")
-        if mallopt is not None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):  # no C library symbols to look up, or not glibc
+            pass
+        else:
             mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
             mallopt(_M_ARENA_MAX, 1)
-        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ymtorus",
-                                                   initializer=_mark_worker))
+        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix=_WORKER_NAME))
     return _worker[1]
-
-
-def release_free_memory():
-    """Give the heap's free pages back to the system (glibc malloc_trim), in
-    a process whose worker exists.  Where the two threads left large buffers
-    once freed is not fixed, and memory freed below live blocks stays
-    resident; an evaluation that then allocates may add its pages to it."""
-    trim = _libc("malloc_trim") if _worker is not None and _worker[0] == os.getpid() else None
-    if trim is not None:
-        trim(0)
 
 
 def split(grid, first, second):
@@ -86,8 +63,10 @@ def split(grid, first, second):
     read none that the other writes.  With threads(grid) == 2, second runs
     in the worker while first runs here; both have finished when split
     returns, and an exception in either is raised here.  Called in the
-    worker itself, both run here: the one worker is busy with this call."""
-    if threads(grid) == 1 or getattr(_local, "in_worker", False):
+    worker, it raises RuntimeError: the one worker is busy with the caller."""
+    if threading.current_thread().name.startswith(_WORKER_NAME + "_"):
+        raise RuntimeError("parallel.split called in the worker thread")
+    if threads(grid) == 1:
         return first(), second()
     pending = _executor().submit(second)
     try:

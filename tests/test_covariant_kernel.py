@@ -327,38 +327,6 @@ def test_stacked_kernel_is_covariant_diff(name, kind, bianchi_bg):
     assert same_bits(div, expect)
 
 
-def covariant_d_in_one_pass(fld, k, eta, model, grid, kind, bvec=None, II=None):
-    """lattice.covariant_d as it was before it added its fiber terms one
-    leading component at a time."""
-    b = lattice._frame_scale(bvec)
-    dk = diff(fld, k, grid)
-    if b[k] != 1.0:
-        lattice._divide(dk, b[k])
-    if not lattice.drops_connection(eta, model, kind):
-        dk += lattice.connection_action(fld, eta[k], model, kind)
-    if kind == "spinor" and II is not None and II[k]:
-        spin = gamma_apply(G0G[k], np.moveaxis(fld, -5, 0))
-        spin *= 0.5 * II[k]
-        dk += np.moveaxis(spin, 0, -5)
-    return dk
-
-
-@pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
-@pytest.mark.parametrize("threads", [1, 2])  # 2: the fiber terms per component
-def test_fiber_terms_per_component_change_no_bit(monkeypatch, name, kind, threads, bianchi_bg):
-    monkeypatch.setattr(lattice.parallel, "threads", lambda grid: threads)
-    u = state(name, bianchi_bg)
-    b, II = bianchi_bg.b(TAU), bianchi_bg.II(TAU)
-    one_form = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
-    twice = lattice.covariant_diff(one_form, u.eta, u.model, u.grid, kind, b, II)
-    for fld in (one_form[0], one_form, twice):
-        for k in range(3):
-            got = lattice.covariant_d(fld, k, u.eta, u.model, u.grid, kind, bvec=b, II=II)
-            want = covariant_d_in_one_pass(fld, k, u.eta, u.model, u.grid, kind, b, II)
-            assert same_bits(got, want)
-
-
 def test_unknown_fiber_kind_is_rejected(su2_model, flat_bg):
     u = make_state(lattice.Grid(8), su2_model, flat_bg)
     with pytest.raises(errors.InputError, match="unknown fiber kind"):

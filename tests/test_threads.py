@@ -1,5 +1,5 @@
 """The second thread changes no bit, the pool survives a fork, a split
-inside the worker runs there, and diff's blocks change no bit.
+called in the worker raises, and diff's blocks change no bit.
 
 Each comparison forces the thread count through the CPU affinity that
 parallel.threads reads, so it runs the split and the serial path on any
@@ -60,43 +60,25 @@ def test_split_runs_second_in_the_worker_and_raises_its_errors(monkeypatch):
     assert parallel.split(grid, threading.get_ident, threading.get_ident) == (here, here)
 
 
-def test_split_inside_the_worker_runs_both_there(monkeypatch):
+def test_split_called_in_the_worker_raises(monkeypatch):
     force_threads(monkeypatch, 2)
-    monkeypatch.setattr(parallel, "_worker", None)  # a pool of this test's own
     grid = lattice.Grid(32)
+    # a thread named as the worker stands in for it: a split there that submitted
+    # to the pool would return instead of waiting for itself, and fail below
+    name = parallel._executor().submit(lambda: threading.current_thread().name).result(30)
+    raised = []
 
     def nested():
-        return threading.get_ident(), parallel.split(grid, threading.get_ident,
-                                                     threading.get_ident)
+        try:
+            parallel.split(grid, lambda: 1, lambda: 2)
+        except RuntimeError as error:
+            raised.append(str(error))
 
-    results = []
-    caller = threading.Thread(daemon=True, target=lambda: results.append(
-        parallel.split(grid, lambda: None, nested)))
+    caller = threading.Thread(target=nested, name=name, daemon=True)
     caller.start()
     caller.join(timeout=30)
-    pool = parallel._worker[1]
-    try:
-        if caller.is_alive():  # the worker waits for itself: free it, then fail
-            while not pool._work_queue.empty():
-                pool._work_queue.get_nowait().future.cancel()
-            pytest.fail("a split inside the worker waited for the worker")
-    finally:
-        pool.shutdown(wait=False)
-    [(_, (worker, (first, second)))] = results
-    assert first == second == worker != threading.get_ident()
-
-
-def test_free_memory_is_released_only_where_the_worker_exists(monkeypatch):
-    calls = []
-    monkeypatch.setattr(parallel, "_libc", lambda name: lambda pad: calls.append((name, pad)))
-    monkeypatch.setattr(parallel, "_worker", None)
-    parallel.release_free_memory()
-    monkeypatch.setattr(parallel, "_worker", (os.getpid() + 1, None))  # a parent's worker
-    parallel.release_free_memory()
-    assert calls == []
-    monkeypatch.setattr(parallel, "_worker", (os.getpid(), None))
-    parallel.release_free_memory()
-    assert calls == [("malloc_trim", 0)]
+    assert raised == ["parallel.split called in the worker thread"]
+    assert parallel.split(grid, lambda: 1, lambda: 2) == (1, 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
