@@ -161,9 +161,10 @@ def parse_config(path):
 def validate_config(raw):
     """RunConfig of raw ({section: {key: text}}) and the SCHEMA defaults.  A
     section without shown defaults ([gauge_experiment]) is checked only when
-    raw has it; every violation is listed in one ConfigError.  A config whose
-    keys are valid then has its background built, from its table files if
-    it names them, and its steps checked (run_steps)."""
+    raw has it; every violation is listed in one ConfigError, a structure
+    file that algebra.load_structure_constants rejects among them.  A config
+    whose keys are valid then has its background built, from its table files
+    if it names them, and its steps checked (run_steps)."""
     violations = []
     text = {}
     for (sec, key), entry in SCHEMA.items():
@@ -196,6 +197,13 @@ def validate_config(raw):
             if broken:
                 violations.append(message.format(x, key="%s.%s" % (sec, key)))
                 break
+    structure_file = values.get(("gauge", "structure_file"))
+    if structure_file and os.path.isfile(structure_file):  # parse it and check the algebra
+        try:
+            algebra.load_structure_constants(structure_file)
+        except (InputError, ValueError) as err:
+            violations.append("gauge.structure_file %r is no Lie algebra: %s"
+                              % (structure_file, err))
 
     if violations:
         raise ConfigError(violations)
@@ -271,7 +279,7 @@ def build_run(cfg):
             dynamics.Couplings(model, lam=cfg.value("gauge", "lambda")))
 
 
-def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
+def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
     """Random data -> derived sectors -> Gauss solve -> energy normalization.
 
     Iterates the rescale (at most six passes) because the derived sectors and
@@ -280,7 +288,9 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
     total energy reads: the gauge rows of the rhs (dynamics.gauge_rhs) and
     energy.total_energy.  The returned state is the last one measured, so
     info["energy"] is its energy; info["converged"] says whether that is
-    amplitude**2 within 1e-10 + 1e-9 amplitude**2.  Returns (state, info).
+    amplitude**2 within 1e-10 + 1e-9 amplitude**2.  A dict `measured` is
+    left holding the H^l table of the last pass (see energy.total_energy),
+    which the report of the returned state can read.  Returns (state, info).
     """
     amplitude = cfg.value("initial", "amplitude")
     u = lattice.random_state(grid, model, cfg.value("initial", "seed"), amplitude,
@@ -304,7 +314,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2):
         info["gauss"] = constraints.solve_gauss_initial(
             u, bg, cg_tol=cfg.value("numerics", "cg_tol"))
         dynamics.gauge_rhs(u, bg, couplings, du)
-        e = info["energy"] = energy.total_energy(u, du, bg, k=k)
+        e = info["energy"] = energy.total_energy(u, du, bg, k=k, table=measured)
         info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
         if info["converged"]:
             break
@@ -324,7 +334,9 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     out_dir = out_dir or cfg.value("outputs", "directory")
     os.makedirs(out_dir, exist_ok=True)
 
-    u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k)
+    measured = {}  # set-up's last H^l table, read by the step-0 report
+    u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
+                                         measured=measured)
     warnings = []
     if not init_info["gauss"]["converged"]:
         warnings.append("Gauss CG stopped before its residual target (iterations %d, "
@@ -351,7 +363,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         """Rows for a reported step; du is rhs(state), which evolve evaluated."""
         if m % report_every and m != n_steps:
             return
-        erep = energy.energy_report(state, du, bg, k=k)
+        erep = energy.energy_report(state, du, bg, k=k, measured=measured if m == 0 else None)
         cf = initial_cfields if m == 0 else constraints.constraint_fields(state, bg)
         crep = constraints.constraint_report(state, bg, fields=cf)
         w = constraints.volume_weight(state, bg)

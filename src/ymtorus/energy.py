@@ -74,13 +74,15 @@ class _Norms:
     of one field; where a connection acts by zero it is the reference entry.
     compute() fills every entry that the energies on some connections read,
     in two threads on large grids; energy() fills a missing entry lazily.
+    `table` is the dict the entries go into (a new one if None); it may
+    already hold entries of this state at this top.
     """
 
-    def __init__(self, u, rhs_state, bg, top):
+    def __init__(self, u, rhs_state, bg, top, table=None):
         self.u, self.rhs_state, self.top = u, rhs_state, top
         self.b, self.II = (np.ones(3), None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
         self.w = volume_weight(u, bg)
-        self.table = {}  # key -> [H^0, H^1, ...]
+        self.table = {} if table is None else table  # key -> [H^0, H^1, ...]
 
     def _terms(self, sector, connection):
         """(key, kind, shift) of each term of the sector's energies, in summation order."""
@@ -193,22 +195,32 @@ class EnergyReport:
         return row
 
 
-def total_energy(u, rhs_state, bg=None, k=2):
-    """EnergyReport.total alone; of rhs_state it reads only E and Q."""
-    norms = _Norms(u, rhs_state, bg, k)
+def total_energy(u, rhs_state, bg=None, k=2, table=None):
+    """EnergyReport.total alone; of rhs_state it reads only E and Q.
+
+    A dict `table` is cleared and left holding the norms measured, floats
+    keyed (connection acts, source, field) with top k, which
+    energy_report(u, rhs(u), bg, k, measured=table) reads instead of
+    recomputing them while u is unchanged."""
+    if table is not None:
+        table.clear()
+    norms = _Norms(u, rhs_state, bg, k, table)
     norms.compute(("omega",))
     return norms.total(k)
 
 
-def energy_report(u, rhs_state, bg=None, k=2):
+def energy_report(u, rhs_state, bg=None, k=2, measured=None):
     """Sector energies for k = 0, 1, 2 and k, the headline total at k (as in
     total_energy) and the reference-connection variant (adds ||eta||^2_{H^k}).
 
     Every field's norms are computed once per connection, up to the largest
     k, before any energy is summed (_Norms.compute), and every energy is
-    summed from its per-level sums."""
+    summed from its per-level sums.  `measured` is a table that
+    total_energy(u, ..., k, table=) left on this same state; its entries are
+    read, not recomputed, where its top k is the report's (k >= 2)."""
     k_list = sorted({0, 1, 2, k})
-    norms = _Norms(u, rhs_state, bg, max(k_list))
+    top = max(k_list)
+    norms = _Norms(u, rhs_state, bg, top, dict(measured) if measured and top == k else None)
     norms.compute(("omega", "reference"))
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = norms.total(k)

@@ -1,4 +1,5 @@
-"""The one worker thread that evaluations on large grids share.
+"""The one worker thread that evaluations on large grids share, and the
+allocator policy of the process.
 
 An evaluation that splits into two independent pieces, each writing its own
 buffers and summing in its own fixed order, gives the same bits whether the
@@ -14,9 +15,15 @@ The split pays only on grids of at least MIN_SITES sites, and only where the
 process may run on two CPUs: the CPU affinity is the switch, so
 `taskset -c 0` runs everything in the calling thread.  The worker is created
 on first use in each process (a forked child makes its own: the parent's
-thread does not exist there), and before it starts, glibc is asked for a
-single malloc arena, so that the worker's freed temporaries go back to the
-heap the main thread allocates from instead of a second arena's.
+thread does not exist there).
+
+Importing this module sets one allocator policy for the process (glibc
+only): a single malloc arena, so that the worker's freed temporaries go back
+to the heap the main thread allocates from, and mmap and trim thresholds of
+ALLOCATOR_THRESHOLD, so that freed memory stays in the process.  glibc
+otherwise maps every block above its dynamic ceiling (32 MB) afresh and gives
+freed heap tops back to the kernel, and the next rhs or energy chain faults
+the same pages in again, on one thread as on two.
 """
 
 import ctypes
@@ -29,7 +36,13 @@ from concurrent.futures import ThreadPoolExecutor
 # at n = 20 and 1.41-1.68x at n = 24.
 MIN_SITES = 20 ** 3
 
-_M_ARENA_MAX = -8  # mallopt parameter, glibc's malloc.h
+# Above the largest temporary at n = 32: psi's level-2 chain array, 56.6 MB
+# on su2_toy.  Blocks up to this size come from the heap, and freed heap tops
+# up to this size are kept.
+ALLOCATOR_THRESHOLD = 256 << 20
+# (name, mallopt parameter from glibc's malloc.h, value)
+_POLICY = (("M_ARENA_MAX", -8, 1), ("M_MMAP_THRESHOLD", -3, ALLOCATOR_THRESHOLD),
+           ("M_TRIM_THRESHOLD", -1, ALLOCATOR_THRESHOLD))
 _WORKER_NAME = "ymtorus"  # the pool names its thread ymtorus_0
 _worker = None  # (pid, executor) of the process that created it
 
@@ -44,16 +57,23 @@ def threads(grid):
     return min(2, len(os.sched_getaffinity(0)))
 
 
+def _set_allocator_policy():
+    """{name: mallopt's result (1 set, 0 refused)} of each _POLICY entry; {}
+    where mallopt cannot be looked up (no C library symbols, or not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return {}
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return {name: mallopt(param, value) for name, param, value in _POLICY}
+
+
+ALLOCATOR_POLICY = _set_allocator_policy()
+
+
 def _executor():
     global _worker
     if _worker is None or _worker[0] != os.getpid():
-        try:
-            mallopt = ctypes.CDLL(None).mallopt
-        except (OSError, AttributeError):  # no C library symbols to look up, or not glibc
-            pass
-        else:
-            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-            mallopt(_M_ARENA_MAX, 1)
         _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix=_WORKER_NAME))
     return _worker[1]
 

@@ -1,16 +1,18 @@
 """The config schema: every key has a value that validate_config rejects by
 name, path keys are checked for existence, table files must build the
-background, dropped keys are unknown, the README lists the schema's keys,
-and a config whose steps break the CFL bound or numerics.max_steps fails
-validation, and stops a run before it writes anything."""
+background, structure files must parse to a Lie algebra, dropped keys are
+unknown, the README lists the schema's keys, and a config whose steps break
+the CFL bound or numerics.max_steps fails validation, and stops a run before
+it writes anything."""
 
 import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from ymtorus import driver, lattice
+from ymtorus import algebra, driver, lattice
 from ymtorus.errors import ConfigError, InputError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -98,12 +100,34 @@ def test_missing_path_is_a_violation(tmp_path, sec, key, lines):
     with pytest.raises(ConfigError) as err:
         driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
     assert err.value.violations == ["%s.%s names no file %r" % (sec, key, str(missing))]
-    # columns t, s(t) for s_table and tau, b1, b2, b3 for b_table; a structure
-    # file is read only by build_model
-    missing.write_text("".join("%g,%r,%r,%r\n" % ((0.5 * i,) + (math.exp(0.5 * i),) * 3)
+    # columns t, s(t) for s_table and tau, b1, b2, b3 for b_table; the su(2)
+    # structure constants for structure_file
+    missing.write_text(structure_text(algebra.su2().f) if key == "structure_file" else
+                       "".join("%g,%r,%r,%r\n" % ((0.5 * i,) + (math.exp(0.5 * i),) * 3)
                                for i in range(7)))
     cfg = driver.parse_config_text("[%s]\n%s%s = %s\n" % (sec, lines, key, missing))
     assert cfg.value(sec, key) == str(missing)
+
+
+def structure_text(f):
+    """A structure-constant file of f (algebra.load_structure_constants)."""
+    return "%d\n" % len(f) + "".join(" ".join("%.17g" % x for x in row) + "\n"
+                                     for row in f.reshape(-1, len(f)))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("3\n0 0 x\n", "could not convert string to float: 'x'"),  # was a ValueError in build_run
+    ("2\n0 1 2\n", "expected 8 structure constants, found 3"),  # was an InputError there
+    (structure_text(np.ones((2, 2, 2))), "structure constants fail algebra checks"),
+])
+def test_malformed_structure_file_is_a_violation(tmp_path, text, reason):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[gauge]\nstructure_file = %s\n" % path)
+    [violation] = err.value.violations
+    assert violation.startswith("gauge.structure_file %r is no Lie algebra: " % str(path))
+    assert reason in violation
 
 
 @pytest.mark.parametrize("lines, key", [("profile = table\n", "s_table"),

@@ -1,4 +1,5 @@
-"""The reporting path reuses the stepper's work without changing a bit.
+"""The reporting path reuses the stepper's work, and the first report
+set-up's energy norms, without changing a bit.
 
 Each test compares the single-pass code against the formula it replaced,
 kept here as the reference: the np.roll stencil, the RK4 step with a fresh
@@ -276,3 +277,56 @@ def test_run_makes_four_rhs_calls_per_step(tmp_path, monkeypatch):
     assert calls["rhs"] == calls["set_up"] + 4 * n_steps + 1
     # one evaluation of the constraint fields per reported state
     assert calls["fields"] == n_steps + 1
+
+
+def small_run_config(tmp_path, energy_k):
+    raw = driver.preset_config("bianchi1_su2").as_dict()  # su2_toy with matter
+    raw["grid"]["n"] = "8"
+    raw["background"]["tau_end_fraction"] = "0.1"
+    raw["numerics"].update({"dtau": "0.03", "report_every": "1000", "energy_k": str(energy_k)})
+    raw["outputs"].update({"plot": "false", "directory": str(tmp_path)})
+    return driver.validate_config(raw)
+
+
+@pytest.mark.parametrize("energy_k", [1, 2, 3])
+def test_first_report_reads_the_set_up_norms(tmp_path, monkeypatch, energy_k):
+    # chains with a connection walked in each phase of the run: set-up, from
+    # its end to the step-0 row, and after that row
+    walked = {"set-up": 0, "first report": 0, "later": 0}
+    phase = ["set-up"]
+    sobolev_norms, prepare, report = (energy.sobolev_norms, driver.prepare_initial_state,
+                                      energy.energy_report)
+
+    def counting_norms(fld, k, eta, *args, **kwargs):
+        walked[phase[0]] += eta is not None
+        return sobolev_norms(fld, k, eta, *args, **kwargs)
+
+    def marking_prepare(*args, **kwargs):
+        out = prepare(*args, **kwargs)
+        phase[0] = "first report"
+        return out
+
+    def marking_report(*args, **kwargs):
+        out = report(*args, **kwargs)
+        phase[0] = "later"
+        return out
+
+    monkeypatch.setattr(energy, "sobolev_norms", counting_norms)
+    monkeypatch.setattr(driver, "prepare_initial_state", marking_prepare)
+    monkeypatch.setattr(energy, "energy_report", marking_report)
+    driver.run_experiment(small_run_config(tmp_path, energy_k))
+    assert walked["set-up"] > 0 and walked["later"] > 0
+    # with energy_k = 1 the report's top (2) is not set-up's (1): nothing is reused
+    assert (walked["first report"] == 0) == (energy_k >= 2)
+
+
+@pytest.mark.parametrize("energy_k", [1, 2, 3])
+def test_first_row_is_a_fresh_report(tmp_path, energy_k):
+    cfg = small_run_config(tmp_path, energy_k)
+    driver.run_experiment(cfg)
+    grid, model, bg, coup = driver.build_run(cfg)
+    u, _ = driver.prepare_initial_state(cfg, grid, model, bg, coup, k=energy_k)
+    fresh = energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=energy_k).as_row()
+    header, first, last = (tmp_path / "energy.csv").read_text().splitlines()  # steps 0 and 4
+    assert header.split(",") == list(fresh)
+    assert first == ",".join(driver._fmt(x) for x in fresh.values())  # "%.17g": every bit

@@ -1,5 +1,6 @@
 """The second thread changes no bit, the pool survives a fork, a split
-called in the worker raises, and diff's blocks change no bit.
+called in the worker raises, freed memory stays in the process, and diff's
+blocks change no bit.
 
 Each comparison forces the thread count through the CPU affinity that
 parallel.threads reads, so it runs the split and the serial path on any
@@ -8,6 +9,7 @@ host.  Under `taskset -c 0` the unforced tests see the one-core path.
 
 import math
 import os
+import resource
 import signal
 import threading
 import time
@@ -166,6 +168,22 @@ def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
     assert e1 == e2 and row1 == row2 and i1 == i2
     for name in lattice.SECTORS:
         assert np.array_equal(s1.sectors[name].view(np.uint64), s2.sectors[name].view(np.uint64))
+
+
+@pytest.mark.skipif(not parallel.ALLOCATOR_POLICY, reason="mallopt cannot be looked up")
+def test_freed_memory_stays_in_the_process():
+    assert parallel.ALLOCATOR_POLICY == {"M_ARENA_MAX": 1, "M_MMAP_THRESHOLD": 1,
+                                         "M_TRIM_THRESHOLD": 1}
+
+    def cycle():  # 64 MB: above glibc's dynamic mmap ceiling of 32 MB
+        np.empty(8 << 20).fill(1.0)
+
+    cycle()  # the warm-up faults the pages in once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        cycle()
+    # a fresh mapping per cycle would fault 512-16384 pages each (huge pages or not)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 def diff_in_one_pass(f, axis, grid, out=None):
