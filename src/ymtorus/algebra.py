@@ -24,29 +24,56 @@ from .errors import InputError
 
 class FiberTerms:
     """Sparse table of the fiber action out_c = sum_{a,b} t[a,b,c] xi_a x_b:
-    `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c])."""
+    `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c]);
+    `by_out[c]` lists the (b, coefficients) of the pairs that write component c, b ascending."""
 
     def __init__(self, t):
         self.dim_xi, _, self.dim_out = t.shape
         self.dtype = t.dtype
         self.pairs = [(b, c, [(a, t[a, b, c]) for a in np.flatnonzero(t[:, b, c]).tolist()])
                       for b, c in np.argwhere(np.any(t != 0, axis=0)).tolist()]
+        self.by_out = [[(b, coeffs) for b, c, coeffs in self.pairs if c == out]
+                       for out in range(self.dim_out)]
 
 
-def _fiber_apply(terms, xi, x, axis=0):
+def _fiber_apply(terms, xi, x, axis=0, out=None):
     """out[..., c, *grid] = sum_b M_bc x[..., b, *grid] over the nonzero pairs, with
     M_bc = sum_a t[a,b,c] xi_a built once and shared by the axes of x before its
-    fiber axis `axis`; a constant (1-D) xi or x broadcasts over the other's grid."""
-    lead = (slice(None),) * axis
+    fiber axis `axis`; a constant (1-D) xi or x broadcasts over the other's grid.
+
+    With `out` (of the result's shape), the action is added into out instead,
+    one component at a time: for each c and each index of the leading axes, the
+    sum over b is formed in pair order in a buffer of one grid and then added,
+    so out gets the bits of out + _fiber_apply(terms, xi, x, axis) and no
+    temporary larger than a grid."""
     grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
-    out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid,
-                   dtype=np.result_type(terms.dtype, xi, x))
-    for b, c, coeffs in terms.pairs:
-        (a, w), rest = coeffs[0], coeffs[1:]
-        M = xi[a] if w == 1 else w * xi[a]
-        for a, w in rest:
-            M = M + w * xi[a]
-        out[lead + (c,)] += M * x[lead + (b,)]
+    dtype = np.result_type(terms.dtype, xi, x)
+    if out is None:  # each component is summed in place, over all leading indices at once
+        out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid, dtype)
+        positions, acc = [(slice(None),) * axis], None
+    else:
+        positions, acc = list(np.ndindex(x.shape[:axis])), np.empty(grid, dtype)
+    for c, pairs in enumerate(terms.by_out):
+        Ms = {}  # b -> M_bc, kept for the other leading indices
+        for pos in positions:
+            if acc is not None:
+                acc.fill(0.0)
+            for b, coeffs in pairs:
+                M = Ms.get(b)
+                if M is None:
+                    (a, w), rest = coeffs[0], coeffs[1:]
+                    M = xi[a] if w == 1 else w * xi[a]
+                    for a, w in rest:
+                        M = M + w * xi[a]
+                    if len(positions) > 1:
+                        Ms[b] = M
+                if acc is None:
+                    out[pos + (c,)] += M * x[pos + (b,)]
+                else:
+                    acc += M * x[pos + (b,)]
+            if acc is not None:
+                out[pos + (c,)] += acc
+        del Ms  # before the next component's are built
     return out
 
 

@@ -80,12 +80,12 @@ def curvature_constraint(u, bg=None):
 def bianchi_constraint(u, bg=None):
     """Fully antisymmetrized covariant derivative of *Q (single component):
     sum_cyc D_i B_jk = sum_i D_i Q_i, since B_jk = Q_i for cyclic (i, j, k)."""
-    return _cov_div(u.Q, u, bg)
+    return covariant_div(u.Q, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
 
 
 def gauss_constraint(u, bg=None):
     model = u.model
-    C0 = _cov_div(u.E, u, bg)
+    C0 = covariant_div(u.E, u.eta, model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
     C0 += np.real(algebra.current_pairing(model.rho, u.phidot, u.phi))
     # <g0 psi, chi* psi> = psi^dag (I (x) chi*) psi
     C0 -= 0.5 * np.imag(algebra.current_pairing(model.chi, u.psi, u.psi))
@@ -164,16 +164,6 @@ def complete_state(u, bg=None):
     return u
 
 
-def _cov_grad(phi_lie, u, bg):
-    """Covariant gradient of a Lie-valued scalar, (3, dim_g, grid)."""
-    return covariant_diff(phi_lie, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
-
-
-def _cov_div(vec, u, bg):
-    """Covariant divergence of a Lie-valued 1-form, (dim_g, grid)."""
-    return covariant_div(vec, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
-
-
 def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     """Project E so the Gauss constraint holds: E -> E - grad_omega(phi) with
     the covariant Poisson problem  -div_omega grad_omega phi = -C0(E).
@@ -195,12 +185,13 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
 
     src = -gauss_constraint(u, bg)
     src, mean = demean(src)
+    b = _frame(u, bg)[0]
 
     def apply_A(phi_lie):
         # projected operator: CG runs on the mean-free complement, where the
         # covariant Laplacian is uniformly definite
-        out = -_cov_div(_cov_grad(phi_lie, u, bg), u, bg)
-        return demean(out)[0]
+        grad = covariant_diff(phi_lie, u.eta, u.model, grid, "adjoint", bvec=b)
+        return demean(-covariant_div(grad, u.eta, u.model, grid, "adjoint", bvec=b))[0]
 
     x = np.zeros_like(src)
     r = src.copy()
@@ -223,7 +214,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     if rs > target and n_iter >= max_iter:
         raise SolverError("Gauss CG did not converge: |r| = %.3e after %d iterations"
                           % (np.sqrt(rs * w), n_iter))
-    u.E -= _cov_grad(x, u, bg)
+    u.E -= covariant_diff(x, u.eta, u.model, grid, "adjoint", bvec=b)
     res = l2_norm(gauss_constraint(u, bg), w)
     return {
         "iterations": n_iter,
@@ -237,12 +228,17 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
 def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
     """Max |<x, A y> - <A x, y>| / scale for the CG operator (discrete SPD check)."""
     rng = np.random.default_rng(seed)
+    b = _frame(u, bg)[0]
+
+    def A(x):  # the CG operator before the mean is removed
+        grad = covariant_diff(x, u.eta, u.model, u.grid, "adjoint", bvec=b)
+        return -covariant_div(grad, u.eta, u.model, u.grid, "adjoint", bvec=b)
+
     worst = 0.0
     for _ in range(samples):
         x = rng.standard_normal((u.model.dim_g,) + u.grid.shape)
         y = rng.standard_normal((u.model.dim_g,) + u.grid.shape)
-        Ax = -_cov_div(_cov_grad(x, u, bg), u, bg)
-        Ay = -_cov_div(_cov_grad(y, u, bg), u, bg)
+        Ax, Ay = A(x), A(y)
         num = abs(np.sum(x * Ay) - np.sum(Ax * y))
         scale = max(abs(np.sum(x * Ay)), abs(np.sum(Ax * y)), 1e-30)
         worst = max(worst, num / scale)

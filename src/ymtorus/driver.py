@@ -385,6 +385,9 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         write_constraints_csv(os.path.join(out_dir, "constraints.csv"),
                               constraint_rows, drift_rows)
 
+    threads = dynamics.threads(u)
+    exp_kind = cfg.value("gauge_experiment", "kind")
+    u0 = u.copy() if exp_kind == "static" else None  # evolve advances u in place
     try:
         dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
     except Exception as err:  # keep what was computed, record the error, re-raise
@@ -430,9 +433,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
 
     monitor = constraints.propagation_monitor(constraint_rows)
     gauge_experiment = None
-    exp_kind = cfg.value("gauge_experiment", "kind")
     if exp_kind == "static":
-        res = run_gauge_invariance(cfg, u, bg, couplings)  # evolve left u untouched
+        res = run_gauge_invariance(cfg, u0, bg, couplings)
         gauge_experiment = {"kind": "static",
                             "worst_relative_mismatch": res["worst_relative_mismatch"],
                             "unitarity_defect": res["unitarity_defect"]}
@@ -457,7 +459,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         "decay": decay,
         "extrinsic_bound_samples": [bg.extrinsic_bound(t)
                                     for t in np.linspace(0, tau_end * 0.999, 5)],
-        "threads": dynamics.threads(u),
+        "threads": threads,
         "wall_seconds": time.time() - t_wall,
     }
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
@@ -550,7 +552,8 @@ def replot(out_dir):
 def run_gauge_invariance(cfg, u0, bg, couplings):
     """Evolve the initial data u0 of cfg (from prepare_initial_state) and its
     gauge transform, 12 steps each, with the run's background and couplings;
-    return the worst relative sector-energy mismatch over the run."""
+    return the worst relative sector-energy mismatch over the run.  u0 is
+    consumed: dynamics.evolve advances it in place."""
     grid, model = u0.grid, u0.model
     k = cfg.value("numerics", "energy_k")
     gt = lattice.GaugeTransform.random_smooth(

@@ -113,11 +113,13 @@ def gauge_rhs(u, bg, couplings, out, live=None, B=None):
     return B
 
 
-def rhs(u, bg, couplings, out=None):
+def rhs(u, bg, couplings, out=None, live=None):
     """State derivative of the first-order system at u.tau, summed term by
     term in the order of the formulas above into `out` (a state of u's
     shapes, not u; returned) or a new state.  Matter triples outside
     _live_sectors(u) are zeroed, not evaluated (J is quadratic in matter).
+    A caller that has scanned u passes its `live` tuple, with out's sectors
+    outside it zero already (as step does); they are then not checked.
 
     With the Dirac triple live, the rows form two blocks that read only u
     and write disjoint rows: (eta, Q, E, phi, phidot, Z, S) and (psi,
@@ -128,7 +130,8 @@ def rhs(u, bg, couplings, out=None):
     model, grid = couplings.model, u.grid
     out = FieldState.zeros(grid, model) if out is None else out
     out.tau = u.tau
-    live = _live_sectors(u, model, zero=[out])
+    if live is None:
+        live = _live_sectors(u, model, zero=[out])
     higgs, dirac = "higgs" in live, "dirac" in live
     B = hodge_dual_B(u.Q)
     b, kappa, dkappa = bg.b(u.tau), bg.II(u.tau), bg.dII_dtau(u.tau)
@@ -282,16 +285,18 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
     step overwrites (None allocates them; k1 may be k): each stage is formed
     in stage, and its rhs lands in k and is added to out at once.  That sums
     u + (dtau/6) k1 + (dtau/3) k2 + (dtau/3) k3 + (dtau/6) k4 left to right.
-    Sectors outside _live_sectors(u) stay zero.  Returns out.
+    u's matter is scanned once: sectors outside _live_sectors(u) are zeroed
+    in the three buffers and stay zero, and every rhs call skips them (a
+    stage is zero where u and k1 are).  Returns out.
     """
     out, stage, k = work or [FieldState.zeros(u.grid, u.model) for _ in range(3)]
-    live = _live_sectors(u, couplings.model, zero=[out, stage])
-    dk = rhs(u, bg, couplings, out=k) if k1 is None else k1
+    live = _live_sectors(u, couplings.model, zero=[out, stage, k])
+    dk = rhs(u, bg, couplings, out=k, live=live) if k1 is None else k1
     _axpy(out, u, dtau / 6, dk, out, live)
     for c_stage, c_out in ((dtau / 2, dtau / 3), (dtau / 2, dtau / 3), (dtau, dtau / 6)):
         _axpy(stage, u, c_stage, dk, stage, live)
         stage.tau = u.tau + c_stage
-        dk = rhs(stage, bg, couplings, out=k)
+        dk = rhs(stage, bg, couplings, out=k, live=live)
         _axpy(out, out, c_out, dk, stage, live)  # rhs has read stage
     out.tau = u.tau + dtau
     finite = _by_halves(u.grid, live, lambda h: [
@@ -305,25 +310,36 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
 
 
 def evolve(u, bg, couplings, dtau, n_steps, callback=None):
-    """March n_steps RK4 steps; callback(step_index, state, du) after each.
+    """March n_steps RK4 steps, advancing u in place; returns u.
+    callback(step_index, state, du) runs after each step (and at step 0).
 
     du is rhs(state), evaluated once per state: the callback reads it (a
     report needs it for the energies) and the next step takes it as its k1.
-    The states live in four buffers (two results in turn, a stage and an
-    rhs), so state and du are overwritten after the callback returns: a
-    caller that keeps them copies them.  u itself is not written.  The
-    three step buffers exist only between the first and the last callback,
-    which can take their memory.
+    Four states are resident: u, an rhs buffer k and two spares.  A step
+    writes into u when its input is not u and an even number of steps
+    remains after it, else into the spare that is not its input; its stage
+    takes the buffer left over.  So the last step lands in u (a one-step run
+    copies its result there), and state and du are overwritten after the
+    callback returns: a caller that keeps them, or u's initial values,
+    copies them.  The spares exist only between the first and the last
+    callback, which can take their memory.
     """
-    k, steps = FieldState.zeros(u.grid, u.model), None
-    du = None
+    k, spares, du, state = FieldState.zeros(u.grid, u.model), None, None, u
     for m in range(n_steps + 1):
         if m:
-            steps = steps or [FieldState.zeros(u.grid, u.model) for _ in range(3)]
-            u = step(u, bg, couplings, dtau, k1=du, work=(steps[m % 2], steps[2], k))
+            spares = spares or [FieldState.zeros(u.grid, u.model) for _ in range(2)]
+            if state is not u and (n_steps - m) % 2 == 0:
+                out, stage = u, *[s for s in spares if s is not state]
+            else:
+                out, stage = [s for s in (*spares, u) if s is not state]
+            state = step(state, bg, couplings, dtau, k1=du, work=(out, stage, k))
         if m == n_steps:
-            steps = None
+            if state is not u:  # one step: its result sits in a spare
+                for name, buf in state.sectors.items():
+                    np.copyto(u.sectors[name], buf)
+                u.tau, state = state.tau, u
+            spares = out = stage = None
         if callback is not None:
-            du = rhs(u, bg, couplings, out=k)
-            callback(m, u, du)
+            du = rhs(state, bg, couplings, out=k)
+            callback(m, state, du)
     return u

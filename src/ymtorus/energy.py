@@ -24,7 +24,7 @@ import numpy as np
 
 from .constraints import volume_weight
 from .errors import InputError
-from .lattice import covariant_diff, drops_connection, fourier_sobolev_norms, sq_norm
+from .lattice import covariant_d, covariant_diff, drops_connection, fourier_sobolev_norms, sq_norm
 from .parallel import split
 
 
@@ -34,7 +34,11 @@ def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
 
     Where the connection drops out (lattice.drops_connection) they are summed
     in Fourier space; otherwise the covariant-derivative chain is walked once,
-    holding only its current level.  H^l is the running sum of the per-level
+    holding only its current level.  The last level is not stored: each
+    direction's block D_j of it is formed in turn (in one reused buffer, or
+    for a real field in place) and its |.|^2 written into the j-th third of
+    one float buffer, whose single np.sum adds the values of sq_norm over the
+    stacked level in the same order.  H^l is the running sum of the per-level
     sums up to l, times `weight`, the volume element sqrt(g) dx^3 per site.
     """
     if k < 0 or k > 4:
@@ -43,11 +47,28 @@ def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
         return fourier_sobolev_norms(fld, k, grid, bvec=bvec, II=II, weight=weight)
     cur, total = fld, sq_norm(fld)
     norms = [float(total * weight)]
-    for _ in range(k):
-        cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
-        total += sq_norm(cur)
+    for level in range(1, k + 1):
+        if level < k:
+            cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
+            total += sq_norm(cur)
+        else:
+            total += _last_level_sq_norm(cur, eta, model, grid, kind, bvec, II)
         norms.append(float(total * weight))
     return norms
+
+
+def _last_level_sq_norm(cur, eta, model, grid, kind, bvec, II):
+    """sq_norm(covariant_diff(cur, ...)) without the stacked level: the same
+    squares, summed by one np.sum over a buffer of the level's shape."""
+    squares = np.empty((3,) + cur.shape)
+    block = np.empty(cur.shape, cur.dtype) if np.iscomplexobj(cur) else None
+    for j in range(3):
+        dj = covariant_d(cur, j, eta, model, grid, kind, bvec, II,
+                         out=squares[j] if block is None else block)
+        if block is not None:  # sq_norm's |x| ** 2
+            np.abs(dj, out=squares[j])
+        np.square(squares[j], out=squares[j])
+    return np.sum(squares)
 
 
 def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,

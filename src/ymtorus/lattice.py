@@ -240,10 +240,11 @@ def _frame_scale(bvec):
     return np.ones(3) if bvec is None else np.asarray(bvec, dtype=float)
 
 
-def connection_action(fld, xi, model, kind):
+def connection_action(fld, xi, model, kind, out=None):
     """Fiber action of one connection component xi = eta_k on a field whose
     fiber axes sit directly before the three grid axes (any leading 1-form
-    axes broadcast through):
+    axes broadcast through), added into `out` when given (see
+    algebra._fiber_apply):
 
       'adjoint'  [xi, x]           fiber (dim_g,)
       'higgs'    rho*(xi) x        fiber (dim_W,)
@@ -251,7 +252,7 @@ def connection_action(fld, xi, model, kind):
     """
     if kind not in model.terms:
         raise InputError("unknown fiber kind %r" % kind)
-    return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4)
+    return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4, out=out)
 
 
 def drops_connection(eta, model, kind):
@@ -271,18 +272,28 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
     axes of fld are carried along (they are flat in the adapted frame).  The
     result is written into `out` (C-contiguous, see diff) when given.
+
+    Both fiber terms are added into the result piece by piece: the connection
+    term one fiber component and leading index at a time, the spin-connection
+    term one spin row r at a time, as (fld[col_r] g0g_k[r, col_r]) * (II_k / 2)
+    where row r of g0 g_k has its one nonzero in column col_r.  Their largest
+    temporaries are one grid and one spin row, and each element gets the
+    arithmetic of adding the whole terms.
     """
     b = _frame_scale(bvec)
     dk = diff(fld, k, grid, out=out)
     if b[k] != 1.0:  # dividing by one changes no value
         _divide(dk, b[k])
     if not drops_connection(eta, model, kind):
-        dk += connection_action(fld, eta[k], model, kind)
+        connection_action(fld, eta[k], model, kind, out=dk)
     if kind == "spinor" and II is not None and II[k]:
-        # gamma_apply acts on the leading axis; the spin axis is the fifth from last
-        spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
-        spin *= 0.5 * II[k]
-        dk += np.moveaxis(spin, 0, -5)
+        g0gk = clifford.G0G[k]
+        rows, fld_rows = np.moveaxis(dk, -5, 0), np.moveaxis(fld, -5, 0)  # the spin axis first
+        term = np.empty_like(rows[0])
+        for r, col in enumerate(np.argmax(g0gk != 0, axis=1)):
+            np.multiply(fld_rows[col], g0gk[r, col], out=term)
+            term *= 0.5 * II[k]
+            rows[r] += term
     return dk
 
 

@@ -36,8 +36,8 @@ from concurrent.futures import ThreadPoolExecutor
 # at n = 20 and 1.41-1.68x at n = 24.
 MIN_SITES = 20 ** 3
 
-# Above the largest temporary at n = 32: psi's level-2 chain array, 56.6 MB
-# on su2_toy.  Blocks up to this size come from the heap, and freed heap tops
+# Above the largest temporary at n = 32: the float squares of psi's level-2
+# chain, 28.3 MB on su2_toy.  Blocks up to this size come from the heap, and freed heap tops
 # up to this size are kept.
 ALLOCATOR_THRESHOLD = 256 << 20
 # (name, mallopt parameter from glibc's malloc.h, value)

@@ -411,8 +411,8 @@ def test_static_gauge_experiment_prepares_the_state_once(tmp_path, monkeypatch):
     summary = driver.run_experiment(cfg, quiet=True)
     # the experiment reuses the run's state, model and background
     assert calls == {"prepare": 1, "equivariance": 1}
-    # the evolved run leaves its initial state untouched: the experiment sees
-    # the same data as one started from a fresh preparation
+    # evolve advances the run's state in place, so the experiment gets a copy
+    # of the initial state: it sees the data of a fresh preparation
     grid, model, bg, couplings = driver.build_run(cfg)
     u0, _ = prepare(cfg, grid, model, bg, couplings, k=2)
     fresh = driver.run_gauge_invariance(cfg, u0, bg, couplings)["worst_relative_mismatch"]

@@ -183,3 +183,21 @@ def test_evolve_zero_steps_echoes_initial(u1_model, flat_bg):
     out = dynamics.evolve(u, flat_bg, dynamics.Couplings(u1_model, 0.0), 0.01, 0,
                           callback=lambda m, st, du: seen.append((m, st.tau)))
     assert seen == [(0, 0.0)] and out is u
+
+
+def test_step_scans_matter_once(u1_model, flat_bg, monkeypatch):
+    # the stage rhs calls take u's live sectors: a stage is zero where u and
+    # k1 are, so scanning it again finds nothing new
+    u = make_state(lattice.Grid(8), u1_model, flat_bg, seed=8, amplitude=0.1)
+    u.sectors["higgs"].fill(0.0)
+    u.sectors["dirac"].fill(0.0)
+    scans, scan = [], dynamics._live_sectors
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_live_sectors", counted)
+    out = dynamics.step(u, flat_bg, dynamics.Couplings(u1_model, 0.0), 0.01)
+    assert len(scans) == 1
+    assert not np.any(out.sectors["higgs"]) and not np.any(out.sectors["dirac"])

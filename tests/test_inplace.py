@@ -70,27 +70,29 @@ def test_step_with_work_matches_fresh_stages(case):
 
 
 def test_evolve_reuses_buffers_without_changing_bits(case):
+    # evolve advances u in place: it returns u, holding the bits of fresh
+    # steps from u's initial values, whichever buffer each step wrote
     u, bg, coup = case
-    before = u.copy()
-    seen = []
+    for n_steps in (5, 1, 2):  # an odd and an even count, and the copied one step
+        start = u.copy()
+        expect = start
+        for _ in range(n_steps):
+            expect = dynamics.step(expect, bg, coup, DTAU)
+        seen = []
 
-    def callback(m, state, du):
-        assert states_same_bits(du, dynamics.rhs(state, bg, coup))
-        seen.append(m)
+        def callback(m, state, du):
+            assert states_same_bits(du, dynamics.rhs(state, bg, coup))
+            seen.append(m)
 
-    final = dynamics.evolve(u, bg, coup, DTAU, 5, callback=callback)
-    assert seen == list(range(6))
-    assert states_same_bits(u, before)
-    expect = u
-    for _ in range(5):
-        expect = dynamics.step(expect, bg, coup, DTAU)
-    assert states_same_bits(final, expect)
-    assert states_same_bits(dynamics.evolve(u, bg, coup, DTAU, 5), expect)
+        assert dynamics.evolve(u, bg, coup, DTAU, n_steps, callback=callback) is u
+        assert seen == list(range(n_steps + 1))
+        assert states_same_bits(u, expect)
+        assert states_same_bits(dynamics.evolve(start, bg, coup, DTAU, n_steps), expect)
 
 
 def test_evolve_holds_step_buffers_only_while_stepping(monkeypatch):
-    # the first and the last report run without the three step buffers, so a
-    # report's temporaries never sit beside five resident states
+    # the first and the last report run without the two spares, so a
+    # report's temporaries never sit beside four resident states
     model, bg = MODELS["su2_toy"](), BACKGROUNDS["bianchi1"]()
     u = make_state(lattice.Grid(8), model, bg, seed=31, amplitude=0.1)
     made, zeros = [], lattice.FieldState.zeros
@@ -107,8 +109,9 @@ def test_evolve_holds_step_buffers_only_while_stepping(monkeypatch):
         gc.collect()
         alive.append(sum(ref() is not None for ref in made))
 
-    dynamics.evolve(u, bg, dynamics.Couplings(model, lam=1.0), DTAU, 3, callback=callback)
-    assert alive == [1, 4, 4, 2]  # k; k and the three step buffers; k and the result
+    assert dynamics.evolve(u, bg, dynamics.Couplings(model, lam=1.0), DTAU, 3,
+                           callback=callback) is u
+    assert alive == [1, 3, 3, 1]  # k; k and the two spares; k (the result is in u)
 
 
 @pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
