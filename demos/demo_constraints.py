@@ -29,7 +29,7 @@ print("after  Gauss solve : ||C0|| = %.3e  (%d CG iterations, "
 
 c0_fields = constraints.constraint_fields(u, bg)
 dtau = 0.1 * grid.dx
-w = bg.sqrt_g(0.0) * grid.cell_volume
+w = bg.frame(0.0).sqrt_g * grid.cell_volume
 print("\n tau     curvature   bianchi     gauss       dirac      gauss drift")
 st = u
 for m in range(37):

@@ -21,7 +21,9 @@ import numpy as np
 from . import algebra
 from .clifford import GAMMA, gamma_apply
 from .errors import SolverError
-from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B, hodge_dual_Q, sq_norm
+from .geometry import UNIT
+from .lattice import (covariant_d, covariant_diff, covariant_diff_sq_norm, covariant_div,
+                      hodge_dual_B, hodge_dual_Q, sq_norm)
 
 
 @dataclass
@@ -44,24 +46,23 @@ class ConstraintReport:
         }
 
 
+def frame_at(u, bg):
+    """The background's geometry.Frame at u.tau; UNIT without a background."""
+    return UNIT if bg is None else bg.frame(u.tau)
+
+
 def volume_weight(u, bg):
     """The volume element sqrt(g) dx^3 of one site (the unit frame without bg)."""
-    return (1.0 if bg is None else bg.sqrt_g(u.tau)) * u.grid.cell_volume
-
-
-def _frame(u, bg):
-    """(b, II) of the background at u.tau; (None, None) without one, which
-    the covariant derivative reads as the unit static frame."""
-    return (None, None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
+    return frame_at(u, bg).sqrt_g * u.grid.cell_volume
 
 
 def curvature_2form(u, bg=None):
     """Discrete field strength B_ij = D_i eta_j - d_j eta_i
     = d_i eta_j + [eta_i, eta_j] - d_j eta_i."""
-    b = _frame(u, bg)[0]
+    frame = frame_at(u, bg)
 
     def D(fld, k, eta):
-        return covariant_d(fld, k, eta, u.model, u.grid, "adjoint", bvec=b)
+        return covariant_d(fld, k, eta, u.model, u.grid, "adjoint", frame)
 
     B = np.zeros((3, 3) + u.eta.shape[1:], dtype=u.eta.dtype)
     for i in range(3):
@@ -80,12 +81,12 @@ def curvature_constraint(u, bg=None):
 def bianchi_constraint(u, bg=None):
     """Fully antisymmetrized covariant derivative of *Q (single component):
     sum_cyc D_i B_jk = sum_i D_i Q_i, since B_jk = Q_i for cyclic (i, j, k)."""
-    return covariant_div(u.Q, u.eta, u.model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
+    return covariant_div(u.Q, u.eta, u.model, u.grid, "adjoint", frame_at(u, bg))
 
 
 def gauss_constraint(u, bg=None):
     model = u.model
-    C0 = covariant_div(u.E, u.eta, model, u.grid, "adjoint", bvec=_frame(u, bg)[0])
+    C0 = covariant_div(u.E, u.eta, model, u.grid, "adjoint", frame_at(u, bg))
     C0 += np.real(algebra.current_pairing(model.rho, u.phidot, u.phi))
     # <g0 psi, chi* psi> = psi^dag (I (x) chi*) psi
     C0 -= 0.5 * np.imag(algebra.current_pairing(model.chi, u.psi, u.psi))
@@ -106,12 +107,14 @@ def dirac_constraint(u, bg=None):
 
 
 def recompute_S(u, bg=None):
-    b, kappa = _frame(u, bg)
-    return covariant_diff(u.psi, u.eta, u.model, u.grid, "spinor", bvec=b, II=kappa)
+    return covariant_diff(u.psi, u.eta, u.model, u.grid, "spinor", frame_at(u, bg))
 
 
 def s_consistency(u, bg=None):
-    return u.S - recompute_S(u, bg)
+    """L2 norm of u.S - recompute_S(u, bg), formed without either field
+    (lattice.covariant_diff_sq_norm): the same squares, in the same sum."""
+    sq = covariant_diff_sq_norm(u.psi, u.eta, u.model, u.grid, "spinor", frame_at(u, bg), u.S)
+    return float(np.sqrt(sq * volume_weight(u, bg)))
 
 
 def l2_norm(field, weight, two_form=False):
@@ -135,7 +138,7 @@ def constraint_report(u, bg=None, fields=None):
         bianchi=l2_norm(fields["bianchi"], w),
         gauss=l2_norm(fields["gauss"], w),
         dirac=l2_norm(fields["dirac"], w),
-        s_consistency=l2_norm(s_consistency(u, bg), w),
+        s_consistency=s_consistency(u, bg),
     )
 
 
@@ -156,9 +159,8 @@ def complete_state(u, bg=None):
     """Fill the derived sectors from the free data (eta, E, phi, phidot, psi):
     Q from the curvature constraint, Z and S as covariant derivatives, psidot
     from the Dirac constraint.  Mutates and returns u."""
-    b = _frame(u, bg)[0]
     u.Q[:] = hodge_dual_Q(curvature_2form(u, bg))
-    u.Z[:] = covariant_diff(u.phi, u.eta, u.model, u.grid, "higgs", bvec=b)
+    u.Z[:] = covariant_diff(u.phi, u.eta, u.model, u.grid, "higgs", frame_at(u, bg))
     u.S[:] = recompute_S(u, bg)
     u.psidot[:] = dirac_operator_rhs(u, bg)
     return u
@@ -185,13 +187,13 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
 
     src = -gauss_constraint(u, bg)
     src, mean = demean(src)
-    b = _frame(u, bg)[0]
+    frame = frame_at(u, bg)
 
     def apply_A(phi_lie):
         # projected operator: CG runs on the mean-free complement, where the
         # covariant Laplacian is uniformly definite
-        grad = covariant_diff(phi_lie, u.eta, u.model, grid, "adjoint", bvec=b)
-        return demean(-covariant_div(grad, u.eta, u.model, grid, "adjoint", bvec=b))[0]
+        grad = covariant_diff(phi_lie, u.eta, u.model, grid, "adjoint", frame)
+        return demean(-covariant_div(grad, u.eta, u.model, grid, "adjoint", frame))[0]
 
     x = np.zeros_like(src)
     r = src.copy()
@@ -214,7 +216,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     if rs > target and n_iter >= max_iter:
         raise SolverError("Gauss CG did not converge: |r| = %.3e after %d iterations"
                           % (np.sqrt(rs * w), n_iter))
-    u.E -= covariant_diff(x, u.eta, u.model, grid, "adjoint", bvec=b)
+    u.E -= covariant_diff(x, u.eta, u.model, grid, "adjoint", frame)
     res = l2_norm(gauss_constraint(u, bg), w)
     return {
         "iterations": n_iter,
@@ -228,11 +230,11 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
 def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
     """Max |<x, A y> - <A x, y>| / scale for the CG operator (discrete SPD check)."""
     rng = np.random.default_rng(seed)
-    b = _frame(u, bg)[0]
+    frame = frame_at(u, bg)
 
     def A(x):  # the CG operator before the mean is removed
-        grad = covariant_diff(x, u.eta, u.model, u.grid, "adjoint", bvec=b)
-        return -covariant_div(grad, u.eta, u.model, u.grid, "adjoint", bvec=b)
+        grad = covariant_diff(x, u.eta, u.model, u.grid, "adjoint", frame)
+        return -covariant_div(grad, u.eta, u.model, u.grid, "adjoint", frame)
 
     worst = 0.0
     for _ in range(samples):

@@ -313,7 +313,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
         constraints.complete_state(u, bg)
         info["gauss"] = constraints.solve_gauss_initial(
             u, bg, cg_tol=cfg.value("numerics", "cg_tol"))
-        dynamics.gauge_rhs(u, bg, couplings, du)
+        dynamics.gauge_rhs(u, bg.frame(u.tau), couplings, du)
         e = info["energy"] = energy.total_energy(u, du, bg, k=k, table=measured)
         info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
         if info["converged"]:
@@ -560,7 +560,7 @@ def run_gauge_invariance(cfg, u0, bg, couplings):
         grid, model, seed=cfg.value("gauge_experiment", "seed"),
         amplitude=cfg.value("gauge_experiment", "amplitude"),
         cutoff=cfg.value("gauge_experiment", "cutoff"))
-    ug = lattice.apply_gauge(u0, gt, bvec=bg.b(u0.tau))
+    ug = lattice.apply_gauge(u0, gt, bg.frame(u0.tau))
 
     tau_end = cfg.value("background", "tau_end_fraction") * bg.T
     dtau, n_steps = dynamics.cfl_steps(grid, bg, tau_end, 1.2, dtau=tau_end / 12)

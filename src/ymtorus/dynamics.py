@@ -85,18 +85,17 @@ def _live_sectors(u, model, zero=()):
     return live
 
 
-def gauge_rhs(u, bg, couplings, out, live=None, B=None):
-    """Gauge rows (eta, Q, E) of rhs(u) into `out`; returns B = *Q (formed
-    here unless given).  J enters E iff a matter sector is live (`live` =
-    _live_sectors(u), scanned if None)."""
-    bg.check_tau(u.tau)
-    b, kappa, H = bg.b(u.tau), bg.II(u.tau), bg.H(u.tau)
+def gauge_rhs(u, frame, couplings, out, live=None, B=None):
+    """Gauge rows (eta, Q, E) of rhs(u) into `out` in the background's frame
+    at u.tau; returns B = *Q (formed here unless given).  J enters E iff a
+    matter sector is live (`live` = _live_sectors(u), scanned if None)."""
+    kappa, H = frame.II, frame.H
     live = _live_sectors(u, couplings.model) if live is None else live
     B = hodge_dual_B(u.Q) if B is None else B
     J = currents(u) if len(live) > 1 else np.zeros_like(u.E)
 
     def D(fld, k):
-        return covariant_d(fld, k, u.eta, couplings.model, u.grid, "adjoint", bvec=b, II=kappa)
+        return covariant_d(fld, k, u.eta, couplings.model, u.grid, "adjoint", frame)
 
     for i in range(3):
         np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
@@ -127,6 +126,7 @@ def rhs(u, bg, couplings, out=None, live=None):
     row is summed in the same order either way."""
     if out is u:
         raise InputError("rhs cannot write into the state it reads")
+    frame = bg.frame(u.tau)
     model, grid = couplings.model, u.grid
     out = FieldState.zeros(grid, model) if out is None else out
     out.tau = u.tau
@@ -134,18 +134,17 @@ def rhs(u, bg, couplings, out=None, live=None):
         live = _live_sectors(u, model, zero=[out])
     higgs, dirac = "higgs" in live, "dirac" in live
     B = hodge_dual_B(u.Q)
-    b, kappa, dkappa = bg.b(u.tau), bg.II(u.tau), bg.dII_dtau(u.tau)
-    H, scal = bg.H(u.tau), bg.scal_h(u.tau)
+    kappa, dkappa, H, scal = frame.II, frame.dII, frame.H, frame.scal
     lam, yuk = couplings.lam, model.yukawa
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
 
     def div(vec, kind, out=None):
-        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+        return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
 
     def gauge_and_higgs_rows():
-        gauge_rhs(u, bg, couplings, out, live, B)
+        gauge_rhs(u, frame, couplings, out, live, B)
         if higgs:
             np.copyto(out.phi, u.phidot)
             acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)

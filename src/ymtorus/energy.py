@@ -22,59 +22,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import volume_weight
+from .constraints import frame_at, volume_weight
 from .errors import InputError
-from .lattice import covariant_d, covariant_diff, drops_connection, fourier_sobolev_norms, sq_norm
+from .geometry import UNIT
+from .lattice import (covariant_diff, covariant_diff_sq_norm, drops_connection,
+                      fourier_sobolev_norms, sq_norm)
 from .parallel import split
 
 
-def sobolev_norms(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
-                  weight=1.0):
-    """Squared H^l norms of a field with fiber action `kind` for l = 0..k.
+def sobolev_norms(fld, k, eta, model, grid, kind="higgs", frame=UNIT, weight=1.0):
+    """Squared H^l norms of a field with fiber action `kind` for l = 0..k, in
+    the background `frame` (a geometry.Frame) of lattice.covariant_d.
 
     Where the connection drops out (lattice.drops_connection) they are summed
     in Fourier space; otherwise the covariant-derivative chain is walked once,
-    holding only its current level.  The last level is not stored: each
-    direction's block D_j of it is formed in turn (in one reused buffer, or
-    for a real field in place) and its |.|^2 written into the j-th third of
-    one float buffer, whose single np.sum adds the values of sq_norm over the
-    stacked level in the same order.  H^l is the running sum of the per-level
-    sums up to l, times `weight`, the volume element sqrt(g) dx^3 per site.
+    holding only its current level, and the last level is not stored
+    (lattice.covariant_diff_sq_norm).  H^l is the running sum of the
+    per-level sums up to l, times `weight`, the volume element sqrt(g) dx^3
+    per site.
     """
     if k < 0 or k > 4:
         raise InputError("sobolev_norm supports 0 <= k <= 4")
     if drops_connection(eta, model, kind):
-        return fourier_sobolev_norms(fld, k, grid, bvec=bvec, II=II, weight=weight)
+        return fourier_sobolev_norms(fld, k, grid, kind, frame, weight)
     cur, total = fld, sq_norm(fld)
     norms = [float(total * weight)]
     for level in range(1, k + 1):
         if level < k:
-            cur = covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
+            cur = covariant_diff(cur, eta, model, grid, kind, frame)
             total += sq_norm(cur)
         else:
-            total += _last_level_sq_norm(cur, eta, model, grid, kind, bvec, II)
+            total += covariant_diff_sq_norm(cur, eta, model, grid, kind, frame)
         norms.append(float(total * weight))
     return norms
 
 
-def _last_level_sq_norm(cur, eta, model, grid, kind, bvec, II):
-    """sq_norm(covariant_diff(cur, ...)) without the stacked level: the same
-    squares, summed by one np.sum over a buffer of the level's shape."""
-    squares = np.empty((3,) + cur.shape)
-    block = np.empty(cur.shape, cur.dtype) if np.iscomplexobj(cur) else None
-    for j in range(3):
-        dj = covariant_d(cur, j, eta, model, grid, kind, bvec, II,
-                         out=squares[j] if block is None else block)
-        if block is not None:  # sq_norm's |x| ** 2
-            np.abs(dj, out=squares[j])
-        np.square(squares[j], out=squares[j])
-    return np.sum(squares)
-
-
-def sobolev_norm(fld, k, eta, model, grid, kind="higgs", bvec=None, II=None,
-                 weight=1.0):
+def sobolev_norm(fld, k, eta, model, grid, kind="higgs", frame=UNIT, weight=1.0):
     """Squared H^k norm of a field with fiber action `kind` (see sobolev_norms)."""
-    return sobolev_norms(fld, k, eta, model, grid, kind, bvec, II, weight)[k]
+    return sobolev_norms(fld, k, eta, model, grid, kind, frame, weight)[k]
 
 
 # The k-th energy of a sector sums, in this order, the H^(k + shift) norms of
@@ -101,8 +86,7 @@ class _Norms:
 
     def __init__(self, u, rhs_state, bg, top, table=None):
         self.u, self.rhs_state, self.top = u, rhs_state, top
-        self.b, self.II = (np.ones(3), None) if bg is None else (bg.b(u.tau), bg.II(u.tau))
-        self.w = volume_weight(u, bg)
+        self.frame, self.w = frame_at(u, bg), volume_weight(u, bg)
         self.table = {} if table is None else table  # key -> [H^0, H^1, ...]
 
     def _terms(self, sector, connection):
@@ -118,8 +102,7 @@ class _Norms:
         u = self.u
         return sobolev_norms(getattr(u if source == "u" else self.rhs_state, name),
                              self.top + shift, u.eta if acts else None, u.model, u.grid, kind,
-                             bvec=self.b, II=self.II if kind == "spinor" else None,
-                             weight=self.w)
+                             self.frame, self.w)
 
     def compute(self, connections):
         """Fill every missing entry that the energies on `connections` read.
@@ -246,8 +229,7 @@ def energy_report(u, rhs_state, bg=None, k=2, measured=None):
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)
-           + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", bvec=norms.b,
-                          weight=norms.w))
+           + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", norms.frame, norms.w))
     return EnergyReport(tau=u.tau, k=k, yangmills=ym, higgs=hg, dirac=dr,
                         total=total, reference_total=ref, sup=sup_norms(u))
 

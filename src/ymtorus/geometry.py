@@ -19,7 +19,12 @@ Ricci_mn = eta^{lr} R_{l m n r}:
     Ricci_0k  = 0
     Ricci_ik  = -(dII/dtau)_ik + 3 H II_ik
     Scal      = -2 Tr(dII/dtau) + |II|^2 + 9 H^2
+
+The rest of the package sees a background only through Background.frame(tau),
+a Frame of b, II and dII/dtau with H, Scal and sqrt(g); UNIT is the unit frame.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
@@ -86,18 +91,6 @@ class ScaleProfile:
         if self.kind == "constant":
             return self.c * np.ones_like(t)
         return self._spline(t)
-
-    def sdot(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "desitter":
-            return np.sinh(t / self.a)
-        if self.kind == "exponential":
-            return self.rate * self.s(t)
-        if self.kind == "power":
-            return self.s0 * self.p / self.t0 * (1.0 + t / self.t0) ** (self.p - 1)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        return self._spline(t, 1)
 
     # -- Gaussian time map ------------------------------------------------
     def tau_of_t(self, t):
@@ -168,6 +161,37 @@ def gaussian_time(profile, t):
 # Backgrounds
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The background at one tau: the scales b_i and the diagonal
+    II_ii = -bdot_i / b_i and dII_ii/dtau, as read-only float arrays of shape (3,)."""
+
+    b: np.ndarray
+    II: np.ndarray = 0.0
+    dII: np.ndarray = 0.0
+
+    def __post_init__(self):  # a scalar broadcasts
+        for name in ("b", "II", "dII"):
+            value = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), 3)
+            object.__setattr__(self, name, value)
+
+    @property
+    def H(self):
+        return float(np.sum(self.II)) / 3.0
+
+    @property
+    def scal(self):
+        """Spacetime scalar curvature; the flat slices add no Scal_g term."""
+        return float(-2.0 * np.sum(self.dII) + np.sum(self.II ** 2) + np.sum(self.II) ** 2)
+
+    @property
+    def sqrt_g(self):
+        return float(np.prod(self.b))
+
+
+UNIT = Frame(np.ones(3))  # the static unit frame: b = 1, II = 0
+
+
 class Background:
     """Simulation-frame background: tau grid data for a diagonal homogeneous
     spatial metric family diag(b_i(tau)^2) plus the physical scale profile.
@@ -183,9 +207,7 @@ class Background:
             raise InputError("lapse must be positive")
         self.name = name or profile.kind
         if b_funcs is None:
-            one = np.ones(3)
-            zero = np.zeros(3)
-            b_funcs = (lambda tau: one.copy(), lambda tau: zero.copy(), lambda tau: zero.copy())
+            b_funcs = (lambda tau: np.ones(3), lambda tau: np.zeros(3), lambda tau: np.zeros(3))
         self._b, self._bdot, self._bddot = b_funcs
         self.T = profile.horizon()
 
@@ -193,71 +215,34 @@ class Background:
     def b(self, tau):
         return np.asarray(self._b(tau), dtype=float)
 
-    def sqrt_g(self, tau):
-        return float(np.prod(self.b(tau)))
-
-    # -- extrinsic curvature (diagonal frame components) -------------------
-    def II(self, tau):
-        """Diagonal frame components II_ii = -bdot_i / b_i."""
-        return -np.asarray(self._bdot(tau)) / self.b(tau)
-
-    def H(self, tau):
-        return float(np.sum(self.II(tau))) / 3.0
-
-    def dII_dtau(self, tau):
-        b = self.b(tau)
-        bd = np.asarray(self._bdot(tau), dtype=float)
-        bdd = np.asarray(self._bddot(tau), dtype=float)
-        return -bdd / b + (bd / b) ** 2
-
-    def scal_h(self, tau):
-        """Spacetime scalar curvature; the flat slices add no Scal_g term."""
-        kappa = self.II(tau)
-        dk = self.dII_dtau(tau)
-        return float(-2.0 * np.sum(dk) + np.sum(kappa ** 2) + np.sum(kappa) ** 2)
-
-    def check_tau(self, tau):
+    def frame(self, tau):
+        """The Frame at tau; raises InputError outside [0, T)."""
         if tau < 0 or tau >= self.T:
             raise InputError("tau = %g outside [0, T = %g)" % (tau, self.T))
+        b, bd = self.b(tau), np.asarray(self._bdot(tau))
+        bdd = np.asarray(self._bddot(tau), dtype=float)
+        return Frame(b, -bd / b, -bdd / b + (bd / b) ** 2)
 
     def extrinsic_bound(self, tau):
         """Def-of-expanding-type diagnostic s * max|dII/dtau| (logged, not enforced)."""
         s = self.profile.s_of_tau(tau)
-        return float(s * np.abs(self.dII_dtau(tau)).max())
-
-
-def second_fundamental_form(bg, tau):
-    """Return (II, H, dII/dtau) at tau; II and dII as diagonal 3x3 matrices."""
-    bg.check_tau(tau)
-    return np.diag(bg.II(tau)), bg.H(tau), np.diag(bg.dII_dtau(tau))
-
-
-def scalar_curvature(bg, tau):
-    return bg.scal_h(tau)
+        return float(s * np.abs(self.frame(tau).dII).max())
 
 
 def riemann_components(bg, tau):
     """Nonzero curvature components of -dtau^2 + g_tau in the adapted frame."""
-    kappa = bg.II(tau)
-    dk = bg.dII_dtau(tau)
-    II = np.diag(kappa)
-    dII = np.diag(dk)
-    H = bg.H(tau)
-    R_k0i0 = -dII + II @ II
-    R_kij0 = np.zeros((3, 3, 3))
-    R_ijkl = (-np.einsum("ik,jl->ijkl", II, II) + np.einsum("jk,il->ijkl", II, II))
-    ric_00 = np.trace(dII) - np.sum(kappa ** 2)
-    ric_0k = np.zeros(3)
-    ric_ik = -dII + 3.0 * H * II
-    scal = -ric_00 + np.trace(ric_ik)
+    frame = bg.frame(tau)
+    II, dII = np.diag(frame.II), np.diag(frame.dII)
+    ric_00 = np.trace(dII) - np.sum(frame.II ** 2)
+    ric_ik = -dII + 3.0 * frame.H * II
     return {
-        "R_k0i0": R_k0i0,
-        "R_kij0": R_kij0,
-        "R_ijkl": R_ijkl,
+        "R_k0i0": -dII + II @ II,
+        "R_kij0": np.zeros((3, 3, 3)),
+        "R_ijkl": -np.einsum("ik,jl->ijkl", II, II) + np.einsum("jk,il->ijkl", II, II),
         "ricci_00": ric_00,
-        "ricci_0k": ric_0k,
+        "ricci_0k": np.zeros(3),
         "ricci_ik": ric_ik,
-        "scal": scal,
+        "scal": -ric_00 + np.trace(ric_ik),
     }
 
 

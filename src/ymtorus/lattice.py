@@ -9,7 +9,9 @@ The plain `diff` below is the coordinate-space stencil.  This module owns
 the covariant derivative: `covariant_d` is the one place that forms the
 frame-scaled stencil (1/b_k) diff, the fiber action of the connection and
 the spinor spin-connection term; `covariant_diff` and `covariant_div` stack
-and contract it.
+and contract it, and `fourier_sobolev_norms` applies the same rule to the
+symbol where the connection drops out.  The background enters as one
+geometry.Frame argument, UNIT by default.
 """
 
 import json
@@ -22,6 +24,7 @@ from scipy import fft
 
 from . import algebra, clifford
 from .errors import InputError
+from .geometry import UNIT
 
 
 @dataclass(frozen=True)
@@ -135,15 +138,15 @@ def modified_wavenumber(grid):
     return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * grid.dx)
 
 
-def fourier_sobolev_norms(fld, k, grid, bvec=None, II=None, weight=1.0):
-    """Squared H^l norms [H^0, ..., H^k] for the constant-coefficient D_k =
-    (1/b_k) diff(., k), plus (1/2) II_k g0 g_k on spinors when II is given.
+def fourier_sobolev_norms(fld, k, grid, kind=None, frame=UNIT, weight=1.0):
+    """Squared H^l norms [H^0, ..., H^k] for covariant_d's D_k without the
+    connection: (1/b_k) diff(., k), plus (1/2) II_k g0 g_k for kind 'spinor'.
 
     sum_k |D_k f|^2 has the Fourier symbol lambda = sum_k s(kappa_k)^2 / b_k^2,
-    plus sum_k II_k^2 / 4 (g0 g_k is a Hermitian involution), so level j sums
-    to sum_kappa lambda^j |f_hat|^2 / n^3: one FFT gives every level.  H^0 is
-    the direct sum; a real field takes the half spectrum, counting mirrored
-    modes twice.  H^l = weight * sum_{j <= l} level j.
+    plus sum_k II_k^2 / 4 on spinors (g0 g_k is a Hermitian involution), so
+    level j sums to sum_kappa lambda^j |f_hat|^2 / n^3: one FFT gives every
+    level.  H^0 is the direct sum; a real field takes the half spectrum,
+    counting mirrored modes twice.  H^l = weight * sum_{j <= l} level j.
     """
     total = sq_norm(fld)
     norms = [float(total * weight)]
@@ -154,9 +157,10 @@ def fourier_sobolev_norms(fld, k, grid, bvec=None, II=None, weight=1.0):
     parts = np.square(f_hat.view(np.float64), out=f_hat.view(np.float64))  # re^2, im^2
     parts = np.sum(parts.reshape((-1,) + f_hat.shape[-3:] + (2,)), axis=0)
     power = (parts[..., 0] + parts[..., 1]) * (np.where(mirrored, 2.0, 1.0) / grid.n ** 3)
-    s2 = (modified_wavenumber(grid)[None, :] / _frame_scale(bvec)[:, None]) ** 2
+    s2 = (modified_wavenumber(grid)[None, :] / frame.b[:, None]) ** 2
     lam = s2[0][:, None, None] + s2[1][None, :, None] + s2[2][None, None, last]
-    lam += 0.0 if II is None else 0.25 * np.sum(np.square(II))
+    if kind == "spinor":
+        lam += 0.25 * np.sum(np.square(frame.II))
     for _ in range(k):
         power *= lam
         total += np.sum(power)
@@ -236,10 +240,6 @@ class FieldState:
 # Covariant calculus
 # ---------------------------------------------------------------------------
 
-def _frame_scale(bvec):
-    return np.ones(3) if bvec is None else np.asarray(bvec, dtype=float)
-
-
 def connection_action(fld, xi, model, kind, out=None):
     """Fiber action of one connection component xi = eta_k on a field whose
     fiber axes sit directly before the three grid axes (any leading 1-form
@@ -262,15 +262,15 @@ def drops_connection(eta, model, kind):
     return eta is None or (kind in model.terms and not model.acts[kind])
 
 
-def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
+def covariant_d(fld, k, eta, model, grid, kind, frame=UNIT, out=None):
     """Covariant derivative D_k along frame axis k, in this order:
 
       (1/b_k) diff(fld, k) + connection_action(fld, eta_k) + (1/2) II_k g0 g_k fld
 
-    kind selects the fiber action (see connection_action); it is left out
-    where drops_connection holds.  The spin-connection term enters for kind
-    'spinor' with II_k != 0 only.  bvec=None is the unit frame.  Leading 1-form
-    axes of fld are carried along (they are flat in the adapted frame).  The
+    with b and II of the geometry.Frame `frame`.  kind selects the fiber action
+    (see connection_action); it is left out where drops_connection holds.
+    The spin-connection term enters for kind 'spinor' with II_k != 0 only.
+    Leading 1-form axes of fld are carried along (flat in the adapted frame).  The
     result is written into `out` (C-contiguous, see diff) when given.
 
     Both fiber terms are added into the result piece by piece: the connection
@@ -280,38 +280,55 @@ def covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None, out=None):
     temporaries are one grid and one spin row, and each element gets the
     arithmetic of adding the whole terms.
     """
-    b = _frame_scale(bvec)
     dk = diff(fld, k, grid, out=out)
-    if b[k] != 1.0:  # dividing by one changes no value
-        _divide(dk, b[k])
+    if frame.b[k] != 1.0:  # dividing by one changes no value
+        _divide(dk, frame.b[k])
     if not drops_connection(eta, model, kind):
         connection_action(fld, eta[k], model, kind, out=dk)
-    if kind == "spinor" and II is not None and II[k]:
+    if kind == "spinor" and frame.II[k]:
         g0gk = clifford.G0G[k]
         rows, fld_rows = np.moveaxis(dk, -5, 0), np.moveaxis(fld, -5, 0)  # the spin axis first
         term = np.empty_like(rows[0])
         for r, col in enumerate(np.argmax(g0gk != 0, axis=1)):
             np.multiply(fld_rows[col], g0gk[r, col], out=term)
-            term *= 0.5 * II[k]
+            term *= 0.5 * frame.II[k]
             rows[r] += term
     return dk
 
 
-def covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
+def covariant_diff(fld, eta, model, grid, kind, frame=UNIT):
     """Full covariant spatial derivative (D_0, D_1, D_2) fld, one extra leading
     1-form axis; see covariant_d."""
     out = np.empty((3,) + fld.shape, dtype=fld.dtype)
     for k in range(3):
-        covariant_d(fld, k, eta, model, grid, kind, bvec, II, out=out[k])
+        covariant_d(fld, k, eta, model, grid, kind, frame, out=out[k])
     return out
 
 
-def covariant_div(vec, eta, model, grid, kind, bvec=None, II=None, out=None):
+def covariant_diff_sq_norm(fld, eta, model, grid, kind, frame=UNIT, minus=None):
+    """sq_norm(covariant_diff(fld, ...) - minus) (minus=None: 0) without the
+    stack: D_j fld - minus[j] is formed in one reused buffer (in place for a real
+    field) and its |.|^2 written into the j-th third of one float buffer, whose
+    single np.sum adds sq_norm's values in sq_norm's order."""
+    squares = np.empty((3,) + fld.shape)
+    block = np.empty(fld.shape, fld.dtype) if np.iscomplexobj(fld) else None
+    for j in range(3):
+        dj = covariant_d(fld, j, eta, model, grid, kind, frame,
+                         out=squares[j] if block is None else block)
+        if minus is not None:
+            dj -= minus[j]
+        if block is not None:  # sq_norm's |x| ** 2
+            np.abs(dj, out=squares[j])
+        np.square(squares[j], out=squares[j])
+    return np.sum(squares)
+
+
+def covariant_div(vec, eta, model, grid, kind, frame=UNIT, out=None):
     """Covariant divergence sum_k D_k vec_k of a field with a leading 1-form
     axis, summed in the order k = 0, 1, 2 (into `out` when given); see covariant_d."""
-    out = covariant_d(vec[0], 0, eta, model, grid, kind, bvec, II, out=out)
+    out = covariant_d(vec[0], 0, eta, model, grid, kind, frame, out=out)
     for k in (1, 2):
-        out += covariant_d(vec[k], k, eta, model, grid, kind, bvec, II)
+        out += covariant_d(vec[k], k, eta, model, grid, kind, frame)
     return out
 
 
@@ -438,12 +455,12 @@ def unitarity_defect(U):
     return np.sqrt(np.sum(np.abs(prod) ** 2, axis=(0, 1))).max()
 
 
-def apply_gauge(u, gt, bvec=None):
+def apply_gauge(u, gt, frame=UNIT):
     """Gauge-transform a state: matter rotates, eta picks up the discrete
-    Maurer-Cartan term -(d_k U) U^-1 evaluated with the grid stencil."""
+    Maurer-Cartan term -(d_k U) U^-1 evaluated with the frame-scaled stencil."""
     model = u.model
     grid = u.grid
-    b = _frame_scale(bvec)
+    b = frame.b
     out = u.copy()
     lie = model.lie
     U = gt.matrices(lie.defining)

@@ -46,23 +46,20 @@ def _d2(series, dtau):
             - series[4]) / (12 * dtau ** 2)
 
 
-def _box_spatial(fld, u, bg, kind):
+def _box_spatial(fld, u, frame, kind):
     """-D*D fld = sum_k D_k D_k fld with the full covariant stencil."""
-    b, II = bg.b(u.tau), bg.II(u.tau)
-    return covariant_div(covariant_diff(fld, u.eta, u.model, u.grid, kind, bvec=b, II=II),
-                         u.eta, u.model, u.grid, kind, bvec=b, II=II)
+    return covariant_div(covariant_diff(fld, u.eta, u.model, u.grid, kind, frame),
+                         u.eta, u.model, u.grid, kind, frame)
 
 
 def higgs_wave_residual(stack, bg, couplings):
     """|| Box phi - (Scal/6) phi - lam |phi|^2 phi - <psi, iY- psi> ||."""
     u = stack[2]
     model = couplings.model
-    H = bg.H(u.tau)
-    scal = bg.scal_h(u.tau)
+    frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     phis = [s.phi for s in stack]
-    box = -_d2(phis, stack[3].tau - stack[2].tau) + 3 * H * _d1(phis, stack[3].tau - stack[2].tau)
-    box = box + _box_spatial(u.phi, u, bg, "higgs")
-    rhs = (scal / 6.0) * u.phi \
+    box = -_d2(phis, dtau) + 3 * frame.H * _d1(phis, dtau) + _box_spatial(u.phi, u, frame, "higgs")
+    rhs = (frame.scal / 6.0) * u.phi \
         + couplings.lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi \
         + algebra.yukawa_antilinear_current(model.yukawa, u.psi)
     return l2_norm(box - rhs, volume_weight(u, bg))
@@ -73,13 +70,11 @@ def dirac_wave_residual(stack, bg, couplings):
     u = stack[2]
     model = couplings.model
     yuk = model.yukawa
-    dtau = stack[3].tau - stack[2].tau
-    H = bg.H(u.tau)
-    scal = bg.scal_h(u.tau)
+    frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     psis = [s.psi for s in stack]
-    box = -_d2(psis, dtau) + 3 * H * _d1(psis, dtau) + _box_spatial(u.psi, u, bg, "spinor")
+    box = -_d2(psis, dtau) + 3 * frame.H * _d1(psis, dtau) + _box_spatial(u.psi, u, frame, "spinor")
     B = hodge_dual_B(u.Q)
-    rhs = (scal / 4.0) * u.psi
+    rhs = (frame.scal / 4.0) * u.psi
     for k in range(3):
         rhs = rhs - gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
     for i in range(3):
@@ -118,18 +113,16 @@ def em_wave_residuals(stack, bg, couplings):
     model = couplings.model
     lie = model.lie
     dtau = stack[3].tau - stack[2].tau
-    kap = bg.II(u.tau)
-    dk = bg.dII_dtau(u.tau)
-    H = bg.H(u.tau)
+    frame = bg.frame(u.tau)
+    kap, dk, H = frame.II, frame.dII, frame.H
     trd = float(np.sum(dk))
 
     B = hodge_dual_B(u.Q)
     Bstack = [hodge_dual_B(s.Q) for s in stack]
-    b = bg.b(u.tau)
-    DE = covariant_diff(u.E, u.eta, model, u.grid, "adjoint", bvec=b)  # DE[k, i] = D_k E_i
+    DE = covariant_diff(u.E, u.eta, model, u.grid, "adjoint", frame)  # DE[k, i] = D_k E_i
 
     def D(fld, k):
-        return covariant_d(fld, k, u.eta, model, u.grid, "adjoint", bvec=b)
+        return covariant_d(fld, k, u.eta, model, u.grid, "adjoint", frame)
 
     def im_pairing(left, right):
         return np.imag(algebra.current_pairing(model.chi, left, right))
@@ -142,7 +135,7 @@ def em_wave_residuals(stack, bg, couplings):
     res_E = 0.0
     boxE = -_d2(Es, dtau) + 3 * H * _d1(Es, dtau)
     for i in range(3):
-        boxE_i = boxE[i] + _box_spatial(u.E[i], u, bg, "adjoint")
+        boxE_i = boxE[i] + _box_spatial(u.E[i], u, frame, "adjoint")
         rhs = (dk[i] - trd + 3 * H * kap[i] - kap[i] ** 2) * u.E[i]
         for k in range(3):
             rhs = rhs + 2.0 * algebra.bracket(lie, u.E[k], B[i, k])
@@ -161,7 +154,7 @@ def em_wave_residuals(stack, bg, couplings):
         for j in range(i + 1, 3):
             Bser = [bs[i, j] for bs in Bstack]
             boxB = -_d2(Bser, dtau) + 3 * H * _d1(Bser, dtau) \
-                + _box_spatial(B[i, j], u, bg, "adjoint")
+                + _box_spatial(B[i, j], u, frame, "adjoint")
             rhs = -2.0 * algebra.bracket(lie, u.E[i], u.E[j])
             for k in range(3):
                 rhs = rhs + 2.0 * algebra.bracket(lie, B[k, i], B[k, j])
@@ -184,7 +177,7 @@ def current_divergence_residual(stack, bg, couplings):
     u = stack[2]
     model = couplings.model
     dtau = stack[3].tau - stack[2].tau
-    H = bg.H(u.tau)
+    frame = bg.frame(u.tau)
 
     def J0_of(s):
         out = -np.real(algebra.current_pairing(model.rho, s.phidot, s.phi))
@@ -193,6 +186,6 @@ def current_divergence_residual(stack, bg, couplings):
 
     J0s = [J0_of(s) for s in stack]
     Jsp = dynamics.currents(u)
-    div = covariant_div(Jsp, u.eta, model, u.grid, "adjoint", bvec=bg.b(u.tau))
-    resid = _d1(J0s, dtau) - 3 * H * J0s[2] - div
+    div = covariant_div(Jsp, u.eta, model, u.grid, "adjoint", frame)
+    resid = _d1(J0s, dtau) - 3 * frame.H * J0s[2] - div
     return l2_norm(resid, volume_weight(u, bg))

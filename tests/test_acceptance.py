@@ -233,7 +233,7 @@ def test_criterion_10_geometry_closed_forms():
         tau = rng.uniform(0.0, 1.3)
         comp = geometry.riemann_components(bg, tau)
         trace = -comp["ricci_00"] + np.trace(comp["ricci_ik"])
-        worst_scal = max(worst_scal, abs(trace - geometry.scalar_curvature(bg, tau)))
+        worst_scal = max(worst_scal, abs(trace - bg.frame(tau).scal))
     ok = worst_T <= 1e-9 and worst_scal <= 1e-10
     _report(10, ok, "horizon defect %.1e (tol 1e-9); Ricci-trace vs Scal %.1e (tol 1e-10)"
             % (worst_T, worst_scal))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from ymtorus import algebra, constraints, lattice
+from ymtorus import algebra, constraints, geometry, lattice
 from conftest import make_state
 
 
@@ -92,7 +92,7 @@ def test_gauss_solver(su2_model, flat_bg):
     rng = np.random.default_rng(6)
     u.eta[:] = 0.3 * rng.standard_normal((3, 1) + grid.shape)
     phi0 = rng.standard_normal((1,) + grid.shape)
-    u.E[:] = lattice.covariant_diff(phi0, u.eta, m1, grid, "adjoint", bvec=flat_bg.b(u.tau))
+    u.E[:] = lattice.covariant_diff(phi0, u.eta, m1, grid, "adjoint", flat_bg.frame(u.tau))
     constraints.solve_gauss_initial(u, flat_bg, cg_tol=1e-12)
     assert np.abs(u.E).max() < 1e-9
     # random small data: post-solve residual below the spec tolerance plus
@@ -100,7 +100,7 @@ def test_gauss_solver(su2_model, flat_bg):
     u = make_state(grid, su2_model, flat_bg, seed=7, amplitude=0.01)
     info = constraints.solve_gauss_initial(u, flat_bg, cg_tol=1e-10)
     rep = constraints.constraint_report(u, flat_bg)
-    w = flat_bg.sqrt_g(0.0) * grid.cell_volume
+    w = flat_bg.frame(0.0).sqrt_g * grid.cell_volume
     obstruction = info["removed_mean_norm"] * np.sqrt(grid.n ** 3 * w)
     assert rep.gauss <= 1e-10 + obstruction * 1.0001
 
@@ -158,6 +158,20 @@ def test_propagation_monitor_and_orders():
 def test_complete_state_consistency(su2_model, desitter_bg):
     grid = lattice.Grid(8)
     u = make_state(grid, su2_model, desitter_bg, seed=11, amplitude=0.1)
-    assert np.abs(constraints.s_consistency(u, desitter_bg)).max() < 1e-14
+    assert constraints.s_consistency(u, desitter_bg) == 0.0
     assert np.abs(constraints.curvature_constraint(u, desitter_bg)).max() < 1e-13
     assert np.abs(constraints.dirac_constraint(u, desitter_bg)).max() < 1e-14
+
+
+def test_s_consistency_keeps_the_bits_of_the_difference_field_norm(su2_model):
+    # formed direction by direction, without S - recompute_S, in the same sum
+    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    u = make_state(lattice.Grid(8), su2_model, bg, seed=5, amplitude=0.1)
+    rng = np.random.default_rng(2)
+    u.S += 1e-3 * (rng.standard_normal(u.S.shape) + 1j * rng.standard_normal(u.S.shape))
+    u.tau = 0.3  # b_1 != 1 and II_1 != 0: the division and the spin connection run
+    expect = constraints.l2_norm(u.S - constraints.recompute_S(u, bg),
+                                 constraints.volume_weight(u, bg))
+    assert expect > 0.0
+    assert constraints.s_consistency(u, bg) == expect
+    assert constraints.constraint_report(u, bg).s_consistency == expect

@@ -25,7 +25,7 @@ TAU = 0.3
 @pytest.fixture(scope="module")
 def bianchi_bg():
     bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
-    assert np.any(bg.II(TAU))  # kappa != 0: the spin-connection term runs
+    assert np.any(bg.frame(TAU).II)  # kappa != 0: the spin-connection term runs
     return bg
 
 
@@ -53,8 +53,9 @@ def same_bits(a, b):
 def ref_rhs(u, bg, couplings):
     model = couplings.model
     grid = u.grid
-    b, kappa, dkappa = bg.b(u.tau), bg.II(u.tau), bg.dII_dtau(u.tau)
-    H, scal, lam = bg.H(u.tau), bg.scal_h(u.tau), couplings.lam
+    frame = bg.frame(u.tau)
+    b, kappa, dkappa = frame.b, frame.II, frame.dII
+    H, scal, lam = frame.H, frame.scal, couplings.lam
     lie, yuk = model.lie, model.yukawa
 
     def d(fld, k):
@@ -146,8 +147,7 @@ def ref_constraint_fields(u, bg):
 def ref_box_spatial(fld, u, bg, kind):
     """sum_k D_k D_k fld, each D_k taken from the full three-axis derivative."""
     def covd(f):
-        return lattice.covariant_diff(f, u.eta, u.model, u.grid, kind, bvec=bg.b(u.tau),
-                                      II=bg.II(u.tau) if kind == "spinor" else None)
+        return lattice.covariant_diff(f, u.eta, u.model, u.grid, kind, bg.frame(u.tau))
 
     Df = covd(fld)
     out = np.zeros_like(fld)
@@ -161,7 +161,8 @@ def ref_em_wave_residuals(stack, bg, couplings):
     model = couplings.model
     lie = model.lie
     dtau = stack[3].tau - stack[2].tau
-    kap, dk, H = bg.II(u.tau), bg.dII_dtau(u.tau), bg.H(u.tau)
+    frame = bg.frame(u.tau)
+    kap, dk, H = frame.II, frame.dII, frame.H
     trd = float(np.sum(dk))
     B = hodge_dual_B(u.Q)
     DE = np.zeros((3, 3) + u.E.shape[1:])
@@ -196,7 +197,7 @@ def ref_em_wave_residuals(stack, bg, couplings):
         rhs = rhs + re_pairing(algebra.rho_star_apply(model.rho, u.E[i], u.phi), u.phi)
         rhs = rhs - 2.0 * re_pairing(u.phidot, u.Z[i])
         res_E += np.sum(np.abs(boxE_i - rhs) ** 2)
-    res_E = float(np.sqrt(res_E * bg.sqrt_g(u.tau) * u.grid.cell_volume))
+    res_E = float(np.sqrt(res_E * frame.sqrt_g * u.grid.cell_volume))
 
     res_B = 0.0
     for i in range(3):
@@ -215,7 +216,7 @@ def ref_em_wave_residuals(stack, bg, couplings):
             rhs = rhs + re_pairing(algebra.rho_star_apply(model.rho, B[i, j], u.phi), u.phi)
             rhs = rhs - 2.0 * re_pairing(u.Z[i], u.Z[j])
             res_B += np.sum(np.abs(boxB - rhs) ** 2)
-    res_B = float(np.sqrt(res_B * bg.sqrt_g(u.tau) * u.grid.cell_volume))
+    res_B = float(np.sqrt(res_B * frame.sqrt_g * u.grid.cell_volume))
     return res_E, res_B
 
 
@@ -266,7 +267,8 @@ def test_rhs_skips_zero_matter(name, zero, bianchi_bg):
 def test_rhs_skips_zero_spin_connection_term(name, desitter_bg):
     # (1/2)(dII_k - II_k^2) is 0 on desitter; ref_rhs adds the term anyway
     u = state(name, desitter_bg)
-    assert not np.any(desitter_bg.dII_dtau(TAU) - desitter_bg.II(TAU) ** 2)
+    frame = desitter_bg.frame(TAU)
+    assert not np.any(frame.dII - frame.II ** 2)
     assert np.any(u.psi)
     coup = dynamics.Couplings(u.model, lam=1.0)
     new, ref = dynamics.rhs(u, desitter_bg, coup), ref_rhs(u, desitter_bg, coup)
@@ -291,14 +293,14 @@ def test_oracles_match_hand_written(name, bianchi_bg):
     center = stack[2]
     for kind, fld in (("adjoint", center.E[1]), ("higgs", center.phi),
                       ("spinor", center.psi)):
-        assert_close(oracles._box_spatial(fld, center, bianchi_bg, kind),
+        assert_close(oracles._box_spatial(fld, center, bianchi_bg.frame(center.tau), kind),
                      ref_box_spatial(fld, center, bianchi_bg, kind), kind)
     assert_close(oracles.em_wave_residuals(stack, bianchi_bg, coup),
                  ref_em_wave_residuals(stack, bianchi_bg, coup), "em")
     dtau = stack[3].tau - stack[2].tau
     J0s = [-np.real(algebra.current_pairing(u.model.rho, s.phidot, s.phi))
            + 0.5 * np.imag(algebra.current_pairing(u.model.chi, s.psi, s.psi)) for s in stack]
-    ref = constraints.l2_norm(oracles._d1(J0s, dtau) - 3 * bianchi_bg.H(center.tau) * J0s[2]
+    ref = constraints.l2_norm(oracles._d1(J0s, dtau) - 3 * bianchi_bg.frame(center.tau).H * J0s[2]
                               - ref_current_divergence(center, bianchi_bg),
                               constraints.volume_weight(center, bianchi_bg))
     assert_close(oracles.current_divergence_residual(stack, bianchi_bg, coup), ref, "div J")
@@ -308,22 +310,22 @@ def test_oracles_match_hand_written(name, bianchi_bg):
 @pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
 def test_stacked_kernel_is_covariant_diff(name, kind, bianchi_bg):
     u = state(name, bianchi_bg)
-    b, II = bianchi_bg.b(TAU), bianchi_bg.II(TAU)
+    frame = bianchi_bg.frame(TAU)
     one_form = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
     # a field, a 1-form and an iterated derivative (two leading 1-form axes)
     fields = (one_form[0], one_form,
-              lattice.covariant_diff(one_form, u.eta, u.model, u.grid, kind, b, II))
+              lattice.covariant_diff(one_form, u.eta, u.model, u.grid, kind, frame))
     for fld in fields:
         for eta in (u.eta, None):
-            for kap in (II, None):
-                full = lattice.covariant_diff(fld, eta, u.model, u.grid, kind, bvec=b, II=kap)
-                per_axis = [lattice.covariant_d(fld, k, eta, u.model, u.grid, kind,
-                                                bvec=b, II=kap) for k in range(3)]
+            for fr in (frame, geometry.Frame(frame.b)):  # with and without II
+                full = lattice.covariant_diff(fld, eta, u.model, u.grid, kind, fr)
+                per_axis = [lattice.covariant_d(fld, k, eta, u.model, u.grid, kind, fr)
+                            for k in range(3)]
                 assert same_bits(full, np.stack(per_axis))
-    div = lattice.covariant_div(one_form, u.eta, u.model, u.grid, kind, bvec=b, II=II)
-    expect = lattice.covariant_d(one_form[0], 0, u.eta, u.model, u.grid, kind, b, II)
+    div = lattice.covariant_div(one_form, u.eta, u.model, u.grid, kind, frame)
+    expect = lattice.covariant_d(one_form[0], 0, u.eta, u.model, u.grid, kind, frame)
     for k in (1, 2):
-        expect += lattice.covariant_d(one_form[k], k, u.eta, u.model, u.grid, kind, b, II)
+        expect += lattice.covariant_d(one_form[k], k, u.eta, u.model, u.grid, kind, frame)
     assert same_bits(div, expect)
 
 

@@ -41,7 +41,7 @@ def test_sector_energy_zero_and_dirac_k0(su2_model, flat_bg):
         assert energy.sector_energy(u, sector, 2, du, flat_bg) == 0.0
     u = make_state(grid, su2_model, flat_bg, seed=1, amplitude=0.2)
     val = energy.sector_energy(u, "dirac", 0, None, flat_bg)
-    expect = np.sum(np.abs(u.psi) ** 2) * flat_bg.sqrt_g(0.0) * grid.cell_volume
+    expect = np.sum(np.abs(u.psi) ** 2) * flat_bg.frame(0.0).sqrt_g * grid.cell_volume
     assert abs(val - expect) < 1e-12 * expect
 
 
@@ -103,7 +103,7 @@ def test_lemma_shadow_constant_stable_under_refinement(u1_model, flat_bg):
         dt = 0.6 / dt_steps
         taus, norms, rates = [], [], []
         st = u
-        w = flat_bg.sqrt_g(0.0) * grid.cell_volume
+        w = flat_bg.frame(0.0).sqrt_g * grid.cell_volume
         for m in range(dt_steps + 1):
             taus.append(st.tau)
             norms.append(np.sqrt(energy.sobolev_norm(st.phi, 2, st.eta, u1_model,

@@ -9,18 +9,19 @@ sums are reassociated, so the two agree to rounding only.
 import numpy as np
 import pytest
 
-from ymtorus import algebra, energy, lattice
+from ymtorus import algebra, energy, geometry, lattice
 
 RTOL = 1e-13
 BVEC = np.array([0.8, 1.25, 1.05])
 II = np.array([0.3, -0.45, 0.2])
+FRAME, SCALES = geometry.Frame(BVEC, II), geometry.Frame(BVEC)
 
 
-def chain_norms(fld, k, eta, model, grid, kind, bvec, II, weight):
+def chain_norms(fld, k, eta, model, grid, kind, frame, weight):
     total = np.sum(np.abs(fld) ** 2)
     norms, cur = [float(total * weight)], fld
     for _ in range(k):
-        cur = lattice.covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
+        cur = lattice.covariant_diff(cur, eta, model, grid, kind, frame)
         total += np.sum(np.abs(cur) ** 2)
         norms.append(float(total * weight))
     return norms
@@ -43,14 +44,13 @@ def test_closed_form_matches_the_chain(n, order, kind):
         fld = rng.standard_normal(shape + grid.shape)
         if complex_field:
             fld = fld + 1j * rng.standard_normal(fld.shape)
-        for kap in ((II, None) if kind == "spinor" else (None,)):
-            fourier = lattice.fourier_sobolev_norms(fld, 4, grid, bvec=BVEC, II=kap,
-                                                    weight=0.3)
-            chain = chain_norms(fld, 4, None, model, grid, kind, BVEC, kap, 0.3)
+        for frame in ((FRAME, SCALES) if kind == "spinor" else (SCALES,)):
+            fourier = lattice.fourier_sobolev_norms(fld, 4, grid, kind, frame, weight=0.3)
+            chain = chain_norms(fld, 4, None, model, grid, kind, frame, 0.3)
             assert fourier[0] == chain[0]  # H^0 is the same direct sum
             assert fourier == pytest.approx(chain, rel=RTOL, abs=0)
             for k in range(5):
-                assert lattice.fourier_sobolev_norms(fld, k, grid, bvec=BVEC, II=kap,
+                assert lattice.fourier_sobolev_norms(fld, k, grid, kind, frame,
                                                      weight=0.3) == fourier[:k + 1]
 
 
@@ -67,11 +67,27 @@ def test_sobolev_norms_use_the_closed_form_where_the_connection_drops(order):
         eta = rng.standard_normal((3, model.dim_g) + grid.shape)
         fld = rng.standard_normal(shape + grid.shape) + 1j * rng.standard_normal(
             shape + grid.shape)
-        kap = II if kind == "spinor" else None
-        norms = energy.sobolev_norms(fld, 3, eta, model, grid, kind, bvec=BVEC, II=kap)
-        assert norms == lattice.fourier_sobolev_norms(fld, 3, grid, bvec=BVEC, II=kap)
+        frame = FRAME if kind == "spinor" else SCALES
+        norms = energy.sobolev_norms(fld, 3, eta, model, grid, kind, frame)
+        assert norms == lattice.fourier_sobolev_norms(fld, 3, grid, kind, frame)
         assert norms == pytest.approx(
-            chain_norms(fld, 3, eta, model, grid, kind, BVEC, kap, 1.0), rel=RTOL, abs=0)
+            chain_norms(fld, 3, eta, model, grid, kind, frame, 1.0), rel=RTOL, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["adjoint", "higgs"])
+def test_no_spin_connection_shift_off_spinors(kind):
+    # II enters covariant_d on spinors alone, so with II != 0 and the
+    # connection dropped the Fourier sums of another kind take no II^2 / 4
+    model, grid = algebra.su2_toy(), lattice.Grid(8)
+    frame = geometry.Frame((1.0, 1.3, 0.8), (0.1, -0.2, 0.05))
+    rng = np.random.default_rng(5)
+    for shape, complex_field in FIELDS[kind]:
+        fld = rng.standard_normal(shape + grid.shape)
+        if complex_field:
+            fld = fld + 1j * rng.standard_normal(fld.shape)
+        norms = energy.sobolev_norms(fld, 2, None, model, grid, kind, frame)
+        assert norms == pytest.approx(
+            chain_norms(fld, 2, None, model, grid, kind, frame, 1.0), rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize("n", [8, 9])

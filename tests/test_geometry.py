@@ -19,7 +19,7 @@ def test_gaussian_time_monotone_and_zero():
     ts = np.linspace(0, 4, 15)
     taus = np.array([geometry.gaussian_time(p, t) for t in ts])
     assert np.all(np.diff(taus) > 0)
-    # concave where sdot > 0 (second differences negative)
+    # concave where ds/dt > 0 (second differences negative)
     assert np.all(np.diff(taus, 2) < 0)
     with pytest.raises(geometry.InputError):
         geometry.gaussian_time(p, -1.0)
@@ -53,28 +53,28 @@ def test_second_fundamental_form_cases():
     prof = geometry.ScaleProfile("desitter")
     # conformally static frame: II = 0
     bg = geometry.static_flat(prof)
-    II, H, dII = geometry.second_fundamental_form(bg, 0.5)
-    assert np.abs(II).max() == 0.0 and H == 0.0 and np.abs(dII).max() == 0.0
+    frame = bg.frame(0.5)
+    assert np.abs(frame.II).max() == 0.0 and frame.H == 0.0 and np.abs(frame.dII).max() == 0.0
     # isotropic b: frame components II_ii = -bdot/b
     bg = geometry.isotropic(prof, lambda t: 1 + 0.3 * t, lambda t: 0.3, lambda t: 0.0)
     tau = 0.4
-    II, H, dII = geometry.second_fundamental_form(bg, tau)
+    frame = bg.frame(tau)
     expect = -0.3 / (1 + 0.3 * tau)
-    assert np.allclose(np.diag(II), expect)
-    assert abs(H - expect) < 1e-14
+    assert np.allclose(frame.II, expect)
+    assert abs(frame.H - expect) < 1e-14
     # analytic derivative of II
-    assert np.allclose(np.diag(dII), (0.3 / (1 + 0.3 * tau)) ** 2)
+    assert np.allclose(frame.dII, (0.3 / (1 + 0.3 * tau)) ** 2)
     # Bianchi-I: only the stretched axis contributes
     bgB = geometry.bianchi1(prof, eps=0.25)
-    II, H, dII = geometry.second_fundamental_form(bgB, tau)
-    assert II[0, 0] == 0.0 and II[2, 2] == 0.0 and II[1, 1] != 0.0
+    II = bgB.frame(tau).II
+    assert II[0] == 0.0 and II[2] == 0.0 and II[1] != 0.0
     with pytest.raises(geometry.InputError):
-        geometry.second_fundamental_form(bgB, bgB.T + 0.1)
+        bgB.frame(bgB.T + 0.1)
 
 
 def test_scalar_curvature_static_zero_and_frw():
     bg = geometry.static_flat()
-    assert geometry.scalar_curvature(bg, 0.3) == 0.0
+    assert bg.frame(0.3).scal == 0.0
     # isotropic b(tau): compare with the textbook flat-FRW value
     prof = geometry.ScaleProfile("desitter")
     b = lambda t: 1 + 0.2 * t + 0.05 * t ** 2
@@ -84,7 +84,7 @@ def test_scalar_curvature_static_zero_and_frw():
     tau = 0.6
     a, ad, add = b(tau), bd(tau), bdd(tau)
     expect = 6 * (add / a + (ad / a) ** 2)
-    assert abs(geometry.scalar_curvature(bg, tau) - expect) < 1e-12
+    assert abs(bg.frame(tau).scal - expect) < 1e-12
 
 
 def test_scalar_curvature_finite_difference_oracle():
@@ -96,10 +96,10 @@ def test_scalar_curvature_finite_difference_oracle():
     bdd = lambda t: -0.1 * np.sin(t)
     bg = geometry.isotropic(prof, b, bd, bdd)
     tau, h = 0.5, 1e-4
-    kap = bg.II(tau)
-    dk_fd = (bg.II(tau + h) - bg.II(tau - h)) / (2 * h)
+    kap = bg.frame(tau).II
+    dk_fd = (bg.frame(tau + h).II - bg.frame(tau - h).II) / (2 * h)
     scal_fd = -2 * np.sum(dk_fd) + np.sum(kap ** 2) + np.sum(kap) ** 2
-    assert abs(scal_fd - geometry.scalar_curvature(bg, tau)) < 1e-7
+    assert abs(scal_fd - bg.frame(tau).scal) < 1e-7
 
 
 def _coordinate_riemann_oracle(bg, tau, h=1e-4):
@@ -173,8 +173,8 @@ def test_ricci_trace_matches_scalar_curvature_50_backgrounds():
         tau = rng.uniform(0.0, 1.3)
         comp = geometry.riemann_components(bg, tau)
         trace = -comp["ricci_00"] + np.trace(comp["ricci_ik"])
-        assert abs(trace - geometry.scalar_curvature(bg, tau)) < 1e-10
-        assert abs(comp["scal"] - geometry.scalar_curvature(bg, tau)) < 1e-10
+        assert abs(trace - bg.frame(tau).scal) < 1e-10
+        assert abs(comp["scal"] - bg.frame(tau).scal) < 1e-10
 
 
 def test_first_bianchi_identity():
@@ -196,13 +196,82 @@ def test_b_table_csv(tmp_path):
     np.savetxt(path, arr, delimiter=",")
     bg = geometry.from_b_table(prof, path)
     assert np.allclose(bg.b(0.7), [1.07, 1.0, 1 + 0.05 * 0.49], atol=1e-8)
-    # C1 consistency: finite differences of II match dII_dtau at O(h^2)
+    # C1 consistency: finite differences of II match dII/dtau at O(h^2)
     h = 1e-4
-    fd = (bg.II(0.7 + h) - bg.II(0.7 - h)) / (2 * h)
-    assert np.abs(fd - bg.dII_dtau(0.7)).max() < 1e-5
+    fd = (bg.frame(0.7 + h).II - bg.frame(0.7 - h).II) / (2 * h)
+    assert np.abs(fd - bg.frame(0.7).dII).max() < 1e-5
 
 
 def test_extrinsic_bound_logged():
     bg = geometry.bianchi1(geometry.ScaleProfile("desitter"), eps=0.3)
     val = bg.extrinsic_bound(0.5)
     assert np.isfinite(val) and val >= 0
+
+
+# The Background methods that Background.frame replaced, verbatim but for
+# self -> bg; the frame must keep their bits.
+def old_II(bg, tau):
+    return -np.asarray(bg._bdot(tau)) / bg.b(tau)
+
+
+def old_H(bg, tau):
+    return float(np.sum(old_II(bg, tau))) / 3.0
+
+
+def old_dII_dtau(bg, tau):
+    b = bg.b(tau)
+    bd = np.asarray(bg._bdot(tau), dtype=float)
+    bdd = np.asarray(bg._bddot(tau), dtype=float)
+    return -bdd / b + (bd / b) ** 2
+
+
+def old_scal_h(bg, tau):
+    kappa = old_II(bg, tau)
+    dk = old_dII_dtau(bg, tau)
+    return float(-2.0 * np.sum(dk) + np.sum(kappa ** 2) + np.sum(kappa) ** 2)
+
+
+def old_sqrt_g(bg, tau):
+    return float(np.prod(bg.b(tau)))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_frame_keeps_the_bits_of_the_background_methods(tmp_path):
+    prof = geometry.ScaleProfile("desitter")
+    taus = np.linspace(0, 1.5, 100)
+    path = tmp_path / "btab.csv"
+    np.savetxt(path, np.column_stack([taus, 1 + 0.1 * taus, np.ones_like(taus),
+                                      1 + 0.05 * taus ** 2]), delimiter=",")
+    coeffs = np.array([[1.0, 0.3, -0.1], [1.0, -0.2, 0.05], [1.0, 0.0, 0.2]])
+    backgrounds = [
+        geometry.static_flat(prof),
+        geometry.isotropic(prof, lambda t: 1 + 0.3 * t, lambda t: 0.3, lambda t: 0),
+        geometry.bianchi1(prof, eps=0.25),
+        geometry.polynomial_b(prof, coeffs),
+        geometry.from_b_table(prof, path),
+    ]
+    for bg in backgrounds:
+        for tau in (0.0, 0.3, 0.77, 1.2, 1.5):
+            frame = bg.frame(tau)
+            assert np.array_equal(frame.b, bg.b(tau))
+            assert np.array_equal(frame.II, old_II(bg, tau))
+            assert np.array_equal(frame.dII, old_dII_dtau(bg, tau))
+            assert same_bits(frame.II, old_II(bg, tau))  # signs of zero included
+            assert same_bits(frame.dII, old_dII_dtau(bg, tau))
+            assert frame.H == old_H(bg, tau)
+            assert frame.scal == old_scal_h(bg, tau)
+            assert frame.sqrt_g == old_sqrt_g(bg, tau)
+        for tau in (bg.T, -0.1):
+            with pytest.raises(geometry.InputError):
+                bg.frame(tau)
+
+
+def test_unit_frame_is_the_static_unit_frame():
+    unit = geometry.UNIT
+    assert np.array_equal(unit.b, np.ones(3)) and not np.any(unit.II) and not np.any(unit.dII)
+    assert unit.H == 0.0 and unit.scal == 0.0 and unit.sqrt_g == 1.0
+    assert same_bits(geometry.Frame((1, 2, 3), 0.5).II, np.full(3, 0.5))

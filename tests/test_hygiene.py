@@ -3,7 +3,9 @@
 An imported name that the module never uses is an error, except on a line
 marked `# noqa: F401` (a binding kept on purpose) or when the module lists
 the name in `__all__`.  So is a module-level UPPER_CASE constant of the
-package that no code of the repository reads, a config key of
+package that no code of the repository reads, a function, class or
+method of the package that no code of the repository loads by name or
+names in a string, a config key of
 driver.SCHEMA that the package never reads, and a float(), int() or
 .split() applied to a config read in the package: the schema is the one
 place where config text becomes values.
@@ -56,6 +58,21 @@ def test_every_import_is_used():
     assert found == []
 
 
+def loads(strings=False):
+    """Every name that a Name or an attribute in READERS loads, plus with
+    `strings` each dot-separated part of every string constant there."""
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(node.value.split("."))
+    return read
+
+
 def unread_constants():
     """module.NAME of every module-level UPPER_CASE assignment in the package
     that no Name or attribute in READERS loads."""
@@ -66,14 +83,32 @@ def unread_constants():
             for target in targets:
                 if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
                     defined.append((target.id, "%s.%s" % (path.stem, target.id)))
-    read = set()
-    for path in READERS:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = loads()
     return sorted(where for name, where in defined if name not in read)
+
+
+def definitions():
+    """(name, where) of every module-level function and class of the package,
+    where = module.name, and of every method but the dunders (Python calls
+    those), where = module.Class.name."""
+    found = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((node.name, "%s.%s" % (path.stem, node.name)))
+            if isinstance(node, ast.ClassDef):
+                found += [(item.name, "%s.%s.%s" % (path.stem, node.name, item.name))
+                          for item in node.body if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("__")]
+    return found
+
+
+def unread_definitions():
+    """where of every definition that no Name, attribute or string constant in
+    READERS loads; strings count because perfbench's tracer names its
+    targets in strings."""
+    read = loads(strings=True)
+    return sorted(where for name, where in definitions() if name not in read)
 
 
 def test_scan_sees_the_constants():
@@ -84,6 +119,18 @@ def test_scan_sees_the_constants():
 
 def test_every_constant_is_read():
     assert unread_constants() == []
+
+
+def test_definition_scan_sees_methods_and_tracer_targets():
+    found = definitions()
+    assert {("frame", "geometry.Background.frame"), ("Frame", "geometry.Frame"),
+            ("rhs", "dynamics.rhs")} <= set(found)
+    assert not any(name.startswith("__") for name, _ in found)
+    assert {"FieldState", "lincomb", "prepare_initial_state", "evolve"} <= loads(strings=True)
+
+
+def test_every_definition_is_read():
+    assert unread_definitions() == []
 
 
 def config_reads(tree):

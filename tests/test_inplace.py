@@ -121,15 +121,15 @@ def test_diff_and_covariant_d_into_views(kind, bvec):
     bg = BACKGROUNDS["bianchi1"]()
     u = make_state(lattice.Grid(8), model, bg, seed=32, amplitude=0.1)
     fld = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
-    II = bg.II(0.3)
+    frame = geometry.Frame(np.ones(3) if bvec is None else bvec, bg.frame(0.3).II)
     for k in range(3):
         view = np.full((2,) + fld.shape, np.nan, dtype=fld.dtype)[1]  # contiguous view
         assert lattice.diff(fld, k, u.grid, out=view) is view
         assert np.array_equal(view, lattice.diff(fld, k, u.grid))
         view.fill(np.nan)
-        lattice.covariant_d(fld, k, u.eta, model, u.grid, kind, bvec=bvec, II=II, out=view)
+        lattice.covariant_d(fld, k, u.eta, model, u.grid, kind, frame, out=view)
         assert np.array_equal(view, lattice.covariant_d(fld, k, u.eta, model, u.grid, kind,
-                                                        bvec=bvec, II=II))
+                                                        frame))
     strided = np.empty(fld.shape + (2,), dtype=fld.dtype)[..., 0]
     for bad in (strided, np.empty(fld.shape[1:], dtype=fld.dtype)):
         with pytest.raises(InputError, match="C-contiguous"):

@@ -42,8 +42,8 @@ def ref_fiber_apply(terms, xi, x, axis=0):
     return out
 
 
-def ref_covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None):
-    b = lattice._frame_scale(bvec)
+def ref_covariant_d(fld, k, eta, model, grid, kind, frame=geometry.UNIT):
+    b, II = frame.b, frame.II
     dk = lattice.diff(fld, k, grid)
     if b[k] != 1.0:
         lattice._divide(dk, b[k])
@@ -51,25 +51,25 @@ def ref_covariant_d(fld, k, eta, model, grid, kind, bvec=None, II=None):
         if kind not in model.terms:
             raise InputError("unknown fiber kind %r" % kind)
         dk += ref_fiber_apply(model.terms[kind], eta[k], fld, axis=fld.ndim - 4)
-    if kind == "spinor" and II is not None and II[k]:
+    if kind == "spinor" and II[k]:
         spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
         spin *= 0.5 * II[k]
         dk += np.moveaxis(spin, 0, -5)
     return dk
 
 
-def ref_covariant_diff(fld, eta, model, grid, kind, bvec=None, II=None):
-    return np.stack([ref_covariant_d(fld, k, eta, model, grid, kind, bvec, II)
+def ref_covariant_diff(fld, eta, model, grid, kind, frame=geometry.UNIT):
+    return np.stack([ref_covariant_d(fld, k, eta, model, grid, kind, frame)
                      for k in range(3)])
 
 
-def ref_sobolev_norms(fld, k, eta, model, grid, kind, bvec=None, II=None, weight=1.0):
+def ref_sobolev_norms(fld, k, eta, model, grid, kind, frame=geometry.UNIT, weight=1.0):
     if lattice.drops_connection(eta, model, kind):
-        return lattice.fourier_sobolev_norms(fld, k, grid, bvec=bvec, II=II, weight=weight)
+        return lattice.fourier_sobolev_norms(fld, k, grid, kind, frame, weight=weight)
     cur, total = fld, lattice.sq_norm(fld)
     norms = [float(total * weight)]
     for _ in range(k):
-        cur = ref_covariant_diff(cur, eta, model, grid, kind, bvec=bvec, II=II)
+        cur = ref_covariant_diff(cur, eta, model, grid, kind, frame)
         total += lattice.sq_norm(cur)
         norms.append(float(total * weight))
     return norms
@@ -109,8 +109,8 @@ def field(u, kind, lead):
 # Bits
 # ---------------------------------------------------------------------------
 
-FRAMES = {"unit": (None, None), "bianchi1": (BIANCHI.b(TAU), BIANCHI.II(TAU)),
-          "skew": ((1.0, 1.3, 0.8), (0.2, -0.3, 0.1))}
+FRAMES = {"unit": geometry.UNIT, "bianchi1": BIANCHI.frame(TAU),
+          "skew": geometry.Frame((1.0, 1.3, 0.8), (0.2, -0.3, 0.1))}
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
@@ -120,15 +120,15 @@ FRAMES = {"unit": (None, None), "bianchi1": (BIANCHI.b(TAU), BIANCHI.II(TAU)),
 def test_covariant_d_and_norms_keep_the_bits(name, kind, lead, frame):
     u = make_state(lattice.Grid(8), MODELS[name](), BIANCHI, seed=41, amplitude=0.1)
     fld, eta = field(u, kind, lead), with_zeros(u.eta, seed=7)
-    bvec, II = FRAMES[frame]
+    frame = FRAMES[frame]
     for k in range(3):
-        new = lattice.covariant_d(fld, k, eta, u.model, u.grid, kind, bvec=bvec, II=II)
-        ref = ref_covariant_d(fld, k, eta, u.model, u.grid, kind, bvec=bvec, II=II)
+        new = lattice.covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
+        ref = ref_covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
         assert same_values_and_signs(new, ref), (k, "covariant_d")
     if lead < 2:  # the chain's levels add the leading axes
         for top in (1, 2, 3):
-            new = energy.sobolev_norms(fld, top, eta, u.model, u.grid, kind, bvec, II, 0.7)
-            assert new == ref_sobolev_norms(fld, top, eta, u.model, u.grid, kind, bvec, II, 0.7)
+            new = energy.sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame, 0.7)
+            assert new == ref_sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame, 0.7)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -178,10 +178,10 @@ def test_covariant_d_allocates_at_most_half_its_output(su2_n16, name, k):
     # the connection term goes in one fiber component and leading index at a
     # time, the spin-connection term one spin row at a time; whole-field
     # terms took about twice the output beside it
-    u, II = su2_n16, (0.2, -0.3, 0.1)
+    u, frame = su2_n16, geometry.Frame((1.0, 1.3, 0.8), (0.2, -0.3, 0.1))
     fld = getattr(u, name)
     out, peak = traced_peak(lambda: lattice.covariant_d(
-        fld, k, u.eta, u.model, u.grid, "spinor", bvec=(1.0, 1.3, 0.8), II=II))
+        fld, k, u.eta, u.model, u.grid, "spinor", frame))
     assert peak - out.nbytes <= 0.5 * out.nbytes
 
 
@@ -192,9 +192,8 @@ def test_sobolev_norms_store_no_last_level(su2_n16, name, kind):
     # reach its full size, and its squares took half as much again
     u = su2_n16
     fld = getattr(u, name)
-    II = BIANCHI.II(TAU) if kind == "spinor" else None
     _, peak = traced_peak(lambda: energy.sobolev_norms(
-        fld, 2, u.eta, u.model, u.grid, kind, bvec=BIANCHI.b(TAU), II=II))
+        fld, 2, u.eta, u.model, u.grid, kind, BIANCHI.frame(TAU)))
     level1, level2 = 3 * fld.nbytes, 9 * fld.nbytes
     assert peak - level1 < level2
 

@@ -135,12 +135,12 @@ def test_covariant_diff_matches_adding_every_term(name, kind, bianchi_bg):
     model = MODELS[name]()
     u = make_state(lattice.Grid(8), model, bianchi_bg, seed=11, amplitude=0.1)
     fld = {"adjoint": u.E, "higgs": u.phi, "spinor": u.psi}[kind]
-    b, II = bianchi_bg.b(0.3), bianchi_bg.II(0.3)
+    frame = bianchi_bg.frame(0.3)
     for eta in (u.eta, None):
         # equal values; an omitted zero term may flip the sign of a zero
         assert np.array_equal(
-            lattice.covariant_diff(fld, eta, model, u.grid, kind, bvec=b, II=II),
-            adding_covariant_diff(fld, eta, model, u.grid, kind, b, II))
+            lattice.covariant_diff(fld, eta, model, u.grid, kind, frame),
+            adding_covariant_diff(fld, eta, model, u.grid, kind, frame.b, frame.II))
 
 
 def per_k_sobolev(fld, k, eta, model, grid, kind, bvec, II, weight):
@@ -155,7 +155,8 @@ def per_k_sobolev(fld, k, eta, model, grid, kind, bvec, II, weight):
 
 
 def per_k_sector_energy(u, sector, k, du, bg, connection="omega"):
-    b, II, w = bg.b(u.tau), bg.II(u.tau), bg.sqrt_g(u.tau) * u.grid.cell_volume
+    frame = bg.frame(u.tau)
+    b, II, w = frame.b, frame.II, frame.sqrt_g * u.grid.cell_volume
     eta = u.eta if connection == "omega" else None
 
     def H(fld, kk, kind):
@@ -193,7 +194,7 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
     model = MODELS[name]()
     u = make_state(lattice.Grid(8), model, bianchi_bg, seed=8, amplitude=0.1)
     u.tau = 0.3
-    assert np.any(bianchi_bg.II(u.tau))  # the spinor spin-connection term runs
+    assert np.any(bianchi_bg.frame(u.tau).II)  # the spinor spin-connection term runs
     du = dynamics.rhs(u, bianchi_bg, dynamics.Couplings(model, lam=1.0))
     rep = energy.energy_report(u, du, bianchi_bg, k=2)
     sectors = {"yangmills": rep.yangmills, "higgs": rep.higgs, "dirac": rep.dirac}
@@ -202,7 +203,8 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
             assert matches_per_k(values[kk], per_k_sector_energy(u, sector, kk, du, bianchi_bg),
                                  model, sector), (sector, kk)
     assert rep.total == rep.yangmills[2] + rep.higgs[2] + rep.dirac[2]
-    b, w = bianchi_bg.b(u.tau), bianchi_bg.sqrt_g(u.tau) * u.grid.cell_volume
+    frame = bianchi_bg.frame(u.tau)
+    b, w = frame.b, frame.sqrt_g * u.grid.cell_volume
     ref = (per_k_sector_energy(u, "yangmills", 2, du, bianchi_bg, "reference")
            + per_k_sector_energy(u, "higgs", 2, du, bianchi_bg, "reference")
            + per_k_sector_energy(u, "dirac", 2, du, bianchi_bg, "reference")
@@ -218,13 +220,13 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
 
 def test_sobolev_norms_are_the_per_k_norms(su2_model, bianchi_bg):
     u = make_state(lattice.Grid(8), su2_model, bianchi_bg, seed=9)
-    b, II = bianchi_bg.b(0.3), bianchi_bg.II(0.3)
+    frame = bianchi_bg.frame(0.3)
     norms = energy.sobolev_norms(u.psi, 3, u.eta, su2_model, u.grid, "spinor",
-                                 bvec=b, II=II, weight=0.5)
+                                 frame, weight=0.5)
     assert norms == [per_k_sobolev(u.psi, kk, u.eta, su2_model, u.grid, "spinor",
-                                   b, II, 0.5) for kk in range(4)]
+                                   frame.b, frame.II, 0.5) for kk in range(4)]
     assert energy.sobolev_norm(u.psi, 2, u.eta, su2_model, u.grid, "spinor",
-                               bvec=b, II=II, weight=0.5) == norms[2]
+                               frame, weight=0.5) == norms[2]
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ def reference_gauge_rows(u, bg, couplings):
     """The gauge block of rhs, verbatim, with the set-up it read."""
     model = couplings.model
     grid = u.grid
-    bg.check_tau(u.tau)
-    b = bg.b(u.tau)
-    kappa = bg.II(u.tau)
-    H = bg.H(u.tau)
+    frame = bg.frame(u.tau)
+    kappa = frame.II
+    H = frame.H
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
 
     out = FieldState.zeros(grid, model)
     out.tau = u.tau
@@ -81,7 +80,7 @@ def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
     ref = reference_gauge_rows(u, bg, coup)
     full = dynamics.rhs(u, bg, coup)
     alone = FieldState.zeros(u.grid, u.model)
-    B = dynamics.gauge_rhs(u, bg, coup, alone)
+    B = dynamics.gauge_rhs(u, bg.frame(u.tau), coup, alone)
     assert np.array_equal(B, hodge_dual_B(u.Q))
     for field in lattice.SECTORS["gauge"]:
         for rows in (full, alone):
@@ -96,7 +95,7 @@ def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
 def test_set_up_total_is_the_reported_total(name, bg_name, k):
     u, bg, coup = state(name, bg_name)
     du = FieldState.zeros(u.grid, u.model)
-    dynamics.gauge_rhs(u, bg, coup, du)
+    dynamics.gauge_rhs(u, bg.frame(u.tau), coup, du)
     rep = energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=k)
     assert energy.total_energy(u, du, bg, k=k) == rep.total
     assert rep.total == rep.yangmills[k] + rep.higgs[k] + rep.dirac[k]

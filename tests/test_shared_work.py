@@ -73,7 +73,7 @@ def test_diff_and_covariant_d_match_roll_and_true_division(order, lead, complex_
     for k in range(3):
         assert match(lattice.diff(f, k, grid), roll_diff(f, k, grid))
         # eta=None: the connection term drops out, leaving (1/b_k) diff
-        assert match(covariant_d(f, k, None, None, grid, "higgs", bvec=BVEC),
+        assert match(covariant_d(f, k, None, None, grid, "higgs", geometry.Frame(BVEC)),
                      roll_diff(f, k, grid) / BVEC[k])
 
 
@@ -85,18 +85,18 @@ def ref_dirac_rows(u, bg, couplings):
     """The Dirac rows of rhs with each chi* product formed where it is used."""
     model = couplings.model
     grid = u.grid
-    b = bg.b(u.tau)
-    kappa = bg.II(u.tau)
-    dkappa = bg.dII_dtau(u.tau)
-    H = bg.H(u.tau)
-    scal = bg.scal_h(u.tau)
+    frame = bg.frame(u.tau)
+    kappa = frame.II
+    dkappa = frame.dII
+    H = frame.H
+    scal = frame.scal
     yuk = model.yukawa
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
 
     def div(vec, kind, out=None):
-        return covariant_div(vec, u.eta, model, grid, kind, bvec=b, II=kappa, out=out)
+        return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
 
     out = FieldState.zeros(grid, model)
     B = hodge_dual_B(u.Q)
@@ -131,7 +131,7 @@ def ref_dirac_rows(u, bg, couplings):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_dirac_rows_match_products_formed_where_used(name):
     u, bg, coup = bianchi_state(name)
-    assert u.model.acts["spinor"] and u.model.acts["yukawa"] and np.any(bg.II(u.tau))
+    assert u.model.acts["spinor"] and u.model.acts["yukawa"] and np.any(bg.frame(u.tau).II)
     got, ref = dynamics.rhs(u, bg, coup), ref_dirac_rows(u, bg, coup)
     for field in lattice.SECTORS["dirac"]:
         assert np.array_equal(getattr(got, field), getattr(ref, field)), field
@@ -154,5 +154,5 @@ def test_chi_and_gamma_calls_per_rhs(monkeypatch):
     assert calls["chi"] == 6
     # currents 3, g0 gk chi*(E_k) 3, the curvature pairs 3, Yukawa 4, and one per
     # S_i row whose (dkappa_i - kappa_i^2) g0 gi psi term is on
-    kappa, dkappa = bg.II(u.tau), bg.dII_dtau(u.tau)
+    kappa, dkappa = bg.frame(u.tau).II, bg.frame(u.tau).dII
     assert calls["gamma"] == 13 + int(np.sum(dkappa != kappa ** 2))

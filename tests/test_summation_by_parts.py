@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ymtorus import algebra, lattice  # noqa: E402
+from ymtorus import algebra, geometry, lattice  # noqa: E402
 
 MODELS = {"u1_toy": algebra.u1_toy(), "su2_toy": algebra.su2_toy(),
           "su3_pure": algebra.su3_pure()}
@@ -40,8 +40,8 @@ def test_covariant_d_sums_by_parts(name, kind, order, n, k, bvec, seed):
              "spinor": (4, model.dim_V)}[kind]
     f, g = (random_field(rng, fiber + grid.shape, kind == "adjoint") for _ in range(2))
     eta = rng.standard_normal((3, model.dim_g) + grid.shape)
-    Df = lattice.covariant_d(f, k, eta, model, grid, kind, bvec=bvec)
-    Dg = lattice.covariant_d(g, k, eta, model, grid, kind, bvec=bvec)
+    Df = lattice.covariant_d(f, k, eta, model, grid, kind, geometry.Frame(bvec))
+    Dg = lattice.covariant_d(g, k, eta, model, grid, kind, geometry.Frame(bvec))
     lhs, rhs = np.vdot(f, Dg), -np.vdot(Df, g)
     scale = np.sum(np.abs(np.conj(f) * Dg)) + np.sum(np.abs(np.conj(Df) * g))
     assert abs(lhs - rhs) <= 1e-12 * scale
