@@ -72,20 +72,6 @@ def clifford_mul(X, psi):
     return out
 
 
-def covector_clifford(theta, psi):
-    """Clifford-multiply by a covector (musical isomorphism flips the 0-part)."""
-    theta = np.asarray(theta, dtype=float)
-    X = theta.copy()
-    X[0] = -X[0]
-    return clifford_mul(X, psi)
-
-
-def chiral_project(sign, psi):
-    """Project onto the +/- chirality subspace of the spin index."""
-    proj = PROJ_PLUS if sign > 0 else PROJ_MINUS
-    return gamma_apply(proj, psi)
-
-
 def _pair(psi, phi, mat=None):
     left = np.conj(psi if mat is None else gamma_apply(mat.conj().T, psi))
     if psi.ndim == 1 or phi.ndim == 1:

@@ -7,7 +7,9 @@ With conformal factor Omega = 1/(N s) the physical fields are
     B = B~,               eta = eta~,
 
 so uniform boundedness of the simulation-frame fields translates into decay
-at rates s^-1 (Higgs, electric field) and s^-{3/2} (fermions).
+at rates s^-1 (Higgs, electric field) and s^-{3/2} (fermions).  The
+geometry.Background carries s (bg.profile.s_of_tau) and N (bg.N), and the
+fits here read both from it: there is no separate frame-map object.
 """
 
 from dataclasses import dataclass
@@ -16,50 +18,9 @@ import numpy as np
 
 from . import algebra, lattice
 from .errors import InputError
-from .lattice import diff
 
 
 RESCALING_EXPONENTS = {"phi": -1.0, "psi": -1.5, "E": -1.0, "B": 0.0, "eta": 0.0}
-
-
-@dataclass
-class FrameMap:
-    profile: "object"
-    N: float = 1.0
-
-    def s_at_tau(self, tau):
-        return float(self.profile.s_of_tau(tau))
-
-    def t_at_tau(self, tau):
-        return float(self.profile.t_of_tau(tau))
-
-    def omega(self, tau):
-        return 1.0 / (self.N * self.s_at_tau(tau))
-
-
-def to_physical(u, fmap):
-    """Physical-frame field arrays of a simulation-frame state."""
-    ns = fmap.N * fmap.s_at_tau(u.tau)
-    return {
-        "t": fmap.t_at_tau(u.tau),
-        "phi": u.phi / ns,
-        "psi": u.psi / ns ** 1.5,
-        "E": u.E / fmap.s_at_tau(u.tau),
-        "B": lattice.hodge_dual_B(u.Q),
-        "eta": u.eta.copy(),
-    }
-
-
-def to_tilde(phys, fmap, tau):
-    """Inverse of to_physical on the field dictionary."""
-    ns = fmap.N * fmap.s_at_tau(tau)
-    return {
-        "phi": phys["phi"] * ns,
-        "psi": phys["psi"] * ns ** 1.5,
-        "E": phys["E"] * fmap.s_at_tau(tau),
-        "B": phys["B"].copy(),
-        "eta": phys["eta"].copy(),
-    }
 
 
 @dataclass
@@ -70,23 +31,14 @@ class DecayFit:
     window: tuple
     undefined: bool = False
 
-    def as_dict(self):
-        return {
-            "slope": self.slope,
-            "half_width": self.half_width,
-            "n_samples": self.n_samples,
-            "window": list(self.window),
-            "undefined": self.undefined,
-        }
 
-
-def decay_fit(taus, sup_tilde, fmap, window_frac=0.4, rescale=0.0):
+def decay_fit(taus, sup_tilde, bg, window_frac=0.4, rescale=0.0):
     """Least-squares slope of log sup|X_phys| against log s(t) over the final
     window_frac of the run (in tau).
 
     sup_tilde is the simulation-frame sup-norm series; `rescale` is the
     tilde-to-physical exponent (e.g. -1 for the Higgs field), applied here so
-    callers pass raw simulation output.
+    callers pass raw simulation output; s and N are the Background bg's.
     """
     taus = np.asarray(taus, dtype=float)
     sups = np.asarray(sup_tilde, dtype=float)
@@ -101,8 +53,8 @@ def decay_fit(taus, sup_tilde, fmap, window_frac=0.4, rescale=0.0):
     if np.all(sups_w == 0.0):
         return DecayFit(np.nan, np.nan, int(taus_w.size),
                         (float(t_lo), float(taus[-1])), undefined=True)
-    svals = np.array([fmap.s_at_tau(t) for t in taus_w])
-    phys = sups_w * svals ** rescale / fmap.N ** max(0.0, -rescale)
+    svals = np.array([bg.profile.s_of_tau(t) for t in taus_w])
+    phys = sups_w * svals ** rescale / bg.N ** max(0.0, -rescale)
     x = np.log(svals)
     y = np.log(phys)
     A = np.vstack([x, np.ones_like(x)]).T
@@ -116,9 +68,9 @@ def decay_fit(taus, sup_tilde, fmap, window_frac=0.4, rescale=0.0):
                     (float(t_lo), float(taus[-1])))
 
 
-def decay_report(taus, sup_series, fmap, window_frac=0.4):
+def decay_report(taus, sup_series, bg, window_frac=0.4):
     """Fits for the Higgs, electric and fermion sup-norm series."""
-    return {name: decay_fit(taus, sup_series[name], fmap, window_frac=window_frac,
+    return {name: decay_fit(taus, sup_series[name], bg, window_frac=window_frac,
                             rescale=RESCALING_EXPONENTS[name]) for name in ("phi", "E", "psi")}
 
 
@@ -149,31 +101,28 @@ def _tilde_higgs_residual(phi_t, psi_t, tau, dtau, grid, couplings):
     model = couplings.model
     pm, p0, pp = phi_t(tau - dtau), phi_t(tau), phi_t(tau + dtau)
     dd = (pp - 2 * p0 + pm) / dtau ** 2
-    lap = np.zeros_like(p0)
-    for k in range(3):
-        lap += diff(diff(p0, k, grid), k, grid)
-    box = -dd + lap
+    box = -dd + lattice.covariant_laplacian(p0, None, model, grid, "higgs")
     psi0 = psi_t(tau)
     src = algebra.yukawa_antilinear_current(model.yukawa, psi0)
     return box - couplings.lam * np.sum(np.abs(p0) ** 2, axis=0) * p0 - src
 
 
-def conformal_residual_check(grid, couplings, fmap, tau, dtau, seed=7,
+def conformal_residual_check(grid, couplings, bg, tau, dtau, seed=7,
                              phi_weight=-1.0):
     """Mismatch between the physical-frame Higgs residual (built with the
     conformally transformed wave operator and scalar curvature) and
     Omega^3 times the simulation-frame residual.
 
     On the correct rescaling (phi_weight = -1, i.e. phi = Omega phi~ with
-    Omega = 1/(N s)) the two agree up to discretization error, second order
-    in dtau; a wrong weight (e.g. 0) leaves an O(1) mismatch.  Returns
-    (mismatch_norm, scale_norm).
+    Omega = 1/(N s), s and N of the Background bg) the two agree up to
+    discretization error, second order in dtau; a wrong weight (e.g. 0)
+    leaves an O(1) mismatch.  Returns (mismatch_norm, scale_norm).
     """
     model = couplings.model
     phi_t, psi_t = _manufactured(grid, model, seed)
 
     def omega_of(t):
-        return 1.0 / (fmap.N * fmap.profile.s_of_tau(t))
+        return 1.0 / (bg.N * bg.profile.s_of_tau(t))
 
     # conformal factor data: f = log Omega, derivatives by small exact steps
     h = 1e-5
@@ -189,10 +138,8 @@ def conformal_residual_check(grid, couplings, fmap, tau, dtau, seed=7,
     qm, q0, qp = phi_phys(tau - dtau), phi_phys(tau), phi_phys(tau + dtau)
     ddq = (qp - 2 * q0 + qm) / dtau ** 2
     dq = (qp - qm) / (2 * dtau)
-    lap = np.zeros_like(q0)
-    for k in range(3):
-        lap += diff(diff(q0, k, grid), k, grid)
-    box_tilde_of_phys = -ddq + lap                 # tilde wave operator on phi
+    # tilde wave operator on phi
+    box_tilde_of_phys = -ddq + lattice.covariant_laplacian(q0, None, model, grid, "higgs")
     box_phys = Om0 ** 2 * (box_tilde_of_phys + 2.0 * fp * dq)
     scal_phys = -6.0 * Om0 ** 2 * (fpp - fp ** 2)  # static flat tilde frame
 

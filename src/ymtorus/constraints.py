@@ -23,7 +23,7 @@ from .clifford import GAMMA, gamma_apply
 from .errors import SolverError
 from .geometry import UNIT
 from .lattice import (covariant_d, covariant_diff, covariant_diff_sq_norm, covariant_div,
-                      hodge_dual_B, hodge_dual_Q, sq_norm)
+                      covariant_laplacian, hodge_dual_B, hodge_dual_Q, sq_norm)
 
 
 @dataclass
@@ -34,16 +34,6 @@ class ConstraintReport:
     gauss: float
     dirac: float
     s_consistency: float = 0.0
-
-    def as_dict(self):
-        return {
-            "tau": self.tau,
-            "curvature": self.curvature,
-            "bianchi": self.bianchi,
-            "gauss": self.gauss,
-            "dirac": self.dirac,
-            "s_consistency": self.s_consistency,
-        }
 
 
 def frame_at(u, bg):
@@ -93,7 +83,7 @@ def gauss_constraint(u, bg=None):
     return C0
 
 
-def dirac_operator_rhs(u, bg=None):
+def dirac_operator_rhs(u):
     """g0 ( gk S_k + Y_phi psi ) with the evolved S (the psidot a solution has)."""
     model = u.model
     acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.acts["yukawa"] else 0.0
@@ -102,8 +92,8 @@ def dirac_operator_rhs(u, bg=None):
     return gamma_apply(GAMMA[0], acc)
 
 
-def dirac_constraint(u, bg=None):
-    return u.psidot - dirac_operator_rhs(u, bg)
+def dirac_constraint(u):
+    return u.psidot - dirac_operator_rhs(u)
 
 
 def recompute_S(u, bg=None):
@@ -147,7 +137,7 @@ def constraint_fields(u, bg=None):
         "curvature": curvature_constraint(u, bg),
         "bianchi": bianchi_constraint(u, bg),
         "gauss": gauss_constraint(u, bg),
-        "dirac": dirac_constraint(u, bg),
+        "dirac": dirac_constraint(u),
     }
 
 
@@ -162,7 +152,7 @@ def complete_state(u, bg=None):
     u.Q[:] = hodge_dual_Q(curvature_2form(u, bg))
     u.Z[:] = covariant_diff(u.phi, u.eta, u.model, u.grid, "higgs", frame_at(u, bg))
     u.S[:] = recompute_S(u, bg)
-    u.psidot[:] = dirac_operator_rhs(u, bg)
+    u.psidot[:] = dirac_operator_rhs(u)
     return u
 
 
@@ -192,8 +182,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     def apply_A(phi_lie):
         # projected operator: CG runs on the mean-free complement, where the
         # covariant Laplacian is uniformly definite
-        grad = covariant_diff(phi_lie, u.eta, u.model, grid, "adjoint", frame)
-        return demean(-covariant_div(grad, u.eta, u.model, grid, "adjoint", frame))[0]
+        return demean(-covariant_laplacian(phi_lie, u.eta, u.model, grid, "adjoint", frame))[0]
 
     x = np.zeros_like(src)
     r = src.copy()
@@ -233,8 +222,7 @@ def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
     frame = frame_at(u, bg)
 
     def A(x):  # the CG operator before the mean is removed
-        grad = covariant_diff(x, u.eta, u.model, u.grid, "adjoint", frame)
-        return -covariant_div(grad, u.eta, u.model, u.grid, "adjoint", frame)
+        return -covariant_laplacian(x, u.eta, u.model, u.grid, "adjoint", frame)
 
     worst = 0.0
     for _ in range(samples):

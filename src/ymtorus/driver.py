@@ -10,6 +10,7 @@ every artifact can be reproduced from the run directory alone.
 """
 
 import configparser
+import dataclasses
 import json
 import os
 import time
@@ -405,24 +406,20 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     taus = [r.tau for r in energy_rows]
     totals = [r.total for r in energy_rows]
     verdict = energy.estimate_monitor(taus, totals)
-    fmap = conformal.FrameMap(bg.profile, N=bg.N)
     sup_series = {name: np.array([r.sup[name] for r in energy_rows])
                   for name in ("phi", "E", "psi")}
-    decay = {}
     try:
-        fits = conformal.decay_report(taus, sup_series, fmap)
-        decay = {name: fit.as_dict() for name, fit in fits.items()}
+        fits = conformal.decay_report(taus, sup_series, bg)
+        decay = {name: dataclasses.asdict(fit) for name, fit in fits.items()}
         # diagnostic L2 slopes: physical-frame L2 norms pick up the sqrt(g)
         # volume growth (s^3) on top of the field rescaling
         l2 = {}
+        svals = np.array([bg.profile.s_of_tau(t) for t in taus])
         for name, sector, vol_pow in (("phi", "higgs", 1.0), ("E", "yangmills", 1.0),
                                       ("psi", "dirac", 0.0)):
-            series = np.array([max(r.as_row()["E_%s_k0" % sector.replace("yangmills", "ym")], 0.0)
-                               for r in energy_rows])
-            svals = np.array([fmap.s_at_tau(t) for t in taus])
+            series = np.array([max(getattr(r, sector)[0], 0.0) for r in energy_rows])
             phys = np.sqrt(series * svals ** vol_pow)
-            fit = conformal.decay_fit(taus, phys, fmap, rescale=0.0)
-            l2[name] = fit.as_dict()
+            l2[name] = dataclasses.asdict(conformal.decay_fit(taus, phys, bg, rescale=0.0))
         decay["l2_diagnostic"] = l2
     except ValueError as err:
         decay = {"error": str(err)}
@@ -452,7 +449,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         "tau_end": tau_end,
         "initial_data": init_info,
         "warnings": warnings,
-        "energy_monitor": verdict.as_dict(),
+        "energy_monitor": dataclasses.asdict(verdict),
         "constraint_initial": monitor["initial"],
         "constraint_max": monitor["max"],
         "terminal_drift": drift_rows[-1],
@@ -489,7 +486,7 @@ def write_constraints_csv(path, rows, drift_rows):
     with open(path, "w") as fh:
         fh.write(",".join(cols + dcols) + "\n")
         for r, dr in zip(rows, drift_rows):
-            d = r.as_dict()
+            d = dataclasses.asdict(r)
             vals = [_fmt(d[c]) for c in cols]
             vals += [_fmt(dr[c.replace("drift_", "")]) for c in dcols]
             fh.write(",".join(vals) + "\n")
@@ -523,8 +520,7 @@ def replot(out_dir):
         decay = meta.get("decay", {})
         if decay and "error" not in decay:
             bg = build_background(validate_config(meta["config"]))
-            fmap = conformal.FrameMap(bg.profile, N=bg.N)
-            svals = np.array([fmap.s_at_tau(t) for t in e["tau"]])
+            svals = np.array([bg.profile.s_of_tau(t) for t in e["tau"]])
             series = {}
             for name in ("phi", "E", "psi"):
                 phys = e["sup_" + name] * svals ** conformal.RESCALING_EXPONENTS[name]

@@ -58,7 +58,7 @@ def cfl_steps(grid, bg, tau_end, cfl, dtau=None):
     return tau_end / n_steps, n_steps
 
 
-def currents(u, bg=None):
+def currents(u):
     """Matter current J_i^a = -Re<Z_i, rho*(xi_a) phi> + (1/2) Im<g_i psi, chi*(xi_a) psi>."""
     model = u.model
     J = np.zeros_like(u.E)

@@ -246,15 +246,6 @@ class EstimateVerdict:
     exceeded_unity: bool
     initial: float
 
-    def as_dict(self):
-        return {
-            "bounded": self.bounded,
-            "fitted_C": self.fitted_C,
-            "max_energy": self.max_energy,
-            "exceeded_unity": self.exceeded_unity,
-            "initial": self.initial,
-        }
-
 
 def estimate_monitor(taus, totals):
     """Fit the smallest C with E(tau) <= E(0) exp(C tau) and flag excursions

@@ -36,9 +36,8 @@ class ScaleProfile:
     """Scale factor s(t) of the physical spacetime, with 1/s integrable.
 
     Shipped kinds: 'desitter' (s = a cosh(t/a)), 'exponential'
-    (s = s0 exp(rate t)), 'power' (s = s0 (1 + t/t0)^p, p > 1), 'table'
-    (cubic spline through sampled (t, s)), 'constant' (rejected at horizon
-    computation, 1/s is not integrable).
+    (s = s0 exp(rate t)), 'power' (s = s0 (1 + t/t0)^p, p > 1) and 'table'
+    (cubic spline through sampled (t, s)); any other kind is rejected.
     """
 
     def __init__(self, kind, **params):
@@ -59,8 +58,6 @@ class ScaleProfile:
             self.p = float(params.get("p", 2.0))
             if self.p <= 1:
                 raise InputError("power profile needs exponent p > 1")
-        elif kind == "constant":
-            self.c = float(params.get("c", 1.0))
         elif kind == "table":
             t = np.asarray(params["t"], dtype=float)
             s = np.asarray(params["s"], dtype=float)
@@ -88,8 +85,6 @@ class ScaleProfile:
             return self.s0 * np.exp(self.rate * t)
         if self.kind == "power":
             return self.s0 * (1.0 + t / self.t0) ** self.p
-        if self.kind == "constant":
-            return self.c * np.ones_like(t)
         return self._spline(t)
 
     # -- Gaussian time map ------------------------------------------------
@@ -107,9 +102,7 @@ class ScaleProfile:
         return val
 
     def horizon(self):
-        """T = lim_{t->inf} tau(t); raises if 1/s is not integrable."""
-        if self.kind == "constant":
-            raise InputError("constant scale factor: 1/s not integrable, horizon diverges")
+        """T = lim_{t->inf} tau(t), finite for every shipped kind."""
         if self.kind == "desitter":
             tcut = 40.0 * self.a
             tail = np.pi / 2 - np.arctan(np.sinh(tcut / self.a))
@@ -148,13 +141,6 @@ class ScaleProfile:
         if self.kind == "exponential":
             return self.s0 / (1.0 - self.s0 * self.rate * np.asarray(tau, dtype=float))
         return self.s(self.t_of_tau(tau))
-
-
-def gaussian_time(profile, t):
-    """Quadrature Gaussian time tau(t); see ScaleProfile.tau_of_t."""
-    if t < 0:
-        raise InputError("gaussian_time: t must be >= 0")
-    return profile.tau_of_t(t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ The plain `diff` below is the coordinate-space stencil.  This module owns
 the covariant derivative: `covariant_d` is the one place that forms the
 frame-scaled stencil (1/b_k) diff, the fiber action of the connection and
 the spinor spin-connection term; `covariant_diff` and `covariant_div` stack
-and contract it, and `fourier_sobolev_norms` applies the same rule to the
-symbol where the connection drops out.  The background enters as one
-geometry.Frame argument, UNIT by default.
+and contract it, `covariant_laplacian` composes the two, and
+`fourier_sobolev_norms` applies the same rule to the symbol where the
+connection drops out.  The background enters as one geometry.Frame
+argument, UNIT by default.
 """
 
 import json
@@ -232,9 +233,6 @@ class FieldState:
             sectors[name] = acc
         return FieldState(self.grid, self.model, self.tau, sectors)
 
-    def max_abs(self):
-        return max(np.abs(buf).max(initial=0.0) for buf in self.sectors.values())
-
 
 # ---------------------------------------------------------------------------
 # Covariant calculus
@@ -330,6 +328,12 @@ def covariant_div(vec, eta, model, grid, kind, frame=UNIT, out=None):
     for k in (1, 2):
         out += covariant_d(vec[k], k, eta, model, grid, kind, frame)
     return out
+
+
+def covariant_laplacian(fld, eta, model, grid, kind, frame=UNIT):
+    """sum_k D_k D_k fld = -D*D fld: covariant_div of covariant_diff."""
+    return covariant_div(covariant_diff(fld, eta, model, grid, kind, frame),
+                         eta, model, grid, kind, frame)
 
 
 def hodge_dual_B(Q):
@@ -534,7 +538,7 @@ def build_automorphism(model, alpha_fn, tau_grid):
         U = U + dtau / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         U = _polar_project(U)
         series.append(U.copy())
-        worst_unit = max(worst_unit, _unit_defect_stack(U))
+        worst_unit = max(worst_unit, unitarity_defect(np.moveaxis(U, (-2, -1), (0, 1))))
 
     worst_alpha = 0.0
     for i in range(2, len(series) - 2):
@@ -544,13 +548,6 @@ def build_automorphism(model, alpha_fn, tau_grid):
         worst_alpha = max(worst_alpha, np.abs(temporal - A).max())
     return U, {"alpha_defect": worst_alpha, "unitarity_defect": worst_unit,
                "series_length": len(series)}
-
-
-def _unit_defect_stack(U):
-    m = U.shape[-1]
-    prod = np.conj(np.swapaxes(U, -2, -1)) @ U
-    prod[..., np.arange(m), np.arange(m)] -= 1.0
-    return np.sqrt(np.sum(np.abs(prod) ** 2, axis=(-2, -1))).max()
 
 
 # ---------------------------------------------------------------------------

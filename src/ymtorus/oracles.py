@@ -24,7 +24,7 @@ import numpy as np
 from . import algebra, dynamics
 from .constraints import l2_norm, volume_weight
 from .clifford import G0G, GG, GAMMA, gamma_apply
-from .lattice import covariant_d, covariant_diff, covariant_div, hodge_dual_B
+from .lattice import covariant_d, covariant_diff, covariant_div, covariant_laplacian, hodge_dual_B
 
 
 def time_stack(u0, bg, couplings, dtau):
@@ -46,19 +46,14 @@ def _d2(series, dtau):
             - series[4]) / (12 * dtau ** 2)
 
 
-def _box_spatial(fld, u, frame, kind):
-    """-D*D fld = sum_k D_k D_k fld with the full covariant stencil."""
-    return covariant_div(covariant_diff(fld, u.eta, u.model, u.grid, kind, frame),
-                         u.eta, u.model, u.grid, kind, frame)
-
-
 def higgs_wave_residual(stack, bg, couplings):
     """|| Box phi - (Scal/6) phi - lam |phi|^2 phi - <psi, iY- psi> ||."""
     u = stack[2]
     model = couplings.model
     frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     phis = [s.phi for s in stack]
-    box = -_d2(phis, dtau) + 3 * frame.H * _d1(phis, dtau) + _box_spatial(u.phi, u, frame, "higgs")
+    box = (-_d2(phis, dtau) + 3 * frame.H * _d1(phis, dtau)
+           + covariant_laplacian(u.phi, u.eta, model, u.grid, "higgs", frame))
     rhs = (frame.scal / 6.0) * u.phi \
         + couplings.lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi \
         + algebra.yukawa_antilinear_current(model.yukawa, u.psi)
@@ -72,7 +67,8 @@ def dirac_wave_residual(stack, bg, couplings):
     yuk = model.yukawa
     frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     psis = [s.psi for s in stack]
-    box = -_d2(psis, dtau) + 3 * frame.H * _d1(psis, dtau) + _box_spatial(u.psi, u, frame, "spinor")
+    box = (-_d2(psis, dtau) + 3 * frame.H * _d1(psis, dtau)
+           + covariant_laplacian(u.psi, u.eta, model, u.grid, "spinor", frame))
     B = hodge_dual_B(u.Q)
     rhs = (frame.scal / 4.0) * u.psi
     for k in range(3):
@@ -135,7 +131,7 @@ def em_wave_residuals(stack, bg, couplings):
     res_E = 0.0
     boxE = -_d2(Es, dtau) + 3 * H * _d1(Es, dtau)
     for i in range(3):
-        boxE_i = boxE[i] + _box_spatial(u.E[i], u, frame, "adjoint")
+        boxE_i = boxE[i] + covariant_laplacian(u.E[i], u.eta, model, u.grid, "adjoint", frame)
         rhs = (dk[i] - trd + 3 * H * kap[i] - kap[i] ** 2) * u.E[i]
         for k in range(3):
             rhs = rhs + 2.0 * algebra.bracket(lie, u.E[k], B[i, k])
@@ -154,7 +150,7 @@ def em_wave_residuals(stack, bg, couplings):
         for j in range(i + 1, 3):
             Bser = [bs[i, j] for bs in Bstack]
             boxB = -_d2(Bser, dtau) + 3 * H * _d1(Bser, dtau) \
-                + _box_spatial(B[i, j], u, frame, "adjoint")
+                + covariant_laplacian(B[i, j], u.eta, model, u.grid, "adjoint", frame)
             rhs = -2.0 * algebra.bracket(lie, u.E[i], u.E[j])
             for k in range(3):
                 rhs = rhs + 2.0 * algebra.bracket(lie, B[k, i], B[k, j])

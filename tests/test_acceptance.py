@@ -196,15 +196,15 @@ def test_criterion_8_wave_system_oracles():
 def test_criterion_9_conformal_covariance():
     model = algebra.su2_toy()
     coup = dynamics.Couplings(model, lam=1.0)
-    fmap = conformal.FrameMap(geometry.ScaleProfile("desitter", a=1.0))
+    bg = geometry.static_flat(geometry.ScaleProfile("desitter", a=1.0))
     res = {}
     for n, dt in ((8, 0.08), (16, 0.04), (32, 0.02)):
         res[n], scale = conformal.conformal_residual_check(
-            lattice.Grid(n), coup, fmap, 0.7, dt, seed=7)
+            lattice.Grid(n), coup, bg, 0.7, dt, seed=7)
     o1 = np.log2(res[8] / res[16])
     o2 = np.log2(res[16] / res[32])
     mis0, scale0 = conformal.conformal_residual_check(
-        lattice.Grid(16), coup, fmap, 0.7, 0.04, seed=7, phi_weight=0.0)
+        lattice.Grid(16), coup, bg, 0.7, 0.04, seed=7, phi_weight=0.0)
     ok = o1 >= 1.8 and o2 >= 1.8 and mis0 >= 0.1 * scale0
     _report(9, ok, "orders %.2f, %.2f (tol >= 1.8); wrong-weight mismatch %.2f of scale"
             % (o1, o2, mis0 / scale0))

@@ -21,13 +21,6 @@ def test_projectors():
     assert np.abs(m @ m - m).max() == 0.0
     assert np.abs(p + m - np.eye(4)).max() == 0.0
     assert np.linalg.matrix_rank(p) == 2 and np.linalg.matrix_rank(m) == 2
-    rng = np.random.default_rng(0)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    plus = clifford.chiral_project(+1, psi)
-    # omega = diag(I, -I): the + projector zeroes the lower two components
-    assert np.abs(plus[2:]).max() == 0.0
-    assert np.abs(clifford.chiral_project(+1, plus) - plus).max() == 0.0
-    assert np.abs(plus + clifford.chiral_project(-1, psi) - psi).max() < 1e-15
 
 
 def test_gamma0_squares_to_identity_on_spinors():
@@ -89,13 +82,6 @@ def test_vector_clifford_flips_chirality():
         X[mu] = 1.0
         rotated = clifford.clifford_mul(X, psi)
         assert np.abs(rotated[:2]).max() < 1e-15  # lands in the - chirality
-
-
-def test_covector_clifford_musical_sign():
-    psi = np.arange(4).astype(complex)
-    theta = np.array([1.0, 0, 0, 0])
-    assert np.abs(clifford.covector_clifford(theta, psi)
-                  + clifford.clifford_mul(theta, psi)).max() == 0.0
 
 
 def test_gamma_apply_equals_tensordot_for_every_matrix():

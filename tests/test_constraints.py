@@ -160,7 +160,7 @@ def test_complete_state_consistency(su2_model, desitter_bg):
     u = make_state(grid, su2_model, desitter_bg, seed=11, amplitude=0.1)
     assert constraints.s_consistency(u, desitter_bg) == 0.0
     assert np.abs(constraints.curvature_constraint(u, desitter_bg)).max() < 1e-13
-    assert np.abs(constraints.dirac_constraint(u, desitter_bg)).max() < 1e-14
+    assert np.abs(constraints.dirac_constraint(u)).max() < 1e-14
 
 
 def test_s_consistency_keeps_the_bits_of_the_difference_field_norm(su2_model):

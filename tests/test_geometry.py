@@ -15,14 +15,12 @@ def test_horizon_closed_forms():
 
 def test_gaussian_time_monotone_and_zero():
     p = geometry.ScaleProfile("desitter", a=1.1)
-    assert geometry.gaussian_time(p, 0.0) == 0.0
+    assert p.tau_of_t(0.0) == 0.0
     ts = np.linspace(0, 4, 15)
-    taus = np.array([geometry.gaussian_time(p, t) for t in ts])
+    taus = np.array([p.tau_of_t(t) for t in ts])
     assert np.all(np.diff(taus) > 0)
     # concave where ds/dt > 0 (second differences negative)
     assert np.all(np.diff(taus, 2) < 0)
-    with pytest.raises(geometry.InputError):
-        geometry.gaussian_time(p, -1.0)
 
 
 def test_time_map_roundtrip_and_closed_forms():

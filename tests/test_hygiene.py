@@ -4,11 +4,12 @@ An imported name that the module never uses is an error, except on a line
 marked `# noqa: F401` (a binding kept on purpose) or when the module lists
 the name in `__all__`.  So is a module-level UPPER_CASE constant of the
 package that no code of the repository reads, a function, class or
-method of the package that no code of the repository loads by name or
-names in a string, a config key of
+method of the package that no code of the repository loads by name (or
+that the benchmark's tracer names in a string), a config key of
 driver.SCHEMA that the package never reads, and a float(), int() or
 .split() applied to a config read in the package: the schema is the one
-place where config text becomes values.
+place where config text becomes values.  A definition that only tests
+load is listed in TEST_ONLY with the criterion or paper identity it checks.
 """
 
 import ast
@@ -19,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ymtorus").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"  # names its targets in strings
 
 
 def unused_imports(path):
@@ -58,17 +60,18 @@ def test_every_import_is_used():
     assert found == []
 
 
-def loads(strings=False):
-    """Every name that a Name or an attribute in READERS loads, plus with
-    `strings` each dot-separated part of every string constant there."""
+def loads(readers=READERS, strings=False):
+    """Every name that a Name or an attribute in `readers` loads, plus with
+    `strings` each dot-separated part of every string constant of TRACER."""
     read = set()
-    for path in READERS:
+    for path in readers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (strings and path == TRACER and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
                 read.update(node.value.split("."))
     return read
 
@@ -87,12 +90,12 @@ def unread_constants():
     return sorted(where for name, where in defined if name not in read)
 
 
-def definitions():
+def definitions(package=PACKAGE):
     """(name, where) of every module-level function and class of the package,
     where = module.name, and of every method but the dunders (Python calls
     those), where = module.Class.name."""
     found = []
-    for path in PACKAGE:
+    for path in package:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 found.append((node.name, "%s.%s" % (path.stem, node.name)))
@@ -103,12 +106,32 @@ def definitions():
     return found
 
 
-def unread_definitions():
-    """where of every definition that no Name, attribute or string constant in
-    READERS loads; strings count because perfbench's tracer names its
-    targets in strings."""
-    read = loads(strings=True)
-    return sorted(where for name, where in definitions() if name not in read)
+def unread_definitions(package=PACKAGE, readers=READERS):
+    """where of every definition of `package` that no Name or attribute in
+    `readers` loads and no string constant of TRACER names."""
+    read = loads(readers, strings=True)
+    return sorted(where for name, where in definitions(package) if name not in read)
+
+
+# Definitions that only tests load, each with the acceptance criterion (C1-C10)
+# or the paper identity that its test checks.
+TEST_ONLY = {
+    "algebra.u1_mismatched_toy": "equivariance",  # its negative control
+    "clifford.anticommutator_table": "C1",
+    "clifford.clifford_mul": "Clifford-symmetry",
+    "clifford.spin_inner": "C1",
+    "clifford.spin_inner_pos": "positivity",
+    "conformal.conformal_residual_check": "C9",
+    "constraints.observed_order": "C3",
+    "constraints.operator_symmetry_defect": "C3",  # the Gauss solve's operator
+    "dynamics.principal_symbol": "C2",
+    "dynamics.principal_symbol_dtau": "C2",
+    "energy.norm_evolution_ratio": "C4",
+    "geometry.isotropic": "FRW",
+    "geometry.polynomial_b": "C10",
+    "geometry.riemann_components": "C10",
+    "lattice.load_state": "snapshots",  # the model check of a saved state
+}
 
 
 def test_scan_sees_the_constants():
@@ -131,6 +154,19 @@ def test_definition_scan_sees_methods_and_tracer_targets():
 
 def test_every_definition_is_read():
     assert unread_definitions() == []
+
+
+def test_a_name_in_a_string_outside_the_tracer_is_unread(tmp_path):
+    module, reader = tmp_path / "module.py", tmp_path / "reader.py"
+    module.write_text("def only_named(): pass\n\ndef called(): pass\n")
+    reader.write_text('NAME = "module.only_named"\ncalled()\n')
+    assert unread_definitions([module], [module, reader]) == ["module.only_named"]
+
+
+def test_only_the_listed_definitions_are_read_by_tests_alone():
+    tests = ROOT / "tests"
+    assert unread_definitions(readers=[path for path in READERS
+                                       if tests not in path.parents]) == sorted(TEST_ONLY)
 
 
 def config_reads(tree):
