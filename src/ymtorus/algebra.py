@@ -251,28 +251,40 @@ def chi_spinor_apply(repr_data, xi, psi):
     return _fiber_apply(repr_data.terms, np.asarray(xi), np.asarray(psi), axis=1)
 
 
-def current_pairing(repr_data, left, right):
-    """<left, rho*(xi_a) right> as a complex Lie-vector field.
+def current_pairing(repr_data, left, right, spin=None):
+    """<S left, rho*(xi_a) right> as a complex Lie-vector field.
 
     left and right share a shape (d, *grid) or (4, d, *grid); the fiber (and
-    spin) indices are contracted, the Lie index a survives.
+    spin) indices are contracted, the Lie index a survives.  S is the spin
+    matrix of the row table `spin` (clifford.spin_rows), the identity if None.
     """
-    return _fiber_pairing(repr_data.terms, left, right)
+    return _fiber_pairing(repr_data.terms, left, right, spin=spin)
 
 
-def _fiber_pairing(terms, left, right, first=0):
-    """out[a - first] = <left, T_a right> for the xi components a >= first of a
-    term table (T_a = the matrix of xi_a), over the nonzero pairs only."""
+def _fiber_pairing(terms, left, right, first=0, spin=None):
+    """out[a - first] = <S left, T_a right> for the xi components a >= first of
+    a term table (T_a = the matrix of xi_a), over the nonzero pairs only; S is
+    the spin matrix of the row table `spin` on spinors (4, d, *grid), else
+    the identity.  A pair's products are formed one leading index at a time
+    in a grid buffer and summed from +0 in a second: the bits of the np.sum
+    over the leading axes, with no (rotated) copy of left."""
     axis = right.ndim - 4 if right.ndim >= 4 else right.ndim - 1
-    lead = (slice(None),) * axis
-    out = np.zeros((terms.dim_xi - first,) + right.shape[axis + 1:], dtype=complex)
+    grid = right.shape[axis + 1:]
+    out = np.zeros((terms.dim_xi - first,) + grid, dtype=complex)
+    C, term = np.empty(grid, complex), np.empty(grid, complex)
     for b, c, coeffs in terms.pairs:
         coeffs = [(a - first, w) for a, w in coeffs if a >= first]
-        if coeffs:
-            C = np.sum(np.conj(left[lead + (c,)]) * right[lead + (b,)],
-                       axis=tuple(range(axis)))
-            for a, w in coeffs:
-                out[a] += w * C
+        if not coeffs:
+            continue
+        C.fill(0.0)
+        for pos in np.ndindex(right.shape[:axis]):
+            if spin is None:
+                np.conj(left[pos + (c,)], out=term)
+            else:
+                np.conj(clifford.spin_row(spin, left[:, c], pos[0], out=term), out=term)
+            C += np.multiply(term, right[pos + (b,)], out=term)
+        for a, w in coeffs:
+            out[a] += w * C
     return out
 
 
@@ -334,9 +346,10 @@ def yukawa_apply(yuk, w, v):
     return _fiber_apply(yuk.terms, _w_and_conj(w), v)
 
 
-def yukawa_spinor_apply(yuk, w, psi):
-    """Y_w acting on the internal index of a twisted spinor (4, dV, ...)."""
-    return _fiber_apply(yuk.terms, _w_and_conj(w), np.asarray(psi), axis=1)
+def yukawa_spinor_apply(yuk, w, psi, out=None):
+    """Y_w acting on the internal index of a twisted spinor (4, dV, ...),
+    added into `out` when given (see _fiber_apply)."""
+    return _fiber_apply(yuk.terms, _w_and_conj(w), np.asarray(psi), axis=1, out=out)
 
 
 def yukawa_antilinear_current(yuk, psi):
@@ -346,10 +359,10 @@ def yukawa_antilinear_current(yuk, psi):
     (1/2) <psi, (i Y_{e_k} - Y_{i e_k}) psi> = i <g0 psi, R_k psi> with the
     indefinite spinor pairing, a contraction over the conj-w block of the
     table; the defining property 2 Re<w, out> = <psi, i Y_w psi> holds for
-    every w.
+    every w.  g0 acts one spin row at a time (_fiber_pairing's `spin`).
     """
-    left = clifford.gamma_apply(clifford.GAMMA[0], psi)
-    return 1j * _fiber_pairing(yuk.terms, left, psi, first=yuk.dim_W)
+    return 1j * _fiber_pairing(yuk.terms, psi, psi, first=yuk.dim_W,
+                               spin=clifford.GAMMA_ROWS[0])
 
 
 def check_equivariance(repr_W, repr_V, yuk, samples=100, seed=0):

@@ -45,9 +45,44 @@ G0G = np.stack([GAMMA[0] @ GAMMA[k + 1] for k in range(3)])
 GG = np.stack([np.stack([GAMMA[i + 1] @ GAMMA[j + 1] for j in range(3)]) for i in range(3)])
 
 
+def spin_rows(mat):
+    """Row table ((col_0, phase_0), ..., (col_3, phase_3)) of a 4x4 spin matrix
+    with one nonzero per row: row r of mat @ X is phase_r X[col_r]."""
+    cols = np.argmax(mat != 0, axis=1)
+    return tuple((int(col), mat[r, col]) for r, col in enumerate(cols))
+
+
+# the row tables of GAMMA, G0G and GG, each a signed row permutation (phases +-1, +-i)
+GAMMA_ROWS = [spin_rows(mat) for mat in GAMMA]
+G0G_ROWS = [spin_rows(mat) for mat in G0G]
+GG_ROWS = [[spin_rows(mat) for mat in row] for row in GG]
+
+
+def spin_row(rows, X, r, scale=None, out=None):
+    """Row r of scale * gamma_apply(mat, X) (of gamma_apply(mat, X) if scale
+    is None) for the row table `rows` of mat, into `out` when given."""
+    col, phase = rows[r]
+    out = np.multiply(X[col], phase, out=out)
+    if scale is not None:
+        np.multiply(scale, out, out=out)
+    return out
+
+
+def spin_add(acc, rows, X, scale=None, subtract=False):
+    """acc +- scale * gamma_apply(mat, X) into acc (see spin_row), one spin
+    row at a time through one row buffer: the bits of the whole-array form,
+    with no permuted copy of X.  Returns acc."""
+    term = None
+    for r in range(4):
+        term = spin_row(rows, X, r, scale, out=term)
+        (np.subtract if subtract else np.add)(acc[r], term, out=acc[r])
+    return acc
+
+
 def gamma_apply(mat, psi):
     """Apply a constant 4x4 spin matrix to the spin index of psi; one with a
-    single nonzero per row (GAMMA, G0G, GG) is a row permutation times a phase."""
+    single nonzero per row (GAMMA, G0G, GG) is a row permutation times a phase.
+    The whole-array form; rhs and the constraints use the row kernel."""
     nonzero = mat != 0
     if (nonzero.sum(axis=1) != 1).any():
         return np.tensordot(mat, psi, axes=(1, 0))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .clifford import GAMMA, gamma_apply
+from .clifford import GAMMA_ROWS, spin_add, spin_row
+from .clifford import gamma_apply  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .errors import SolverError
 from .geometry import UNIT
 from .lattice import (covariant_d, covariant_diff, covariant_diff_sq_norm, covariant_div,
@@ -84,12 +85,17 @@ def gauss_constraint(u, bg=None):
 
 
 def dirac_operator_rhs(u):
-    """g0 ( gk S_k + Y_phi psi ) with the evolved S (the psidot a solution has)."""
+    """g0 ( gk S_k + Y_phi psi ) with the evolved S (the psidot a solution has),
+    each spin matrix acting one row at a time (no permuted copies)."""
     model = u.model
-    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.acts["yukawa"] else 0.0
+    acc = (algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.acts["yukawa"]
+           else np.zeros_like(u.psi))
     for k in range(3):
-        acc = acc + gamma_apply(GAMMA[k + 1], u.S[k])
-    return gamma_apply(GAMMA[0], acc)
+        spin_add(acc, GAMMA_ROWS[k + 1], u.S[k])
+    out = np.empty_like(acc)
+    for r, row in enumerate(out):
+        spin_row(GAMMA_ROWS[0], acc, r, out=row)
+    return out
 
 
 def dirac_constraint(u):

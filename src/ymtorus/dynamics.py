@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, parallel
-from .clifford import G0G, GG, GAMMA, gamma_apply
+from .clifford import G0G_ROWS, GG_ROWS, GAMMA_ROWS, spin_add, spin_row
 from .errors import BlowUpError, InputError
-from .lattice import EPS, SECTORS, FieldState, covariant_d, covariant_div, hodge_dual_B
+from .lattice import EPS, SECTORS, FieldState, covariant_d, covariant_div
 from .lattice import diff  # noqa: F401  (unused; perfbench's tracer test reads dynamics.diff)
 
 
@@ -59,15 +59,15 @@ def cfl_steps(grid, bg, tau_end, cfl, dtau=None):
 
 
 def currents(u):
-    """Matter current J_i^a = -Re<Z_i, rho*(xi_a) phi> + (1/2) Im<g_i psi, chi*(xi_a) psi>."""
+    """Matter current J_i^a = -Re<Z_i, rho*(xi_a) phi> + (1/2) Im<g_i psi, chi*(xi_a) psi>,
+    with <g_i psi, X> = psi^dag (g0 g_i) X paired a spin row at a time."""
     model = u.model
     J = np.zeros_like(u.E)
     for i in range(3):
         J[i] -= np.real(algebra.current_pairing(model.rho, u.Z[i], u.phi))
         if model.acts["spinor"]:
-            # <g_i psi, X> = psi^dag (g0 g_i) X and g0 g_i is Hermitian
-            psi_rot = gamma_apply(G0G[i], u.psi)
-            J[i] += 0.5 * np.imag(algebra.current_pairing(model.chi, psi_rot, u.psi))
+            J[i] += 0.5 * np.imag(algebra.current_pairing(model.chi, u.psi, u.psi,
+                                                          spin=G0G_ROWS[i]))
     return J
 
 
@@ -85,13 +85,20 @@ def _live_sectors(u, model, zero=()):
     return live
 
 
-def gauge_rhs(u, frame, couplings, out, live=None, B=None):
+def _add_signed(acc, sign, term):
+    """acc + sign * term into acc for sign = +-1: the bits of acc += sign * term."""
+    return (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
+
+
+def gauge_rhs(u, frame, couplings, out, live=None):
     """Gauge rows (eta, Q, E) of rhs(u) into `out` in the background's frame
-    at u.tau; returns B = *Q (formed here unless given).  J enters E iff a
-    matter sector is live (`live` = _live_sectors(u), scanned if None)."""
+    at u.tau.  J enters E iff a matter sector is live (`live` =
+    _live_sectors(u), scanned if None).  The E rows add or subtract D_k Q_m
+    for D_k B_ki (B_ki = eps_mki Q_m): D_k of -Q_m is -D_k Q_m where nonzero,
+    and no E-row sum is -0 after J, whose zeros are +0, so the rows keep
+    the bits of adding D_k B_ki."""
     kappa, H = frame.II, frame.H
     live = _live_sectors(u, couplings.model) if live is None else live
-    B = hodge_dual_B(u.Q) if B is None else B
     J = currents(u) if len(live) > 1 else np.zeros_like(u.E)
 
     def D(fld, k):
@@ -102,14 +109,30 @@ def gauge_rhs(u, frame, couplings, out, live=None, B=None):
 
         acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
         for j, k in np.argwhere(EPS[i]):  # the nonzero terms, j ascending
-            acc += EPS[i, j, k] * D(u.E[k], j)
+            _add_signed(acc, EPS[i, j, k], D(u.E[k], j))
 
         acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
         acc += J[i]
         for k in range(3):
             if k != i:  # B[i, i] = 0
-                acc += D(B[k, i], k)
-    return B
+                m = 3 - i - k
+                _add_signed(acc, EPS[m, k, i], D(u.Q[m], k))
+
+
+def _subtract_curvature(acc, model, Q, psi):
+    """acc - (1/2) g_i g_j chi*(B_ij) psi for (i, j) = (0, 1), (0, 2), (1, 0),
+    (1, 2), (2, 0), (2, 1) in turn, into acc.  The (j, i) term is the (i, j)
+    one (B_ji = -B_ij, GG[j, i] = -GG[i, j]), formed once per pair i < j and
+    spin row from B_ij = 0 + eps_mij Q_m (hodge_dual_B's sum)."""
+    pairs = [(i, j, algebra.chi_spinor_apply(
+        model.chi, np.add(0.0, EPS[3 - i - j, i, j] * Q[3 - i - j]), psi))
+        for i, j in ((0, 1), (0, 2), (1, 2))]
+    curv = {}
+    for r, row in enumerate(acc):
+        for i, j, chi_B in pairs:
+            curv[i, j] = spin_row(GG_ROWS[i][j], chi_B, r, 0.5, out=curv.get((i, j)))
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            row -= curv[min(i, j), max(i, j)]
 
 
 def rhs(u, bg, couplings, out=None, live=None):
@@ -123,7 +146,10 @@ def rhs(u, bg, couplings, out=None, live=None):
     With the Dirac triple live, the rows form two blocks that read only u
     and write disjoint rows: (eta, Q, E, phi, phidot, Z, S) and (psi,
     psidot).  parallel.split runs them side by side on large grids; each
-    row is summed in the same order either way."""
+    row is summed in the same order either way.  Each constant spin matrix
+    acts one spin row at a time (clifford.spin_add), and B = *Q is not formed
+    (gauge_rhs, _subtract_curvature): every element keeps the arithmetic of
+    the whole-array terms."""
     if out is u:
         raise InputError("rhs cannot write into the state it reads")
     frame = bg.frame(u.tau)
@@ -133,7 +159,6 @@ def rhs(u, bg, couplings, out=None, live=None):
     if live is None:
         live = _live_sectors(u, model, zero=[out])
     higgs, dirac = "higgs" in live, "dirac" in live
-    B = hodge_dual_B(u.Q)
     kappa, dkappa, H, scal = frame.II, frame.dII, frame.H, frame.scal
     lam, yuk = couplings.lam, model.yukawa
 
@@ -144,7 +169,7 @@ def rhs(u, bg, couplings, out=None, live=None):
         return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
 
     def gauge_and_higgs_rows():
-        gauge_rhs(u, frame, couplings, out, live, B)
+        gauge_rhs(u, frame, couplings, out, live)
         if higgs:
             np.copyto(out.phi, u.phidot)
             acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)
@@ -163,8 +188,7 @@ def rhs(u, bg, couplings, out=None, live=None):
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
     # identically, as is the spin-connection term where its coefficient is
-    # zero (adding their zeros changes no value).  The (j, i) curvature term is
-    # the (i, j) one, formed once (B_ji = -B_ij and GG[j, i] = -GG[i, j] exactly)
+    # zero (adding their zeros changes no value)
     chi_acts = model.acts["spinor"]
     chi_E = chi_acts and [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
 
@@ -172,7 +196,7 @@ def rhs(u, bg, couplings, out=None, live=None):
         for i in range(3):
             acc = D(u.psidot, i, "spinor", out=out.S[i])
             if dkappa[i] != kappa[i] ** 2:
-                acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
+                spin_add(acc, G0G_ROWS[i], u.psi, 0.5 * (dkappa[i] - kappa[i] ** 2))
             if chi_acts:
                 acc += chi_E[i]
             acc += kappa[i] * u.S[i]
@@ -180,20 +204,22 @@ def rhs(u, bg, couplings, out=None, live=None):
     def psi_rows():
         np.copyto(out.psi, u.psidot)
         acc = div(u.S, "spinor", out=out.psidot)
-        acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
+        term, scaled_psi = np.empty_like(acc[0]), np.empty_like(acc[0])
+        for r, row in enumerate(acc):
+            np.multiply(3.0 * H, u.psidot[r], out=term)
+            term -= np.multiply(scal / 4.0, u.psi[r], out=scaled_psi)
+            row += term
         if chi_acts:
             for k in range(3):
-                acc += gamma_apply(G0G[k], chi_E[k])
-            curv = {(i, j): 0.5 * gamma_apply(GG[i, j], algebra.chi_spinor_apply(
-                model.chi, B[i, j], u.psi)) for i, j in ((0, 1), (0, 2), (1, 2))}
-            for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-                acc -= curv[min(i, j), max(i, j)]
+                spin_add(acc, G0G_ROWS[k], chi_E[k])
+            _subtract_curvature(acc, model, u.Q, u.psi)
         if model.acts["yukawa"]:
-            acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
+            spin_add(acc, GAMMA_ROWS[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
             for k in range(3):
-                acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
-            acc += algebra.yukawa_spinor_apply(
-                yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
+                spin_add(acc, GAMMA_ROWS[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi),
+                         subtract=True)
+            algebra.yukawa_spinor_apply(
+                yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi), out=acc)
 
     # the S rows join the gauge and Higgs rows so that the blocks cost about
     # the same: 106 and 96 ms on su2_toy, bianchi1, n = 32 (62 and 127 ms

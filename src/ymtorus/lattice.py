@@ -273,24 +273,18 @@ def covariant_d(fld, k, eta, model, grid, kind, frame=UNIT, out=None):
 
     Both fiber terms are added into the result piece by piece: the connection
     term one fiber component and leading index at a time, the spin-connection
-    term one spin row r at a time, as (fld[col_r] g0g_k[r, col_r]) * (II_k / 2)
-    where row r of g0 g_k has its one nonzero in column col_r.  Their largest
-    temporaries are one grid and one spin row, and each element gets the
-    arithmetic of adding the whole terms.
+    term one spin row at a time through g0 g_k's row table
+    (clifford.spin_add).  Their largest temporaries are one grid and one spin
+    row, and each element gets the arithmetic of adding the whole terms.
     """
     dk = diff(fld, k, grid, out=out)
     if frame.b[k] != 1.0:  # dividing by one changes no value
         _divide(dk, frame.b[k])
     if not drops_connection(eta, model, kind):
         connection_action(fld, eta[k], model, kind, out=dk)
-    if kind == "spinor" and frame.II[k]:
-        g0gk = clifford.G0G[k]
-        rows, fld_rows = np.moveaxis(dk, -5, 0), np.moveaxis(fld, -5, 0)  # the spin axis first
-        term = np.empty_like(rows[0])
-        for r, col in enumerate(np.argmax(g0gk != 0, axis=1)):
-            np.multiply(fld_rows[col], g0gk[r, col], out=term)
-            term *= 0.5 * frame.II[k]
-            rows[r] += term
+    if kind == "spinor" and frame.II[k]:  # the spin axis first
+        clifford.spin_add(np.moveaxis(dk, -5, 0), clifford.G0G_ROWS[k],
+                          np.moveaxis(fld, -5, 0), 0.5 * frame.II[k])
     return dk
 
 

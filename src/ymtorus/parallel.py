@@ -19,11 +19,12 @@ thread does not exist there).
 
 Importing this module sets one allocator policy for the process (glibc
 only): a single malloc arena, so that the worker's freed temporaries go back
-to the heap the main thread allocates from, and mmap and trim thresholds of
-ALLOCATOR_THRESHOLD, so that freed memory stays in the process.  glibc
-otherwise maps every block above its dynamic ceiling (32 MB) afresh and gives
-freed heap tops back to the kernel, and the next rhs or energy chain faults
-the same pages in again, on one thread as on two.
+to the heap the main thread allocates from, an mmap threshold of
+ALLOCATOR_THRESHOLD, so that blocks up to it come from that heap, and a trim
+threshold of TRIM_THRESHOLD, so that freed heap tops stay in the process.
+glibc otherwise maps every block above its dynamic ceiling (32 MB) afresh
+and gives freed heap tops back to the kernel, and the next rhs, energy chain
+or run faults the same pages in again, on one thread as on two.
 """
 
 import ctypes
@@ -37,12 +38,15 @@ from concurrent.futures import ThreadPoolExecutor
 MIN_SITES = 20 ** 3
 
 # Above the largest temporary at n = 32: the float squares of psi's level-2
-# chain, 28.3 MB on su2_toy.  Blocks up to this size come from the heap, and freed heap tops
-# up to this size are kept.
+# chain, 28.3 MB on su2_toy.  Blocks up to this size come from the heap.
 ALLOCATOR_THRESHOLD = 256 << 20
+# Above a whole run's heap: a finished su2_bianchi_n32 run can free more than
+# 256 MB of heap top at once, which a trim threshold of that size gives back
+# to the kernel, and the next run in the process faults it in again.
+TRIM_THRESHOLD = 1 << 30
 # (name, mallopt parameter from glibc's malloc.h, value)
 _POLICY = (("M_ARENA_MAX", -8, 1), ("M_MMAP_THRESHOLD", -3, ALLOCATOR_THRESHOLD),
-           ("M_TRIM_THRESHOLD", -1, ALLOCATOR_THRESHOLD))
+           ("M_TRIM_THRESHOLD", -1, TRIM_THRESHOLD))
 _WORKER_NAME = "ymtorus"  # the pool names its thread ymtorus_0
 _worker = None  # (pid, executor) of the process that created it
 

@@ -80,8 +80,7 @@ def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
     ref = reference_gauge_rows(u, bg, coup)
     full = dynamics.rhs(u, bg, coup)
     alone = FieldState.zeros(u.grid, u.model)
-    B = dynamics.gauge_rhs(u, bg.frame(u.tau), coup, alone)
-    assert np.array_equal(B, hodge_dual_B(u.Q))
+    dynamics.gauge_rhs(u, bg.frame(u.tau), coup, alone)
     for field in lattice.SECTORS["gauge"]:
         for rows in (full, alone):
             assert same_values_and_signs(getattr(rows, field), getattr(ref, field)), field

@@ -11,7 +11,7 @@ an exact zero may differ), real ones bit for bit.
 import numpy as np
 import pytest
 
-from ymtorus import algebra, dynamics, geometry, lattice
+from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, oracles
 from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
 from ymtorus.lattice import FieldState, covariant_d, covariant_div, hodge_dual_B
 from conftest import make_state
@@ -148,11 +148,10 @@ def test_chi_and_gamma_calls_per_rhs(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(algebra, "chi_spinor_apply", counting("chi", algebra.chi_spinor_apply))
-    monkeypatch.setattr(dynamics, "gamma_apply", counting("gamma", dynamics.gamma_apply))
+    for module in (clifford, constraints, oracles):  # every binding of gamma_apply
+        monkeypatch.setattr(module, "gamma_apply", counting("gamma", module.gamma_apply))
     dynamics.rhs(u, bg, coup)
     # chi*(E_k) psi once for both rows, chi*(B_ij) psi once per pair i < j
     assert calls["chi"] == 6
-    # currents 3, g0 gk chi*(E_k) 3, the curvature pairs 3, Yukawa 4, and one per
-    # S_i row whose (dkappa_i - kappa_i^2) g0 gi psi term is on
-    kappa, dkappa = bg.frame(u.tau).II, bg.frame(u.tau).dII
-    assert calls["gamma"] == 13 + int(np.sum(dkappa != kappa ** 2))
+    # the spin matrices act row by row (clifford.spin_add): no permuted copy
+    assert calls["gamma"] == 0

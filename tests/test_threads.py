@@ -186,6 +186,21 @@ def test_freed_memory_stays_in_the_process():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
+@pytest.mark.skipif(not parallel.ALLOCATOR_POLICY, reason="mallopt cannot be looked up")
+def test_a_freed_heap_top_over_256_mb_stays_in_the_process():
+    # a finished run frees its heap top at once; a trim threshold of 256 MB gave
+    # these 320 MB back to the kernel, and the next run faulted them in again
+    def cycle():  # five 64 MB blocks from the heap (below the mmap threshold)
+        for block in [np.empty(8 << 20) for _ in range(5)]:
+            block.fill(1.0)
+
+    cycle()  # the warm-up faults the pages in once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cycle()
+    # a trimmed top would fault 160-81920 pages (huge pages or not)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
 def diff_in_one_pass(f, axis, grid, out=None):
     """lattice.diff as it was before it took its rows in blocks."""
     f = np.ascontiguousarray(f)
