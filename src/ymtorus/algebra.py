@@ -13,7 +13,8 @@ Z_w = sum_k w_k A_k + conj(w_k) B_k, Z_w : V_+ -> V_-.
 
 All operations broadcast over trailing grid axes.  The fiber actions, the
 Yukawa map's included, run over term tables (FiberTerms) built once per
-model: zero entries cost nothing.
+model: zero entries cost nothing.  A lattice.Connection builds the matrices
+of its adjoint action once per evaluation, one for pairs equal up to sign.
 """
 
 import numpy as np
@@ -24,56 +25,68 @@ from .errors import InputError
 
 class FiberTerms:
     """Sparse table of the fiber action out_c = sum_{a,b} t[a,b,c] xi_a x_b:
-    `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c]);
-    `by_out[c]` lists the (b, coefficients) of the pairs that write component c, b ascending."""
+    `pairs` lists each (b, c) with a nonzero t[:, b, c] and its nonzero (a, t[a,b,c]).
+
+    Each pair's matrix M_bc = sum_a t[a,b,c] xi_a is sign * component j, the
+    sum over the coefficient list sums[j]; `plan[c]` lists the (b, j, sign) of
+    the pairs that write component c, b ascending.  Equal lists are one
+    component.  A real table folds signs (a list's first coefficient is
+    positive), so su(3)'s 50 pairs share 19 components; a complex table keeps
+    its signs in its coefficients (sign +1)."""
 
     def __init__(self, t):
         self.dim_xi, _, self.dim_out = t.shape
         self.dtype = t.dtype
         self.pairs = [(b, c, [(a, t[a, b, c]) for a in np.flatnonzero(t[:, b, c]).tolist()])
                       for b, c in np.argwhere(np.any(t != 0, axis=0)).tolist()]
-        self.by_out = [[(b, coeffs) for b, c, coeffs in self.pairs if c == out]
-                       for out in range(self.dim_out)]
+        self.sums, self.plan = [], [[] for _ in range(self.dim_out)]
+        for b, c, coeffs in self.pairs:
+            sign = -1 if np.isrealobj(t) and coeffs[0][1] < 0 else 1
+            key = [(a, sign * w) for a, w in coeffs]
+            self.sums += [] if key in self.sums else [key]
+            self.plan[c].append((b, self.sums.index(key), sign))
+
+    def build(self, xi, js=None):
+        """{j: component j, sum_a w_a xi_a over sums[j]} for the j in js (all
+        if None); a component with one unit coefficient is a view of xi."""
+        built = {}
+        for j in range(len(self.sums)) if js is None else js:
+            (a, w), *rest = self.sums[j]
+            M = xi[a] if w == 1 else w * xi[a]
+            for a, w in rest:
+                M = M + w * xi[a]
+            built[j] = M
+        return built
 
 
-def _fiber_apply(terms, xi, x, axis=0, out=None):
+def _fiber_apply(terms, xi, x, axis=0, out=None, built=None):
     """out[..., c, *grid] = sum_b M_bc x[..., b, *grid] over the nonzero pairs, with
-    M_bc = sum_a t[a,b,c] xi_a built once and shared by the axes of x before its
-    fiber axis `axis`; a constant (1-D) xi or x broadcasts over the other's grid.
+    M_bc's components from `built` (terms.build(xi)), or built from xi for each c
+    and kept for the axes of x before its fiber axis `axis`; a constant (1-D) xi
+    or x broadcasts over the other's grid.
 
-    With `out` (of the result's shape), the action is added into out instead,
-    one component at a time: for each c and each index of the leading axes, the
-    sum over b is formed in pair order in a buffer of one grid and then added,
-    so out gets the bits of out + _fiber_apply(terms, xi, x, axis) and no
-    temporary larger than a grid."""
+    For each c and leading index, each pair's component times x_b goes into one
+    product buffer of one grid, and np.add or np.subtract (its sign) sums that
+    into an accumulator from +0: the result's slice, or with `out` a buffer then
+    added to out.  (-m) y = -(m y), a + (-p) = a - p and the accumulator is never
+    -0: the bits of adding M_bc x_b (with `out`: of out + _fiber_apply(...))."""
     grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
     dtype = np.result_type(terms.dtype, xi, x)
-    if out is None:  # each component is summed in place, over all leading indices at once
-        out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid, dtype)
-        positions, acc = [(slice(None),) * axis], None
-    else:
-        positions, acc = list(np.ndindex(x.shape[:axis])), np.empty(grid, dtype)
-    for c, pairs in enumerate(terms.by_out):
-        Ms = {}  # b -> M_bc, kept for the other leading indices
+    add, positions = out is not None, list(np.ndindex(x.shape[:axis]))
+    out = out if add else np.zeros(x.shape[:axis] + (terms.dim_out,) + grid, dtype)
+    for c, plan in enumerate(terms.plan):
+        Ms = terms.build(xi, [j for _, j, _ in plan]) if built is None else built
+        prod, acc = np.empty(grid, dtype), np.empty(grid, dtype) if add else None
         for pos in positions:
-            if acc is not None:
+            total = acc if add else out[pos + (c, ...)]
+            if add:
                 acc.fill(0.0)
-            for b, coeffs in pairs:
-                M = Ms.get(b)
-                if M is None:
-                    (a, w), rest = coeffs[0], coeffs[1:]
-                    M = xi[a] if w == 1 else w * xi[a]
-                    for a, w in rest:
-                        M = M + w * xi[a]
-                    if len(positions) > 1:
-                        Ms[b] = M
-                if acc is None:
-                    out[pos + (c,)] += M * x[pos + (b,)]
-                else:
-                    acc += M * x[pos + (b,)]
-            if acc is not None:
+            for b, j, sign in plan:
+                np.multiply(Ms[j], x[pos + (b,)], prod)  # out passed by position: less overhead
+                (np.add if sign > 0 else np.subtract)(total, prod, total)
+            if add:
                 out[pos + (c,)] += acc
-        del Ms  # before the next component's are built
+        del Ms, prod, acc  # before the next component's are built
     return out
 
 

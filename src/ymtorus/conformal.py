@@ -101,7 +101,7 @@ def _tilde_higgs_residual(phi_t, psi_t, tau, dtau, grid, couplings):
     model = couplings.model
     pm, p0, pp = phi_t(tau - dtau), phi_t(tau), phi_t(tau + dtau)
     dd = (pp - 2 * p0 + pm) / dtau ** 2
-    box = -dd + lattice.covariant_laplacian(p0, None, model, grid, "higgs")
+    box = -dd + lattice.covariant_laplacian(p0, None, grid, "higgs")
     psi0 = psi_t(tau)
     src = algebra.yukawa_antilinear_current(model.yukawa, psi0)
     return box - couplings.lam * np.sum(np.abs(p0) ** 2, axis=0) * p0 - src
@@ -139,7 +139,7 @@ def conformal_residual_check(grid, couplings, bg, tau, dtau, seed=7,
     ddq = (qp - 2 * q0 + qm) / dtau ** 2
     dq = (qp - qm) / (2 * dtau)
     # tilde wave operator on phi
-    box_tilde_of_phys = -ddq + lattice.covariant_laplacian(q0, None, model, grid, "higgs")
+    box_tilde_of_phys = -ddq + lattice.covariant_laplacian(q0, None, grid, "higgs")
     box_phys = Om0 ** 2 * (box_tilde_of_phys + 2.0 * fp * dq)
     scal_phys = -6.0 * Om0 ** 2 * (fpp - fp ** 2)  # static flat tilde frame
 

@@ -11,7 +11,8 @@ derivative D_k = d_k + [eta_k, .] of lattice.covariant_d):
   Dirac      Theta  = psidot - g0 ( gk S_k + Y_phi psi )
 
 Theta uses the evolved S; the separate s_consistency diagnostic compares S
-against a recomputed covariant derivative of psi.
+against a recomputed covariant derivative of psi.  A function of u takes
+its lattice.Connection `conn` (None: built from u.eta) where others share it.
 """
 
 from dataclasses import dataclass
@@ -23,8 +24,8 @@ from .clifford import GAMMA_ROWS, spin_add, spin_row
 from .clifford import gamma_apply  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .errors import SolverError
 from .geometry import UNIT
-from .lattice import (covariant_d, covariant_diff, covariant_diff_sq_norm, covariant_div,
-                      covariant_laplacian, hodge_dual_B, hodge_dual_Q, sq_norm)
+from .lattice import (Connection, covariant_d, covariant_diff, covariant_diff_sq_norm,
+                      covariant_div, covariant_laplacian, hodge_dual_B, hodge_dual_Q, sq_norm)
 
 
 @dataclass
@@ -47,37 +48,35 @@ def volume_weight(u, bg):
     return frame_at(u, bg).sqrt_g * u.grid.cell_volume
 
 
-def curvature_2form(u, bg=None):
+def curvature_2form(u, bg=None, conn=None):
     """Discrete field strength B_ij = D_i eta_j - d_j eta_i
     = d_i eta_j + [eta_i, eta_j] - d_j eta_i."""
-    frame = frame_at(u, bg)
-
-    def D(fld, k, eta):
-        return covariant_d(fld, k, eta, u.model, u.grid, "adjoint", frame)
-
+    frame, conn = frame_at(u, bg), conn or Connection(u.eta, u.model)
     B = np.zeros((3, 3) + u.eta.shape[1:], dtype=u.eta.dtype)
     for i in range(3):
         for j in range(i + 1, 3):
-            Bij = D(u.eta[j], i, u.eta) - D(u.eta[i], j, None)
+            Bij = (covariant_d(u.eta[j], i, conn, u.grid, "adjoint", frame)
+                   - covariant_d(u.eta[i], j, None, u.grid, "adjoint", frame))
             B[i, j] = Bij
             B[j, i] = -Bij
     return B
 
 
-def curvature_constraint(u, bg=None):
+def curvature_constraint(u, bg=None, conn=None):
     """G_ij = (*Q)_ij - B_ij(eta); zero when Q matches the curvature of eta."""
-    return hodge_dual_B(u.Q) - curvature_2form(u, bg)
+    return hodge_dual_B(u.Q) - curvature_2form(u, bg, conn)
 
 
-def bianchi_constraint(u, bg=None):
+def bianchi_constraint(u, bg=None, conn=None):
     """Fully antisymmetrized covariant derivative of *Q (single component):
     sum_cyc D_i B_jk = sum_i D_i Q_i, since B_jk = Q_i for cyclic (i, j, k)."""
-    return covariant_div(u.Q, u.eta, u.model, u.grid, "adjoint", frame_at(u, bg))
+    conn = conn or Connection(u.eta, u.model)
+    return covariant_div(u.Q, conn, u.grid, "adjoint", frame_at(u, bg))
 
 
-def gauss_constraint(u, bg=None):
+def gauss_constraint(u, bg=None, conn=None):
     model = u.model
-    C0 = covariant_div(u.E, u.eta, model, u.grid, "adjoint", frame_at(u, bg))
+    C0 = covariant_div(u.E, conn or Connection(u.eta, model), u.grid, "adjoint", frame_at(u, bg))
     C0 += np.real(algebra.current_pairing(model.rho, u.phidot, u.phi))
     # <g0 psi, chi* psi> = psi^dag (I (x) chi*) psi
     C0 -= 0.5 * np.imag(algebra.current_pairing(model.chi, u.psi, u.psi))
@@ -102,14 +101,17 @@ def dirac_constraint(u):
     return u.psidot - dirac_operator_rhs(u)
 
 
-def recompute_S(u, bg=None):
-    return covariant_diff(u.psi, u.eta, u.model, u.grid, "spinor", frame_at(u, bg))
+def recompute_S(u, bg=None, conn=None):
+    conn = conn or Connection(u.eta, u.model)
+    return covariant_diff(u.psi, conn, u.grid, "spinor", frame_at(u, bg))
 
 
 def s_consistency(u, bg=None):
     """L2 norm of u.S - recompute_S(u, bg), formed without either field
-    (lattice.covariant_diff_sq_norm): the same squares, in the same sum."""
-    sq = covariant_diff_sq_norm(u.psi, u.eta, u.model, u.grid, "spinor", frame_at(u, bg), u.S)
+    (lattice.covariant_diff_sq_norm): the same squares, in the same sum.  No
+    Connection is built where chi* acts by zero (D_k leaves it out there)."""
+    conn = Connection(u.eta, u.model) if u.model.acts["spinor"] else None
+    sq = covariant_diff_sq_norm(u.psi, conn, u.grid, "spinor", frame_at(u, bg), u.S)
     return float(np.sqrt(sq * volume_weight(u, bg)))
 
 
@@ -139,10 +141,11 @@ def constraint_report(u, bg=None, fields=None):
 
 
 def constraint_fields(u, bg=None):
+    conn = Connection(u.eta, u.model)
     return {
-        "curvature": curvature_constraint(u, bg),
-        "bianchi": bianchi_constraint(u, bg),
-        "gauss": gauss_constraint(u, bg),
+        "curvature": curvature_constraint(u, bg, conn),
+        "bianchi": bianchi_constraint(u, bg, conn),
+        "gauss": gauss_constraint(u, bg, conn),
         "dirac": dirac_constraint(u),
     }
 
@@ -155,9 +158,10 @@ def complete_state(u, bg=None):
     """Fill the derived sectors from the free data (eta, E, phi, phidot, psi):
     Q from the curvature constraint, Z and S as covariant derivatives, psidot
     from the Dirac constraint.  Mutates and returns u."""
-    u.Q[:] = hodge_dual_Q(curvature_2form(u, bg))
-    u.Z[:] = covariant_diff(u.phi, u.eta, u.model, u.grid, "higgs", frame_at(u, bg))
-    u.S[:] = recompute_S(u, bg)
+    conn = Connection(u.eta, u.model)
+    u.Q[:] = hodge_dual_Q(curvature_2form(u, bg, conn))
+    u.Z[:] = covariant_diff(u.phi, conn, u.grid, "higgs", frame_at(u, bg))
+    u.S[:] = recompute_S(u, bg, conn)
     u.psidot[:] = dirac_operator_rhs(u)
     return u
 
@@ -181,14 +185,14 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
         m = y.mean(axis=(-3, -2, -1))
         return y - m.reshape(m.shape + (1, 1, 1)), m
 
-    src = -gauss_constraint(u, bg)
+    conn, frame = Connection(u.eta, u.model), frame_at(u, bg)  # the solve changes E, not eta
+    src = -gauss_constraint(u, bg, conn)
     src, mean = demean(src)
-    frame = frame_at(u, bg)
 
     def apply_A(phi_lie):
         # projected operator: CG runs on the mean-free complement, where the
         # covariant Laplacian is uniformly definite
-        return demean(-covariant_laplacian(phi_lie, u.eta, u.model, grid, "adjoint", frame))[0]
+        return demean(-covariant_laplacian(phi_lie, conn, grid, "adjoint", frame))[0]
 
     x = np.zeros_like(src)
     r = src.copy()
@@ -211,8 +215,8 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
     if rs > target and n_iter >= max_iter:
         raise SolverError("Gauss CG did not converge: |r| = %.3e after %d iterations"
                           % (np.sqrt(rs * w), n_iter))
-    u.E -= covariant_diff(x, u.eta, u.model, grid, "adjoint", frame)
-    res = l2_norm(gauss_constraint(u, bg), w)
+    u.E -= covariant_diff(x, conn, grid, "adjoint", frame)
+    res = l2_norm(gauss_constraint(u, bg, conn), w)
     return {
         "iterations": n_iter,
         "converged": bool(rs <= target),
@@ -225,10 +229,10 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10, max_iter=None):
 def operator_symmetry_defect(u, bg=None, samples=5, seed=0):
     """Max |<x, A y> - <A x, y>| / scale for the CG operator (discrete SPD check)."""
     rng = np.random.default_rng(seed)
-    frame = frame_at(u, bg)
+    frame, conn = frame_at(u, bg), Connection(u.eta, u.model)
 
     def A(x):  # the CG operator before the mean is removed
-        return -covariant_laplacian(x, u.eta, u.model, u.grid, "adjoint", frame)
+        return -covariant_laplacian(x, conn, u.grid, "adjoint", frame)
 
     worst = 0.0
     for _ in range(samples):

@@ -36,7 +36,7 @@ import numpy as np
 from . import algebra, parallel
 from .clifford import G0G_ROWS, GG_ROWS, GAMMA_ROWS, spin_add, spin_row
 from .errors import BlowUpError, InputError
-from .lattice import EPS, SECTORS, FieldState, covariant_d, covariant_div
+from .lattice import EPS, SECTORS, Connection, FieldState, covariant_d, covariant_div
 from .lattice import diff  # noqa: F401  (unused; perfbench's tracer test reads dynamics.diff)
 
 
@@ -90,19 +90,20 @@ def _add_signed(acc, sign, term):
     return (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
 
 
-def gauge_rhs(u, frame, couplings, out, live=None):
+def gauge_rhs(u, frame, couplings, out, live=None, conn=None):
     """Gauge rows (eta, Q, E) of rhs(u) into `out` in the background's frame
-    at u.tau.  J enters E iff a matter sector is live (`live` =
-    _live_sectors(u), scanned if None).  The E rows add or subtract D_k Q_m
-    for D_k B_ki (B_ki = eps_mki Q_m): D_k of -Q_m is -D_k Q_m where nonzero,
-    and no E-row sum is -0 after J, whose zeros are +0, so the rows keep
-    the bits of adding D_k B_ki."""
+    at u.tau, on the lattice.Connection `conn` of u.eta (built if None).  J
+    enters E iff a matter sector is live (`live` = _live_sectors(u), scanned
+    if None).  The E rows add or subtract D_k Q_m for D_k B_ki (B_ki =
+    eps_mki Q_m): D_k of -Q_m is -D_k Q_m where nonzero, and no E-row sum is
+    -0 after J, whose zeros are +0, so the rows keep the bits of adding D_k B_ki."""
     kappa, H = frame.II, frame.H
     live = _live_sectors(u, couplings.model) if live is None else live
     J = currents(u) if len(live) > 1 else np.zeros_like(u.E)
+    conn = conn or Connection(u.eta, couplings.model)
 
     def D(fld, k):
-        return covariant_d(fld, k, u.eta, couplings.model, u.grid, "adjoint", frame)
+        return covariant_d(fld, k, conn, u.grid, "adjoint", frame)
 
     for i in range(3):
         np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
@@ -161,15 +162,16 @@ def rhs(u, bg, couplings, out=None, live=None):
     higgs, dirac = "higgs" in live, "dirac" in live
     kappa, dkappa, H, scal = frame.II, frame.dII, frame.H, frame.scal
     lam, yuk = couplings.lam, model.yukawa
+    conn = Connection(u.eta, model)  # read by both row blocks
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
+        return covariant_d(fld, k, conn, grid, kind, frame, out=out)
 
     def div(vec, kind, out=None):
-        return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
+        return covariant_div(vec, conn, grid, kind, frame, out=out)
 
     def gauge_and_higgs_rows():
-        gauge_rhs(u, frame, couplings, out, live)
+        gauge_rhs(u, frame, couplings, out, live, conn)
         if higgs:
             np.copyto(out.phi, u.phidot)
             acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)

@@ -25,14 +25,15 @@ import numpy as np
 from .constraints import frame_at, volume_weight
 from .errors import InputError
 from .geometry import UNIT
-from .lattice import (covariant_diff, covariant_diff_sq_norm, drops_connection,
+from .lattice import (Connection, covariant_diff, covariant_diff_sq_norm, drops_connection,
                       fourier_sobolev_norms, sq_norm)
 from .parallel import split
 
 
-def sobolev_norms(fld, k, eta, model, grid, kind="higgs", frame=UNIT, weight=1.0):
+def sobolev_norms(fld, k, conn, grid, kind="higgs", frame=UNIT, weight=1.0):
     """Squared H^l norms of a field with fiber action `kind` for l = 0..k, in
-    the background `frame` (a geometry.Frame) of lattice.covariant_d.
+    the background `frame` (a geometry.Frame) of lattice.covariant_d, on the
+    lattice.Connection `conn` (None: the flat reference).
 
     Where the connection drops out (lattice.drops_connection) they are summed
     in Fourier space; otherwise the covariant-derivative chain is walked once,
@@ -43,23 +44,23 @@ def sobolev_norms(fld, k, eta, model, grid, kind="higgs", frame=UNIT, weight=1.0
     """
     if k < 0 or k > 4:
         raise InputError("sobolev_norm supports 0 <= k <= 4")
-    if drops_connection(eta, model, kind):
+    if drops_connection(conn, kind):
         return fourier_sobolev_norms(fld, k, grid, kind, frame, weight)
     cur, total = fld, sq_norm(fld)
     norms = [float(total * weight)]
     for level in range(1, k + 1):
         if level < k:
-            cur = covariant_diff(cur, eta, model, grid, kind, frame)
+            cur = covariant_diff(cur, conn, grid, kind, frame)
             total += sq_norm(cur)
         else:
-            total += covariant_diff_sq_norm(cur, eta, model, grid, kind, frame)
+            total += covariant_diff_sq_norm(cur, conn, grid, kind, frame)
         norms.append(float(total * weight))
     return norms
 
 
-def sobolev_norm(fld, k, eta, model, grid, kind="higgs", frame=UNIT, weight=1.0):
+def sobolev_norm(fld, k, conn, grid, kind="higgs", frame=UNIT, weight=1.0):
     """Squared H^k norm of a field with fiber action `kind` (see sobolev_norms)."""
-    return sobolev_norms(fld, k, eta, model, grid, kind, frame, weight)[k]
+    return sobolev_norms(fld, k, conn, grid, kind, frame, weight)[k]
 
 
 # The k-th energy of a sector sums, in this order, the H^(k + shift) norms of
@@ -79,7 +80,8 @@ class _Norms:
     An entry, keyed (connection acts, source, field), holds [H^0, H^1, ...]
     of one field; where a connection acts by zero it is the reference entry.
     compute() fills every entry that the energies on some connections read,
-    in two threads on large grids; energy() fills a missing entry lazily.
+    in two threads on large grids, which share one lattice.Connection of
+    u.eta; energy() fills a missing entry lazily.
     `table` is the dict the entries go into (a new one if None); it may
     already hold entries of this state at this top.
     """
@@ -87,6 +89,7 @@ class _Norms:
     def __init__(self, u, rhs_state, bg, top, table=None):
         self.u, self.rhs_state, self.top = u, rhs_state, top
         self.frame, self.w = frame_at(u, bg), volume_weight(u, bg)
+        self.conn = Connection(u.eta, u.model)
         self.table = {} if table is None else table  # key -> [H^0, H^1, ...]
 
     def _terms(self, sector, connection):
@@ -101,7 +104,7 @@ class _Norms:
             raise InputError("yangmills energy with k >= 1 needs an rhs evaluation")
         u = self.u
         return sobolev_norms(getattr(u if source == "u" else self.rhs_state, name),
-                             self.top + shift, u.eta if acts else None, u.model, u.grid, kind,
+                             self.top + shift, self.conn if acts else None, u.grid, kind,
                              self.frame, self.w)
 
     def compute(self, connections):
@@ -229,7 +232,7 @@ def energy_report(u, rhs_state, bg=None, k=2, measured=None):
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)
-           + sobolev_norm(u.eta, k, None, u.model, u.grid, "adjoint", norms.frame, norms.w))
+           + sobolev_norm(u.eta, k, None, u.grid, "adjoint", norms.frame, norms.w))
     return EnergyReport(tau=u.tau, k=k, yangmills=ym, higgs=hg, dirac=dr,
                         total=total, reference_total=ref, sup=sup_norms(u))
 

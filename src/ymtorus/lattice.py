@@ -12,7 +12,8 @@ the spinor spin-connection term; `covariant_diff` and `covariant_div` stack
 and contract it, `covariant_laplacian` composes the two, and
 `fourier_sobolev_norms` applies the same rule to the symbol where the
 connection drops out.  The background enters as one geometry.Frame
-argument, UNIT by default.
+argument, UNIT by default, and the connection as one `Connection`, built
+once per evaluation, which holds the matrices of its adjoint action.
 """
 
 import json
@@ -238,32 +239,46 @@ class FieldState:
 # Covariant calculus
 # ---------------------------------------------------------------------------
 
-def connection_action(fld, xi, model, kind, out=None):
-    """Fiber action of one connection component xi = eta_k on a field whose
-    fiber axes sit directly before the three grid axes (any leading 1-form
-    axes broadcast through), added into `out` when given (see
+class Connection:
+    """The connection eta (3, dim_g, *grid) of one evaluation and its model,
+    with the components of each eta_k's adjoint action built here, once and
+    before any thread reads them (algebra.FiberTerms.build); complex fiber
+    kinds build theirs per call.  The components keep eta's values: a changed
+    eta (evolve advances u in place) needs a new Connection.  None stands for
+    the flat reference."""
+
+    def __init__(self, eta, model):
+        self.eta, self.model = eta, model
+        self.adjoint = [model.lie.terms.build(eta_k) for eta_k in eta]
+
+
+def connection_action(fld, conn, k, kind, out=None):
+    """Fiber action of the component eta_k of the Connection `conn` on a
+    field whose fiber axes sit directly before the three grid axes (any
+    leading 1-form axes broadcast through), added into `out` when given (see
     algebra._fiber_apply):
 
-      'adjoint'  [xi, x]           fiber (dim_g,)
-      'higgs'    rho*(xi) x        fiber (dim_W,)
-      'spinor'   chi*(xi) x        fiber (4, dim_V)
+      'adjoint'  [eta_k, x]           fiber (dim_g,)
+      'higgs'    rho*(eta_k) x        fiber (dim_W,)
+      'spinor'   chi*(eta_k) x        fiber (4, dim_V)
     """
-    if kind not in model.terms:
+    if kind not in conn.model.terms:
         raise InputError("unknown fiber kind %r" % kind)
-    return algebra._fiber_apply(model.terms[kind], xi, fld, axis=fld.ndim - 4, out=out)
+    return algebra._fiber_apply(conn.model.terms[kind], conn.eta[k], fld, axis=fld.ndim - 4,
+                                out=out, built=conn.adjoint[k] if kind == "adjoint" else None)
 
 
-def drops_connection(eta, model, kind):
-    """True where covariant_d leaves the connection term out (eta=None, the
+def drops_connection(conn, kind):
+    """True where covariant_d leaves the connection term out (conn=None, the
     flat reference connection, or a kind that acts by zero): D_k then has
     constant coefficients.  An unknown kind keeps it: connection_action rejects it."""
-    return eta is None or (kind in model.terms and not model.acts[kind])
+    return conn is None or (kind in conn.model.terms and not conn.model.acts[kind])
 
 
-def covariant_d(fld, k, eta, model, grid, kind, frame=UNIT, out=None):
+def covariant_d(fld, k, conn, grid, kind, frame=UNIT, out=None):
     """Covariant derivative D_k along frame axis k, in this order:
 
-      (1/b_k) diff(fld, k) + connection_action(fld, eta_k) + (1/2) II_k g0 g_k fld
+      (1/b_k) diff(fld, k) + connection_action(fld, conn, k) + (1/2) II_k g0 g_k fld
 
     with b and II of the geometry.Frame `frame`.  kind selects the fiber action
     (see connection_action); it is left out where drops_connection holds.
@@ -274,30 +289,30 @@ def covariant_d(fld, k, eta, model, grid, kind, frame=UNIT, out=None):
     Both fiber terms are added into the result piece by piece: the connection
     term one fiber component and leading index at a time, the spin-connection
     term one spin row at a time through g0 g_k's row table
-    (clifford.spin_add).  Their largest temporaries are one grid and one spin
-    row, and each element gets the arithmetic of adding the whole terms.
+    (clifford.spin_add).  Their largest temporaries are a few grids and one
+    spin row, and each element gets the arithmetic of adding the whole terms.
     """
     dk = diff(fld, k, grid, out=out)
     if frame.b[k] != 1.0:  # dividing by one changes no value
         _divide(dk, frame.b[k])
-    if not drops_connection(eta, model, kind):
-        connection_action(fld, eta[k], model, kind, out=dk)
+    if not drops_connection(conn, kind):
+        connection_action(fld, conn, k, kind, out=dk)
     if kind == "spinor" and frame.II[k]:  # the spin axis first
         clifford.spin_add(np.moveaxis(dk, -5, 0), clifford.G0G_ROWS[k],
                           np.moveaxis(fld, -5, 0), 0.5 * frame.II[k])
     return dk
 
 
-def covariant_diff(fld, eta, model, grid, kind, frame=UNIT):
+def covariant_diff(fld, conn, grid, kind, frame=UNIT):
     """Full covariant spatial derivative (D_0, D_1, D_2) fld, one extra leading
     1-form axis; see covariant_d."""
     out = np.empty((3,) + fld.shape, dtype=fld.dtype)
     for k in range(3):
-        covariant_d(fld, k, eta, model, grid, kind, frame, out=out[k])
+        covariant_d(fld, k, conn, grid, kind, frame, out=out[k])
     return out
 
 
-def covariant_diff_sq_norm(fld, eta, model, grid, kind, frame=UNIT, minus=None):
+def covariant_diff_sq_norm(fld, conn, grid, kind, frame=UNIT, minus=None):
     """sq_norm(covariant_diff(fld, ...) - minus) (minus=None: 0) without the
     stack: D_j fld - minus[j] is formed in one reused buffer (in place for a real
     field) and its |.|^2 written into the j-th third of one float buffer, whose
@@ -305,7 +320,7 @@ def covariant_diff_sq_norm(fld, eta, model, grid, kind, frame=UNIT, minus=None):
     squares = np.empty((3,) + fld.shape)
     block = np.empty(fld.shape, fld.dtype) if np.iscomplexobj(fld) else None
     for j in range(3):
-        dj = covariant_d(fld, j, eta, model, grid, kind, frame,
+        dj = covariant_d(fld, j, conn, grid, kind, frame,
                          out=squares[j] if block is None else block)
         if minus is not None:
             dj -= minus[j]
@@ -315,19 +330,18 @@ def covariant_diff_sq_norm(fld, eta, model, grid, kind, frame=UNIT, minus=None):
     return np.sum(squares)
 
 
-def covariant_div(vec, eta, model, grid, kind, frame=UNIT, out=None):
+def covariant_div(vec, conn, grid, kind, frame=UNIT, out=None):
     """Covariant divergence sum_k D_k vec_k of a field with a leading 1-form
     axis, summed in the order k = 0, 1, 2 (into `out` when given); see covariant_d."""
-    out = covariant_d(vec[0], 0, eta, model, grid, kind, frame, out=out)
+    out = covariant_d(vec[0], 0, conn, grid, kind, frame, out=out)
     for k in (1, 2):
-        out += covariant_d(vec[k], k, eta, model, grid, kind, frame)
+        out += covariant_d(vec[k], k, conn, grid, kind, frame)
     return out
 
 
-def covariant_laplacian(fld, eta, model, grid, kind, frame=UNIT):
+def covariant_laplacian(fld, conn, grid, kind, frame=UNIT):
     """sum_k D_k D_k fld = -D*D fld: covariant_div of covariant_diff."""
-    return covariant_div(covariant_diff(fld, eta, model, grid, kind, frame),
-                         eta, model, grid, kind, frame)
+    return covariant_div(covariant_diff(fld, conn, grid, kind, frame), conn, grid, kind, frame)
 
 
 def hodge_dual_B(Q):

@@ -24,7 +24,8 @@ import numpy as np
 from . import algebra, dynamics
 from .constraints import l2_norm, volume_weight
 from .clifford import G0G, GG, GAMMA, gamma_apply
-from .lattice import covariant_d, covariant_diff, covariant_div, covariant_laplacian, hodge_dual_B
+from .lattice import (Connection, covariant_d, covariant_diff, covariant_div,
+                      covariant_laplacian, hodge_dual_B)
 
 
 def time_stack(u0, bg, couplings, dtau):
@@ -53,7 +54,7 @@ def higgs_wave_residual(stack, bg, couplings):
     frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     phis = [s.phi for s in stack]
     box = (-_d2(phis, dtau) + 3 * frame.H * _d1(phis, dtau)
-           + covariant_laplacian(u.phi, u.eta, model, u.grid, "higgs", frame))
+           + covariant_laplacian(u.phi, Connection(u.eta, model), u.grid, "higgs", frame))
     rhs = (frame.scal / 6.0) * u.phi \
         + couplings.lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi \
         + algebra.yukawa_antilinear_current(model.yukawa, u.psi)
@@ -68,7 +69,7 @@ def dirac_wave_residual(stack, bg, couplings):
     frame, dtau = bg.frame(u.tau), stack[3].tau - stack[2].tau
     psis = [s.psi for s in stack]
     box = (-_d2(psis, dtau) + 3 * frame.H * _d1(psis, dtau)
-           + covariant_laplacian(u.psi, u.eta, model, u.grid, "spinor", frame))
+           + covariant_laplacian(u.psi, Connection(u.eta, model), u.grid, "spinor", frame))
     B = hodge_dual_B(u.Q)
     rhs = (frame.scal / 4.0) * u.psi
     for k in range(3):
@@ -115,10 +116,11 @@ def em_wave_residuals(stack, bg, couplings):
 
     B = hodge_dual_B(u.Q)
     Bstack = [hodge_dual_B(s.Q) for s in stack]
-    DE = covariant_diff(u.E, u.eta, model, u.grid, "adjoint", frame)  # DE[k, i] = D_k E_i
+    conn = Connection(u.eta, model)
+    DE = covariant_diff(u.E, conn, u.grid, "adjoint", frame)  # DE[k, i] = D_k E_i
 
     def D(fld, k):
-        return covariant_d(fld, k, u.eta, model, u.grid, "adjoint", frame)
+        return covariant_d(fld, k, conn, u.grid, "adjoint", frame)
 
     def im_pairing(left, right):
         return np.imag(algebra.current_pairing(model.chi, left, right))
@@ -131,7 +133,7 @@ def em_wave_residuals(stack, bg, couplings):
     res_E = 0.0
     boxE = -_d2(Es, dtau) + 3 * H * _d1(Es, dtau)
     for i in range(3):
-        boxE_i = boxE[i] + covariant_laplacian(u.E[i], u.eta, model, u.grid, "adjoint", frame)
+        boxE_i = boxE[i] + covariant_laplacian(u.E[i], conn, u.grid, "adjoint", frame)
         rhs = (dk[i] - trd + 3 * H * kap[i] - kap[i] ** 2) * u.E[i]
         for k in range(3):
             rhs = rhs + 2.0 * algebra.bracket(lie, u.E[k], B[i, k])
@@ -150,7 +152,7 @@ def em_wave_residuals(stack, bg, couplings):
         for j in range(i + 1, 3):
             Bser = [bs[i, j] for bs in Bstack]
             boxB = -_d2(Bser, dtau) + 3 * H * _d1(Bser, dtau) \
-                + covariant_laplacian(B[i, j], u.eta, model, u.grid, "adjoint", frame)
+                + covariant_laplacian(B[i, j], conn, u.grid, "adjoint", frame)
             rhs = -2.0 * algebra.bracket(lie, u.E[i], u.E[j])
             for k in range(3):
                 rhs = rhs + 2.0 * algebra.bracket(lie, B[k, i], B[k, j])
@@ -182,6 +184,6 @@ def current_divergence_residual(stack, bg, couplings):
 
     J0s = [J0_of(s) for s in stack]
     Jsp = dynamics.currents(u)
-    div = covariant_div(Jsp, u.eta, model, u.grid, "adjoint", frame)
+    div = covariant_div(Jsp, Connection(u.eta, model), u.grid, "adjoint", frame)
     resid = _d1(J0s, dtau) - 3 * frame.H * J0s[2] - div
     return l2_norm(resid, volume_weight(u, bg))

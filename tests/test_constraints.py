@@ -92,7 +92,8 @@ def test_gauss_solver(su2_model, flat_bg):
     rng = np.random.default_rng(6)
     u.eta[:] = 0.3 * rng.standard_normal((3, 1) + grid.shape)
     phi0 = rng.standard_normal((1,) + grid.shape)
-    u.E[:] = lattice.covariant_diff(phi0, u.eta, m1, grid, "adjoint", flat_bg.frame(u.tau))
+    u.E[:] = lattice.covariant_diff(phi0, lattice.Connection(u.eta, m1), grid, "adjoint",
+                                    flat_bg.frame(u.tau))
     constraints.solve_gauss_initial(u, flat_bg, cg_tol=1e-12)
     assert np.abs(u.E).max() < 1e-9
     # random small data: post-solve residual below the spec tolerance plus

@@ -147,7 +147,8 @@ def ref_constraint_fields(u, bg):
 def ref_box_spatial(fld, u, bg, kind):
     """sum_k D_k D_k fld, each D_k taken from the full three-axis derivative."""
     def covd(f):
-        return lattice.covariant_diff(f, u.eta, u.model, u.grid, kind, bg.frame(u.tau))
+        return lattice.covariant_diff(f, lattice.Connection(u.eta, u.model), u.grid, kind,
+                                      bg.frame(u.tau))
 
     Df = covd(fld)
     out = np.zeros_like(fld)
@@ -294,8 +295,9 @@ def test_oracles_match_hand_written(name, bianchi_bg):
     frame = bianchi_bg.frame(center.tau)
     for kind, fld in (("adjoint", center.E[1]), ("higgs", center.phi),
                       ("spinor", center.psi)):
-        assert_close(lattice.covariant_laplacian(fld, center.eta, center.model, center.grid,
-                                                 kind, frame),
+        assert_close(lattice.covariant_laplacian(
+                         fld, lattice.Connection(center.eta, center.model), center.grid, kind,
+                         frame),
                      ref_box_spatial(fld, center, bianchi_bg, kind), kind)
     assert_close(oracles.em_wave_residuals(stack, bianchi_bg, coup),
                  ref_em_wave_residuals(stack, bianchi_bg, coup), "em")
@@ -312,29 +314,29 @@ def test_oracles_match_hand_written(name, bianchi_bg):
 @pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
 def test_stacked_kernel_is_covariant_diff(name, kind, bianchi_bg):
     u = state(name, bianchi_bg)
-    frame = bianchi_bg.frame(TAU)
+    frame, conn = bianchi_bg.frame(TAU), lattice.Connection(u.eta, u.model)
     one_form = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
     # a field, a 1-form and an iterated derivative (two leading 1-form axes)
     fields = (one_form[0], one_form,
-              lattice.covariant_diff(one_form, u.eta, u.model, u.grid, kind, frame))
+              lattice.covariant_diff(one_form, conn, u.grid, kind, frame))
     for fld in fields:
-        for eta in (u.eta, None):
+        for connection in (conn, None):
             for fr in (frame, geometry.Frame(frame.b)):  # with and without II
-                full = lattice.covariant_diff(fld, eta, u.model, u.grid, kind, fr)
-                per_axis = [lattice.covariant_d(fld, k, eta, u.model, u.grid, kind, fr)
+                full = lattice.covariant_diff(fld, connection, u.grid, kind, fr)
+                per_axis = [lattice.covariant_d(fld, k, connection, u.grid, kind, fr)
                             for k in range(3)]
                 assert same_bits(full, np.stack(per_axis))
-    div = lattice.covariant_div(one_form, u.eta, u.model, u.grid, kind, frame)
-    expect = lattice.covariant_d(one_form[0], 0, u.eta, u.model, u.grid, kind, frame)
+    div = lattice.covariant_div(one_form, conn, u.grid, kind, frame)
+    expect = lattice.covariant_d(one_form[0], 0, conn, u.grid, kind, frame)
     for k in (1, 2):
-        expect += lattice.covariant_d(one_form[k], k, u.eta, u.model, u.grid, kind, frame)
+        expect += lattice.covariant_d(one_form[k], k, conn, u.grid, kind, frame)
     assert same_bits(div, expect)
 
 
 def test_unknown_fiber_kind_is_rejected(su2_model, flat_bg):
     u = make_state(lattice.Grid(8), su2_model, flat_bg)
     with pytest.raises(errors.InputError, match="unknown fiber kind"):
-        lattice.covariant_d(u.phi, 0, u.eta, su2_model, u.grid, "vector")
+        lattice.covariant_d(u.phi, 0, lattice.Connection(u.eta, su2_model), u.grid, "vector")
 
 
 def test_diff_calls_per_rhs_and_constraint_fields(monkeypatch, bianchi_bg):

@@ -8,13 +8,12 @@ from conftest import make_state
 def test_sobolev_norm_basics(u1_model):
     grid = lattice.Grid(8, L=1.0)  # unit-volume torus
     const = np.ones((1,) + grid.shape, dtype=complex)
-    val = energy.sobolev_norm(const, 0, None, u1_model, grid, "higgs",
-                              weight=grid.cell_volume)
+    val = energy.sobolev_norm(const, 0, None, grid, "higgs", weight=grid.cell_volume)
     assert abs(val - 1.0) < 1e-12
     zero = np.zeros_like(const)
-    assert energy.sobolev_norm(zero, 2, None, u1_model, grid, "higgs") == 0.0
+    assert energy.sobolev_norm(zero, 2, None, grid, "higgs") == 0.0
     with pytest.raises(energy.InputError):
-        energy.sobolev_norm(const, 7, None, u1_model, grid, "higgs")
+        energy.sobolev_norm(const, 7, None, grid, "higgs")
 
 
 def test_sobolev_parseval_single_mode(u1_model):
@@ -25,7 +24,7 @@ def test_sobolev_parseval_single_mode(u1_model):
     f = np.exp(2j * np.pi * kmode * x / grid.L)[:, None, None] * np.ones((1, 16, 16))
     f = f.reshape((1,) + grid.shape)
     w = grid.cell_volume
-    val = energy.sobolev_norm(f, 1, None, u1_model, grid, "higgs", weight=w)
+    val = energy.sobolev_norm(f, 1, None, grid, "higgs", weight=w)
     k = 2 * np.pi * kmode / grid.L
     k_eff = (8 * np.sin(k * grid.dx) - np.sin(2 * k * grid.dx)) / (6 * grid.dx)
     vol = grid.L ** 3
@@ -106,10 +105,10 @@ def test_lemma_shadow_constant_stable_under_refinement(u1_model, flat_bg):
         w = flat_bg.frame(0.0).sqrt_g * grid.cell_volume
         for m in range(dt_steps + 1):
             taus.append(st.tau)
-            norms.append(np.sqrt(energy.sobolev_norm(st.phi, 2, st.eta, u1_model,
-                                                     grid, "higgs", weight=w)))
-            rates.append(np.sqrt(energy.sobolev_norm(st.phidot, 2, st.eta, u1_model,
-                                                     grid, "higgs", weight=w)))
+            conn = lattice.Connection(st.eta, u1_model)
+            norms.append(np.sqrt(energy.sobolev_norm(st.phi, 2, conn, grid, "higgs", weight=w)))
+            rates.append(np.sqrt(energy.sobolev_norm(st.phidot, 2, conn, grid, "higgs",
+                                                     weight=w)))
             if m < dt_steps:
                 st = dynamics.step(st, flat_bg, coup, dt)
         ratios[n] = energy.norm_evolution_ratio(taus, norms, rates, ii_sup=0.0)

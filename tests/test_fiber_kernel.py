@@ -1,14 +1,20 @@
-"""The sparse fiber-action kernel against the dense einsum formulas.
+"""The sparse fiber-action kernel against the dense einsum formulas, and the
+sign-folded kernel against the kernel that built every pair's matrix.
 
 The dense contractions below multiply every entry of f, of the generators
 and of the Yukawa blocks; they are the reference the term tables must reproduce, up to
-the reassociation of the sums (rtol 1e-13 against the largest entry).
+the reassociation of the sums (rtol 1e-13 against the largest entry).  The
+folded kernel, with components built per call or held by a lattice.Connection,
+must give the unfolded kernel's bits, signs of zero included, and one
+evaluation builds each direction's adjoint components once.
 """
 
 import numpy as np
 import pytest
 
-from ymtorus import algebra, clifford, lattice
+from ymtorus import algebra, clifford, constraints, dynamics, energy, geometry, lattice
+from conftest import make_state
+from test_memory import with_zeros
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -96,7 +102,8 @@ def test_connection_action_matches_dense(name, n, n_lead, constant_xi, seed):
     }
     for kind, (fld, t) in fields.items():
         ref = np.einsum("abc,axyz,...bxyz->...cxyz", t, xg, fld)
-        _assert_close(lattice.connection_action(fld, xi, model, kind), ref)
+        conn = lattice.Connection(np.stack([xi] * 3), model)
+        _assert_close(lattice.connection_action(fld, conn, 0, kind), ref)
 
 
 @pytest.mark.parametrize("n_lead", [0, 1, 2])
@@ -108,7 +115,8 @@ def test_abelian_and_trivial_actions_are_exact_zeros(n_lead):
     assert u1.lie.terms.pairs == []
     X = _real(rng, (1,) + grid)
     assert not algebra.bracket(u1.lie, X, _real(rng, (1,) + grid)).any()
-    assert not lattice.connection_action(_real(rng, lead + (1,) + grid), X, u1, "adjoint").any()
+    conn = lattice.Connection(np.stack([X] * 3), u1)
+    assert not lattice.connection_action(_real(rng, lead + (1,) + grid), conn, 0, "adjoint").any()
 
     su3 = algebra.su3_pure()
     xi = _real(rng, (8,) + grid)
@@ -123,7 +131,8 @@ def test_abelian_and_trivial_actions_are_exact_zeros(n_lead):
         assert not algebra.current_pairing(rep, psi, psi).any()
     for kind, fiber in (("higgs", (1,)), ("spinor", (4, 1))):
         fld = _complex(rng, lead + fiber + grid)
-        assert not lattice.connection_action(fld, xi, su3, kind).any()
+        assert not lattice.connection_action(fld, lattice.Connection(np.stack([xi] * 3), su3),
+                                             0, kind).any()
 
 
 def test_su3_table_keeps_only_nonzero_entries():
@@ -206,3 +215,138 @@ def test_zero_yukawa_map_is_exact_zero(yuk):
                        (algebra.yukawa_antilinear_current(yuk, psi), w.shape),
                        (yuk.matrix(w[:, 0, 0, 0]), (dV, dV))):
         assert out.shape == shape and not out.any()
+
+
+# ---------------------------------------------------------------------------
+# The sign-folded kernel against the kernel that built every M_bc
+# ---------------------------------------------------------------------------
+
+def unfolded_fiber_apply(terms, xi, x, axis=0, out=None):
+    """The fiber kernel as it was when every call built each pair's M_bc,
+    verbatim apart from the pair lists, which it formed from terms.pairs."""
+    by_out = [[(b, coeffs) for b, c, coeffs in terms.pairs if c == out_c]
+              for out_c in range(terms.dim_out)]
+    grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
+    dtype = np.result_type(terms.dtype, xi, x)
+    if out is None:  # each component is summed in place, over all leading indices at once
+        out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid, dtype)
+        positions, acc = [(slice(None),) * axis], None
+    else:
+        positions, acc = list(np.ndindex(x.shape[:axis])), np.empty(grid, dtype)
+    for c, pairs in enumerate(by_out):
+        Ms = {}  # b -> M_bc, kept for the other leading indices
+        for pos in positions:
+            if acc is not None:
+                acc.fill(0.0)
+            for b, coeffs in pairs:
+                M = Ms.get(b)
+                if M is None:
+                    (a, w), rest = coeffs[0], coeffs[1:]
+                    M = xi[a] if w == 1 else w * xi[a]
+                    for a, w in rest:
+                        M = M + w * xi[a]
+                    if len(positions) > 1:
+                        Ms[b] = M
+                if acc is None:
+                    out[pos + (c,)] += M * x[pos + (b,)]
+                else:
+                    acc += M * x[pos + (b,)]
+            if acc is not None:
+                out[pos + (c,)] += acc
+        del Ms  # before the next component's are built
+    return out
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def _tables(model, rng, grid):
+    """(table, xi, fiber dimension of x) of every fiber kind of the model, the
+    Yukawa map's with the complex xi = (w, conj w) of algebra._w_and_conj."""
+    xi = with_zeros(_real(rng, (model.dim_g,) + grid), seed=11)
+    w = with_zeros(_complex(rng, (model.dim_W,) + grid), seed=12)
+    return [(model.lie.terms, xi, model.dim_g), (model.rho.terms, xi, model.dim_W),
+            (model.chi.terms, xi, model.dim_V),
+            (model.yukawa.terms, algebra._w_and_conj(w), model.dim_V)]
+
+
+@pytest.mark.parametrize("n_lead", [0, 1, 2])
+@pytest.mark.parametrize("name", ["u1_toy", "su2_toy", "su3_pure", "custom_su2"])
+def test_folded_kernel_keeps_the_bits(name, n_lead):
+    model, rng, grid = MODELS[name](), np.random.default_rng(n_lead), (4, 4, 4)
+    lead = (3, 2)[:n_lead]
+    for terms, xi, dim_x in _tables(model, rng, grid):
+        for x in (with_zeros(_real(rng, lead + (dim_x,) + grid), seed=13),
+                  with_zeros(_complex(rng, lead + (dim_x,) + grid), seed=14)):
+            ref = unfolded_fiber_apply(terms, xi, x, n_lead)
+            for built in (None, terms.build(xi)):
+                assert _same_bits(algebra._fiber_apply(terms, xi, x, n_lead, built=built), ref)
+                base = with_zeros(_complex(rng, ref.shape), seed=15)
+                assert _same_bits(
+                    algebra._fiber_apply(terms, xi, x, n_lead, out=base.copy(), built=built),
+                    unfolded_fiber_apply(terms, xi, x, n_lead, out=base.copy()))
+
+
+def test_a_cancelling_su3_component_keeps_the_bits():
+    # su(3)'s two two-coefficient components 0.5 xi_2 +- c xi_7 each serve a
+    # pair with sign +1 and one with sign -1.  Where the component is exactly
+    # 0 the unfolded matrix of the second pair is +0, where -component would
+    # be -0: the product's sign is lost in the sum from +0 either way
+    lie = algebra.su3()
+    two = [s for s in lie.terms.sums if len(s) == 2]
+    assert len(lie.terms.sums) == 19 and len(two) == 2
+    j = lie.terms.sums.index(two[0])
+    assert sorted(sign for plan in lie.terms.plan for _, i, sign in plan if i == j) == [-1, 1]
+    (a, wa), (b, wb) = two[0]
+    rng = np.random.default_rng(21)
+    xi = _real(rng, (8, 4, 4, 4))
+    xi[a, :2], xi[b, :2] = -wb, wa  # wa (-wb) + wb wa: the same product, so exactly 0
+    assert not (wa * xi[a, :2] + wb * xi[b, :2]).any()
+    for fld in (with_zeros(_real(rng, (8, 4, 4, 4)), seed=22),
+                with_zeros(_real(rng, (3, 8, 4, 4, 4)), seed=23)):
+        axis = fld.ndim - 4
+        base = with_zeros(_real(rng, fld.shape), seed=24)
+        conn = lattice.Connection(np.stack([xi] * 3), algebra.su3_pure())
+        for out in (None, base.copy()):
+            expect = unfolded_fiber_apply(lie.terms, xi, fld, axis,
+                                          None if out is None else base.copy())
+            assert _same_bits(lattice.connection_action(fld, conn, 1, "adjoint", out=out), expect)
+
+
+# ---------------------------------------------------------------------------
+# One Connection per evaluation
+# ---------------------------------------------------------------------------
+
+def test_each_evaluation_builds_the_adjoint_components_once(monkeypatch):
+    model = algebra.su3_pure()
+    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    u = make_state(lattice.Grid(8), model, bg, seed=2, amplitude=0.1)
+    coup = dynamics.Couplings(model)
+    du = dynamics.rhs(u, bg, coup)
+    build, built = algebra.FiberTerms.build, []
+
+    def counting_build(terms, xi, js=None):
+        if terms is model.lie.terms:
+            built.append([k for k in range(3) if np.shares_memory(xi, u.eta[k])])
+        return build(terms, xi, js)
+
+    monkeypatch.setattr(algebra.FiberTerms, "build", counting_build)
+    for evaluate in (lambda: dynamics.rhs(u, bg, coup),
+                     lambda: constraints.solve_gauss_initial(u, bg),
+                     lambda: energy.energy_report(u, du, bg)):
+        built.clear()
+        evaluate()
+        assert built == [[0], [1], [2]]
+
+
+def test_a_connection_holds_views_of_eta_or_its_built_components():
+    rng = np.random.default_rng(4)
+    for model, grids in ((algebra.su2_toy(), 0), (algebra.su3_pure(), 48), (algebra.u1_toy(), 0)):
+        eta = rng.standard_normal((3, model.dim_g, 4, 4, 4))
+        conn = lattice.Connection(eta, model)
+        components = [M for built in conn.adjoint for M in built.values()]
+        assert len(components) == 3 * len(model.lie.terms.sums)
+        assert sum(not np.shares_memory(M, eta) for M in components) == grids

@@ -17,11 +17,11 @@ II = np.array([0.3, -0.45, 0.2])
 FRAME, SCALES = geometry.Frame(BVEC, II), geometry.Frame(BVEC)
 
 
-def chain_norms(fld, k, eta, model, grid, kind, frame, weight):
+def chain_norms(fld, k, conn, grid, kind, frame, weight):
     total = np.sum(np.abs(fld) ** 2)
     norms, cur = [float(total * weight)], fld
     for _ in range(k):
-        cur = lattice.covariant_diff(cur, eta, model, grid, kind, frame)
+        cur = lattice.covariant_diff(cur, conn, grid, kind, frame)
         total += np.sum(np.abs(cur) ** 2)
         norms.append(float(total * weight))
     return norms
@@ -46,7 +46,7 @@ def test_closed_form_matches_the_chain(n, order, kind):
             fld = fld + 1j * rng.standard_normal(fld.shape)
         for frame in ((FRAME, SCALES) if kind == "spinor" else (SCALES,)):
             fourier = lattice.fourier_sobolev_norms(fld, 4, grid, kind, frame, weight=0.3)
-            chain = chain_norms(fld, 4, None, model, grid, kind, frame, 0.3)
+            chain = chain_norms(fld, 4, None, grid, kind, frame, 0.3)
             assert fourier[0] == chain[0]  # H^0 is the same direct sum
             assert fourier == pytest.approx(chain, rel=RTOL, abs=0)
             for k in range(5):
@@ -64,14 +64,14 @@ def test_sobolev_norms_use_the_closed_form_where_the_connection_drops(order):
                                (algebra.su3_pure(), "higgs", (1,)),
                                (algebra.su3_pure(), "spinor", (4, 1))):
         assert not model.acts[kind]
-        eta = rng.standard_normal((3, model.dim_g) + grid.shape)
+        conn = lattice.Connection(rng.standard_normal((3, model.dim_g) + grid.shape), model)
         fld = rng.standard_normal(shape + grid.shape) + 1j * rng.standard_normal(
             shape + grid.shape)
         frame = FRAME if kind == "spinor" else SCALES
-        norms = energy.sobolev_norms(fld, 3, eta, model, grid, kind, frame)
+        norms = energy.sobolev_norms(fld, 3, conn, grid, kind, frame)
         assert norms == lattice.fourier_sobolev_norms(fld, 3, grid, kind, frame)
         assert norms == pytest.approx(
-            chain_norms(fld, 3, eta, model, grid, kind, frame, 1.0), rel=RTOL, abs=0)
+            chain_norms(fld, 3, conn, grid, kind, frame, 1.0), rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["adjoint", "higgs"])
@@ -85,9 +85,9 @@ def test_no_spin_connection_shift_off_spinors(kind):
         fld = rng.standard_normal(shape + grid.shape)
         if complex_field:
             fld = fld + 1j * rng.standard_normal(fld.shape)
-        norms = energy.sobolev_norms(fld, 2, None, model, grid, kind, frame)
+        norms = energy.sobolev_norms(fld, 2, None, grid, kind, frame)
         assert norms == pytest.approx(
-            chain_norms(fld, 2, None, model, grid, kind, frame, 1.0), rel=RTOL, abs=0)
+            chain_norms(fld, 2, None, grid, kind, frame, 1.0), rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize("n", [8, 9])

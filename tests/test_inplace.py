@@ -122,17 +122,17 @@ def test_diff_and_covariant_d_into_views(kind, bvec):
     u = make_state(lattice.Grid(8), model, bg, seed=32, amplitude=0.1)
     fld = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
     frame = geometry.Frame(np.ones(3) if bvec is None else bvec, bg.frame(0.3).II)
+    conn = lattice.Connection(u.eta, model)
     for k in range(3):
         view = np.full((2,) + fld.shape, np.nan, dtype=fld.dtype)[1]  # contiguous view
         assert lattice.diff(fld, k, u.grid, out=view) is view
         assert np.array_equal(view, lattice.diff(fld, k, u.grid))
         view.fill(np.nan)
-        lattice.covariant_d(fld, k, u.eta, model, u.grid, kind, frame, out=view)
-        assert np.array_equal(view, lattice.covariant_d(fld, k, u.eta, model, u.grid, kind,
-                                                        frame))
+        lattice.covariant_d(fld, k, conn, u.grid, kind, frame, out=view)
+        assert np.array_equal(view, lattice.covariant_d(fld, k, conn, u.grid, kind, frame))
     strided = np.empty(fld.shape + (2,), dtype=fld.dtype)[..., 0]
     for bad in (strided, np.empty(fld.shape[1:], dtype=fld.dtype)):
         with pytest.raises(InputError, match="C-contiguous"):
             lattice.diff(fld, 0, u.grid, out=bad)
         with pytest.raises(InputError, match="C-contiguous"):
-            lattice.covariant_d(fld, 0, u.eta, model, u.grid, kind, out=bad)
+            lattice.covariant_d(fld, 0, conn, u.grid, kind, out=bad)

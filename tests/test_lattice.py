@@ -69,8 +69,9 @@ def test_covariant_diff_leibniz(su2_model, flat_bg, grid12):
         eta = lattice._band_limited(rng_fixed(n, 2), grid, (3, 3), 1, False)
         a = lattice._band_limited(rng_fixed(n, 3), grid, (2,), 1, True)
         b = lattice._band_limited(rng_fixed(n, 4), grid, (2,), 1, True)
-        Da = lattice.covariant_diff(a, eta, model, grid, "higgs")
-        Db = lattice.covariant_diff(b, eta, model, grid, "higgs")
+        conn = lattice.Connection(eta, model)
+        Da = lattice.covariant_diff(a, conn, grid, "higgs")
+        Db = lattice.covariant_diff(b, conn, grid, "higgs")
         inner = np.sum(np.conj(a) * b, axis=0)
         worst = 0.0
         for k in range(3):
@@ -90,8 +91,8 @@ def test_covariant_diff_abelian_adjoint_trivial(u1_model):
     rng = np.random.default_rng(3)
     eta = rng.standard_normal((3, 1) + grid.shape)
     f = rng.standard_normal((1,) + grid.shape)
-    cov = lattice.covariant_diff(f, eta, u1_model, grid, "adjoint")
-    plain = lattice.covariant_diff(f, None, u1_model, grid, "adjoint")
+    cov = lattice.covariant_diff(f, lattice.Connection(eta, u1_model), grid, "adjoint")
+    plain = lattice.covariant_diff(f, None, grid, "adjoint")
     assert np.abs(cov - plain).max() == 0.0
 
 

@@ -47,7 +47,7 @@ def ref_covariant_d(fld, k, eta, model, grid, kind, frame=geometry.UNIT):
     dk = lattice.diff(fld, k, grid)
     if b[k] != 1.0:
         lattice._divide(dk, b[k])
-    if not lattice.drops_connection(eta, model, kind):
+    if not lattice.drops_connection(lattice.Connection(eta, model), kind):
         if kind not in model.terms:
             raise InputError("unknown fiber kind %r" % kind)
         dk += ref_fiber_apply(model.terms[kind], eta[k], fld, axis=fld.ndim - 4)
@@ -64,7 +64,7 @@ def ref_covariant_diff(fld, eta, model, grid, kind, frame=geometry.UNIT):
 
 
 def ref_sobolev_norms(fld, k, eta, model, grid, kind, frame=geometry.UNIT, weight=1.0):
-    if lattice.drops_connection(eta, model, kind):
+    if lattice.drops_connection(lattice.Connection(eta, model), kind):
         return lattice.fourier_sobolev_norms(fld, k, grid, kind, frame, weight=weight)
     cur, total = fld, lattice.sq_norm(fld)
     norms = [float(total * weight)]
@@ -120,14 +120,14 @@ FRAMES = {"unit": geometry.UNIT, "bianchi1": BIANCHI.frame(TAU),
 def test_covariant_d_and_norms_keep_the_bits(name, kind, lead, frame):
     u = make_state(lattice.Grid(8), MODELS[name](), BIANCHI, seed=41, amplitude=0.1)
     fld, eta = field(u, kind, lead), with_zeros(u.eta, seed=7)
-    frame = FRAMES[frame]
+    frame, conn = FRAMES[frame], lattice.Connection(eta, u.model)
     for k in range(3):
-        new = lattice.covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
+        new = lattice.covariant_d(fld, k, conn, u.grid, kind, frame)
         ref = ref_covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
         assert same_values_and_signs(new, ref), (k, "covariant_d")
     if lead < 2:  # the chain's levels add the leading axes
         for top in (1, 2, 3):
-            new = energy.sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame, 0.7)
+            new = energy.sobolev_norms(fld, top, conn, u.grid, kind, frame, 0.7)
             assert new == ref_sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame, 0.7)
 
 
@@ -180,8 +180,9 @@ def test_covariant_d_allocates_at_most_half_its_output(su2_n16, name, k):
     # terms took about twice the output beside it
     u, frame = su2_n16, geometry.Frame((1.0, 1.3, 0.8), (0.2, -0.3, 0.1))
     fld = getattr(u, name)
+    conn = lattice.Connection(u.eta, u.model)
     out, peak = traced_peak(lambda: lattice.covariant_d(
-        fld, k, u.eta, u.model, u.grid, "spinor", frame))
+        fld, k, conn, u.grid, "spinor", frame))
     assert peak - out.nbytes <= 0.5 * out.nbytes
 
 
@@ -191,9 +192,9 @@ def test_sobolev_norms_store_no_last_level(su2_n16, name, kind):
     # its bytes) and one direction's block; a stacked level 2 alone would
     # reach its full size, and its squares took half as much again
     u = su2_n16
-    fld = getattr(u, name)
+    fld, conn = getattr(u, name), lattice.Connection(u.eta, u.model)
     _, peak = traced_peak(lambda: energy.sobolev_norms(
-        fld, 2, u.eta, u.model, u.grid, kind, BIANCHI.frame(TAU)))
+        fld, 2, conn, u.grid, kind, BIANCHI.frame(TAU)))
     level1, level2 = 3 * fld.nbytes, 9 * fld.nbytes
     assert peak - level1 < level2
 

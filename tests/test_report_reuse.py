@@ -122,7 +122,7 @@ def adding_covariant_diff(fld, eta, model, grid, kind, bvec, II):
     for k in range(3):
         dk = roll_diff(fld, k, grid) / bvec[k]
         if eta is not None:
-            dk = dk + lattice.connection_action(fld, eta[k], model, kind)
+            dk = dk + lattice.connection_action(fld, lattice.Connection(eta, model), k, kind)
         if kind == "spinor" and II is not None and II[k]:
             dk = dk + 0.5 * II[k] * np.einsum("ab,...bvxyz->...avxyz", clifford.G0G[k], fld)
         out[k] = dk
@@ -138,8 +138,9 @@ def test_covariant_diff_matches_adding_every_term(name, kind, bianchi_bg):
     frame = bianchi_bg.frame(0.3)
     for eta in (u.eta, None):
         # equal values; an omitted zero term may flip the sign of a zero
+        conn = None if eta is None else lattice.Connection(eta, model)
         assert np.array_equal(
-            lattice.covariant_diff(fld, eta, model, u.grid, kind, frame),
+            lattice.covariant_diff(fld, conn, u.grid, kind, frame),
             adding_covariant_diff(fld, eta, model, u.grid, kind, frame.b, frame.II))
 
 
@@ -221,12 +222,11 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
 def test_sobolev_norms_are_the_per_k_norms(su2_model, bianchi_bg):
     u = make_state(lattice.Grid(8), su2_model, bianchi_bg, seed=9)
     frame = bianchi_bg.frame(0.3)
-    norms = energy.sobolev_norms(u.psi, 3, u.eta, su2_model, u.grid, "spinor",
-                                 frame, weight=0.5)
+    conn = lattice.Connection(u.eta, su2_model)
+    norms = energy.sobolev_norms(u.psi, 3, conn, u.grid, "spinor", frame, weight=0.5)
     assert norms == [per_k_sobolev(u.psi, kk, u.eta, su2_model, u.grid, "spinor",
                                    frame.b, frame.II, 0.5) for kk in range(4)]
-    assert energy.sobolev_norm(u.psi, 2, u.eta, su2_model, u.grid, "spinor",
-                               frame, weight=0.5) == norms[2]
+    assert energy.sobolev_norm(u.psi, 2, conn, u.grid, "spinor", frame, weight=0.5) == norms[2]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ymtorus import algebra, constraints, driver, dynamics, energy, geometry, lattice
-from ymtorus.lattice import EPS, FieldState, covariant_d, hodge_dual_B
+from ymtorus.lattice import EPS, Connection, FieldState, covariant_d, hodge_dual_B
 from conftest import make_state
 
 MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
@@ -31,7 +31,7 @@ def reference_gauge_rows(u, bg, couplings):
     H = frame.H
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
+        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
 
     out = FieldState.zeros(grid, model)
     out.tau = u.tau

@@ -13,7 +13,7 @@ import pytest
 
 from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, oracles
 from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
-from ymtorus.lattice import FieldState, covariant_d, covariant_div, hodge_dual_B
+from ymtorus.lattice import Connection, FieldState, covariant_d, covariant_div, hodge_dual_B
 from conftest import make_state
 from test_report_reuse import roll_diff, same_bits
 
@@ -72,8 +72,8 @@ def test_diff_and_covariant_d_match_roll_and_true_division(order, lead, complex_
     match = np.array_equal if complex_field else same_bits
     for k in range(3):
         assert match(lattice.diff(f, k, grid), roll_diff(f, k, grid))
-        # eta=None: the connection term drops out, leaving (1/b_k) diff
-        assert match(covariant_d(f, k, None, None, grid, "higgs", geometry.Frame(BVEC)),
+        # conn=None: the connection term drops out, leaving (1/b_k) diff
+        assert match(covariant_d(f, k, None, grid, "higgs", geometry.Frame(BVEC)),
                      roll_diff(f, k, grid) / BVEC[k])
 
 
@@ -93,10 +93,10 @@ def ref_dirac_rows(u, bg, couplings):
     yuk = model.yukawa
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
+        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
 
     def div(vec, kind, out=None):
-        return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
+        return covariant_div(vec, Connection(u.eta, model), grid, kind, frame, out=out)
 
     out = FieldState.zeros(grid, model)
     B = hodge_dual_B(u.Q)

@@ -14,7 +14,7 @@ import pytest
 
 from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, parallel
 from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
-from ymtorus.lattice import EPS, FieldState, covariant_d, covariant_div, hodge_dual_B
+from ymtorus.lattice import EPS, Connection, FieldState, covariant_d, covariant_div, hodge_dual_B
 from conftest import make_state
 from test_memory import same_values_and_signs, traced_peak, with_zeros
 from test_threads import force_threads
@@ -73,7 +73,7 @@ def ref_gauge_rhs(u, frame, couplings, out, live=None, B=None):
     J = ref_currents(u) if len(live) > 1 else np.zeros_like(u.E)
 
     def D(fld, k):
-        return covariant_d(fld, k, u.eta, couplings.model, u.grid, "adjoint", frame)
+        return covariant_d(fld, k, Connection(u.eta, couplings.model), u.grid, "adjoint", frame)
 
     for i in range(3):
         np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
@@ -102,10 +102,10 @@ def ref_rhs(u, bg, couplings):
     lam, yuk = couplings.lam, model.yukawa
 
     def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, u.eta, model, grid, kind, frame, out=out)
+        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
 
     def div(vec, kind, out=None):
-        return covariant_div(vec, u.eta, model, grid, kind, frame, out=out)
+        return covariant_div(vec, Connection(u.eta, model), grid, kind, frame, out=out)
 
     def gauge_and_higgs_rows():
         ref_gauge_rhs(u, frame, couplings, out, live, B)

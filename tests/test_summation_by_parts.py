@@ -39,9 +39,9 @@ def test_covariant_d_sums_by_parts(name, kind, order, n, k, bvec, seed):
     fiber = {"adjoint": (model.dim_g,), "higgs": (model.dim_W,),
              "spinor": (4, model.dim_V)}[kind]
     f, g = (random_field(rng, fiber + grid.shape, kind == "adjoint") for _ in range(2))
-    eta = rng.standard_normal((3, model.dim_g) + grid.shape)
-    Df = lattice.covariant_d(f, k, eta, model, grid, kind, geometry.Frame(bvec))
-    Dg = lattice.covariant_d(g, k, eta, model, grid, kind, geometry.Frame(bvec))
+    conn = lattice.Connection(rng.standard_normal((3, model.dim_g) + grid.shape), model)
+    Df = lattice.covariant_d(f, k, conn, grid, kind, geometry.Frame(bvec))
+    Dg = lattice.covariant_d(g, k, conn, grid, kind, geometry.Frame(bvec))
     lhs, rhs = np.vdot(f, Dg), -np.vdot(Df, g)
     scale = np.sum(np.abs(np.conj(f) * Dg)) + np.sum(np.abs(np.conj(Df) * g))
     assert abs(lhs - rhs) <= 1e-12 * scale

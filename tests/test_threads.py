@@ -170,6 +170,34 @@ def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
         assert np.array_equal(s1.sectors[name].view(np.uint64), s2.sectors[name].view(np.uint64))
 
 
+@pytest.mark.parametrize("model_fn", [algebra.su2_toy, algebra.su3_pure])
+def test_gauge_only_states_are_bit_identical_split(monkeypatch, model_fn):
+    # with matter zeroed rhs runs in one block, but set-up's and the reports'
+    # energy chains still split, and both threads read one lattice.Connection
+    cfg = driver.validate_config({
+        "grid": {"n": "20"}, "gauge": {"model": model_fn().name},
+        "background": {"b_kind": "bianchi1", "tau_end_fraction": "0.05"},
+        "initial": {"amplitude": "0.02", "seed": "4", "sectors": "gauge"}})
+    grid, model, bg, coup = driver.build_run(cfg)
+    u = make_state(grid, model, bg, seed=6, amplitude=0.1)
+    u.sectors["higgs"].fill(0.0)
+    u.sectors["dirac"].fill(0.0)
+    u.tau = 0.2
+    results = []
+    for count in (1, 2):
+        force_threads(monkeypatch, count)
+        du = dynamics.rhs(u, bg, coup)
+        state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)
+        results.append((du, dynamics.step(u, bg, coup, 1e-3, k1=du), state,
+                        (energy.total_energy(u, du, bg), info["energy"],
+                         energy.energy_report(u, du, bg, k=3).as_row())))
+    (*states1, values1), (*states2, values2) = results
+    assert values1 == values2
+    for a, b in zip(states1, states2):
+        for name in lattice.SECTORS:
+            assert np.array_equal(a.sectors[name].view(np.uint64), b.sectors[name].view(np.uint64))
+
+
 @pytest.mark.skipif(not parallel.ALLOCATOR_POLICY, reason="mallopt cannot be looked up")
 def test_freed_memory_stays_in_the_process():
     assert parallel.ALLOCATOR_POLICY == {"M_ARENA_MAX": 1, "M_MMAP_THRESHOLD": 1,
