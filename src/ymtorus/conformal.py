@@ -32,9 +32,9 @@ class DecayFit:
     undefined: bool = False
 
 
-def decay_fit(taus, sup_tilde, bg, window_frac=0.4, rescale=0.0):
+def decay_fit(taus, sup_tilde, bg, rescale=0.0):
     """Least-squares slope of log sup|X_phys| against log s(t) over the final
-    window_frac of the run (in tau).
+    40% of the run (in tau).
 
     sup_tilde is the simulation-frame sup-norm series; `rescale` is the
     tilde-to-physical exponent (e.g. -1 for the Higgs field), applied here so
@@ -44,7 +44,7 @@ def decay_fit(taus, sup_tilde, bg, window_frac=0.4, rescale=0.0):
     sups = np.asarray(sup_tilde, dtype=float)
     if taus.size != sups.size:
         raise InputError("series length mismatch")
-    t_lo = taus[-1] - window_frac * (taus[-1] - taus[0])
+    t_lo = taus[-1] - 0.4 * (taus[-1] - taus[0])
     sel = taus >= t_lo - 1e-14
     taus_w = taus[sel]
     sups_w = sups[sel]
@@ -68,17 +68,17 @@ def decay_fit(taus, sup_tilde, bg, window_frac=0.4, rescale=0.0):
                     (float(t_lo), float(taus[-1])))
 
 
-def decay_report(taus, sup_series, bg, window_frac=0.4):
+def decay_report(taus, sup_series, bg):
     """Fits for the Higgs, electric and fermion sup-norm series."""
-    return {name: decay_fit(taus, sup_series[name], bg, window_frac=window_frac,
-                            rescale=RESCALING_EXPONENTS[name]) for name in ("phi", "E", "psi")}
+    return {name: decay_fit(taus, sup_series[name], bg, rescale=RESCALING_EXPONENTS[name])
+            for name in ("phi", "E", "psi")}
 
 
 # ---------------------------------------------------------------------------
 # Conformal covariance of the Higgs equation
 # ---------------------------------------------------------------------------
 
-def _manufactured(grid, model, seed, omega1=1.0, omega2=1.6):
+def _manufactured(grid, model, seed):
     """Smooth band-limited space profiles with analytic tau dependence."""
     rng = np.random.default_rng(seed)
     A = lattice._band_limited(rng, grid, (model.dim_W,), 1, True)
@@ -87,7 +87,7 @@ def _manufactured(grid, model, seed, omega1=1.0, omega2=1.6):
     P *= model.fer_mask[..., None, None, None]
 
     def phi_t(tau):
-        return A * np.cos(omega1 * tau) + B * np.sin(omega2 * tau)
+        return A * np.cos(tau) + B * np.sin(1.6 * tau)
 
     def psi_t(tau):
         return P * np.cos(1.3 * tau)

@@ -17,10 +17,9 @@ import time
 
 import numpy as np
 
-from . import algebra, conformal, constraints, dynamics, energy, geometry
+from . import __version__, algebra, conformal, constraints, dynamics, energy, geometry
 from . import lattice, plots
 from .errors import ConfigError, InputError
-from .version import VERSION
 
 
 CUTOFF_BOUND = ("grid.n must exceed 4*%s.cutoff: quadratic densities of band-limited "
@@ -395,7 +394,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         if energy_rows:
             write_rows()
         with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
-            json.dump({"config": cfg.as_dict(), "version": VERSION, "n_steps": n_steps,
+            json.dump({"config": cfg.as_dict(), "version": __version__, "n_steps": n_steps,
                        "last_reported_step": reported[-1] if reported else None,
                        "initial_data": init_info, "warnings": warnings,
                        "error": {"type": type(err).__name__, "message": str(err)}},
@@ -440,7 +439,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
 
     summary = {
         "config": cfg.as_dict(),
-        "version": VERSION,
+        "version": __version__,
         "gauge_experiment": gauge_experiment,
         "grid": {"n": grid.n, "L": grid.L, "order": grid.order, "dx": grid.dx},
         "dtau": dtau,

@@ -32,6 +32,7 @@ where J is the matter current
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import interpolate
 
 from . import algebra, parallel
 from .clifford import G0G_ROWS, GG_ROWS, GAMMA_ROWS, spin_add, spin_row
@@ -48,9 +49,16 @@ class Couplings:
 
 def cfl_steps(grid, bg, tau_end, cfl, dtau=None):
     """(dtau, n_steps): the fewest equal steps over [0, tau_end] no longer than
-    dtau, or than the CFL bound cfl * dx * min b (over 33 taus) when dtau is
-    None; raises InputError when such a step exceeds that bound."""
-    bmin = min(bg.b(t).min() for t in np.linspace(0.0, tau_end, 33))
+    dtau, or than the CFL bound cfl * dx * min b when dtau is None; raises
+    InputError when such a step exceeds that bound or when b reaches zero
+    there.  b is a PPoly, so its minimum on [0, tau_end] is at an end, a knot
+    or a root of some b_i'."""
+    b = bg.b
+    taus = np.concatenate([[0.0, tau_end], b.x] + [
+        interpolate.PPoly(b.c[..., i], b.x).derivative().roots() for i in range(3)])
+    bmin = b(taus[(taus >= 0.0) & (taus <= tau_end)]).min()
+    if bmin <= 0:
+        raise InputError("b must stay positive on [0, %g]: min b = %g" % (tau_end, bmin))
     bound = cfl * grid.dx * bmin
     n_steps = max(1, int(np.ceil(tau_end / (dtau or bound) - 1e-12)))
     if tau_end / n_steps > bound + 1e-15:

@@ -20,8 +20,11 @@ Ricci_mn = eta^{lr} R_{l m n r}:
     Ricci_ik  = -(dII/dtau)_ik + 3 H II_ik
     Scal      = -2 Tr(dII/dtau) + |II|^2 + 9 H^2
 
-The rest of the package sees a background only through Background.frame(tau),
-a Frame of b, II and dII/dtau with H, Scal and sqrt(g); UNIT is the unit frame.
+A Background holds the scales as one piecewise polynomial b(tau) (a single
+polynomial piece or a cubic spline through a table) and reads b, bdot and
+bddot from it.  The rest of the package sees a background only through
+Background.frame(tau), a Frame of b, II and dII/dtau with H, Scal and
+sqrt(g); UNIT is the unit frame.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,6 @@ class ScaleProfile:
 
     def __init__(self, kind, **params):
         self.kind = kind
-        self.params = params
         if kind == "desitter":
             self.a = float(params.get("a", 1.0))
             if self.a <= 0:
@@ -179,34 +181,27 @@ UNIT = Frame(np.ones(3))  # the static unit frame: b = 1, II = 0
 
 
 class Background:
-    """Simulation-frame background: tau grid data for a diagonal homogeneous
-    spatial metric family diag(b_i(tau)^2) plus the physical scale profile.
+    """Simulation-frame background: the scales b_i(tau) of the diagonal
+    homogeneous spatial metric diag(b_i^2) plus the physical scale profile.
 
-    b_funcs is a triple of callables (b, bdot, bddot), each mapping tau to an
-    array of shape (3,).
+    b is one scipy.interpolate.PPoly whose values have a trailing axis of 3
+    (a CubicSpline over three columns is one); b(tau, nu) is the nu-th
+    tau-derivative, and bg.b(tau) the scales at tau.
     """
 
-    def __init__(self, profile, b_funcs=None, lapse=1.0, name=""):
+    def __init__(self, profile, b, lapse=1.0):
         self.profile = profile
+        self.b = b
         self.N = float(lapse)
         if self.N <= 0:
             raise InputError("lapse must be positive")
-        self.name = name or profile.kind
-        if b_funcs is None:
-            b_funcs = (lambda tau: np.ones(3), lambda tau: np.zeros(3), lambda tau: np.zeros(3))
-        self._b, self._bdot, self._bddot = b_funcs
         self.T = profile.horizon()
-
-    # -- metric family ----------------------------------------------------
-    def b(self, tau):
-        return np.asarray(self._b(tau), dtype=float)
 
     def frame(self, tau):
         """The Frame at tau; raises InputError outside [0, T)."""
         if tau < 0 or tau >= self.T:
             raise InputError("tau = %g outside [0, T = %g)" % (tau, self.T))
-        b, bd = self.b(tau), np.asarray(self._bdot(tau))
-        bdd = np.asarray(self._bddot(tau), dtype=float)
+        b, bd, bdd = self.b(tau), self.b(tau, 1), self.b(tau, 2)
         return Frame(b, -bd / b, -bdd / b + (bd / b) ** 2)
 
     def extrinsic_bound(self, tau):
@@ -236,51 +231,19 @@ def riemann_components(bg, tau):
 
 def static_flat(profile=None, lapse=1.0):
     """b_i = 1: the simulation frame of any Robertson-Walker physical metric."""
-    if profile is None:
-        profile = ScaleProfile("desitter", a=1.0)
-    return Background(profile, None, lapse, name="static_flat(%s)" % profile.kind)
-
-
-def isotropic(profile, b, bdot, bddot, lapse=1.0):
-    funcs = (
-        lambda tau: np.full(3, b(tau)),
-        lambda tau: np.full(3, bdot(tau)),
-        lambda tau: np.full(3, bddot(tau)),
-    )
-    return Background(profile, funcs, lapse, name="isotropic")
+    return polynomial_b(profile or ScaleProfile("desitter", a=1.0), [[1.0]] * 3, lapse)
 
 
 def bianchi1(profile, eps=0.2, lapse=1.0):
     """b = (1, 1 + eps*tau, 1): one linearly stretching axis."""
-    def b(tau):
-        return np.array([1.0, 1.0 + eps * tau, 1.0])
-
-    def bd(tau):
-        return np.array([0.0, eps, 0.0])
-
-    def bdd(tau):
-        return np.zeros(3)
-
-    return Background(profile, (b, bd, bdd), lapse, name="bianchi1")
+    return polynomial_b(profile, [[1.0, 0.0], [1.0, eps], [1.0, 0.0]], lapse)
 
 
 def polynomial_b(profile, coeffs, lapse=1.0):
-    """b_i(tau) = sum_m coeffs[i, m] tau^m (coeffs shape (3, deg+1))."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    polys = [np.polynomial.Polynomial(coeffs[i]) for i in range(3)]
-    dpolys = [p.deriv() for p in polys]
-    ddpolys = [p.deriv(2) for p in polys]
-
-    def b(tau):
-        return np.array([p(tau) for p in polys])
-
-    def bd(tau):
-        return np.array([p(tau) for p in dpolys])
-
-    def bdd(tau):
-        return np.array([p(tau) for p in ddpolys])
-
-    return Background(profile, (b, bd, bdd), lapse, name="polynomial")
+    """b_i(tau) = sum_m coeffs[i, m] tau^m (coeffs shape (3, deg+1)): one
+    polynomial piece on [0, 1] that extrapolates to every tau."""
+    c = np.asarray(coeffs, dtype=float)[:, ::-1].T[:, None, :]  # PPoly's (deg+1, piece, 3)
+    return Background(profile, interpolate.PPoly(c, [0.0, 1.0]), lapse)
 
 
 def from_b_table(profile, path, lapse=1.0):
@@ -288,16 +251,4 @@ def from_b_table(profile, path, lapse=1.0):
     data = np.loadtxt(path, delimiter=",", comments="#")
     if data.ndim != 2 or data.shape[1] != 4:
         raise InputError("b table must have columns tau, b1, b2, b3")
-    tau = data[:, 0]
-    splines = [interpolate.CubicSpline(tau, data[:, 1 + i]) for i in range(3)]
-
-    def b(t):
-        return np.array([sp(t) for sp in splines])
-
-    def bd(t):
-        return np.array([sp(t, 1) for sp in splines])
-
-    def bdd(t):
-        return np.array([sp(t, 2) for sp in splines])
-
-    return Background(profile, (b, bd, bdd), lapse, name="table:%s" % path)
+    return Background(profile, interpolate.CubicSpline(data[:, 0], data[:, 1:]), lapse)

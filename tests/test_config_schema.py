@@ -141,6 +141,23 @@ def test_table_that_builds_no_background_is_a_violation(tmp_path, lines, key):
     assert err.value.violations[0].startswith("the background cannot be built: ")
 
 
+@pytest.mark.parametrize("b2, rows", [
+    (lambda tau: tau, 17), (lambda tau: 1 - 2 * tau, 17),
+    (lambda tau: 1 - 1.5 * np.exp(-((tau - 0.022) / 0.005) ** 2), 321)],
+    ids=["tau", "1-2tau", "narrow_dip"])
+def test_b_table_that_reaches_zero_is_a_violation(tmp_path, b2, rows):
+    # b2 = tau was an OverflowError in cfl_steps, 1 - 2 tau a negative CFL bound;
+    # the narrow dip lies between the 33 taus at which b was once sampled
+    taus = np.linspace(0.0, 1.6, rows)
+    table = tmp_path / "b.csv"
+    np.savetxt(table, np.column_stack([taus, np.ones_like(taus), b2(taus), np.ones_like(taus)]),
+               delimiter=",")
+    with pytest.raises(ConfigError) as err:
+        driver.parse_config_text("[background]\nb_kind = table\nb_table = %s\n" % table)
+    [violation] = err.value.violations
+    assert re.fullmatch(r"b must stay positive on \[0, \S+\]: min b = \S+", violation), violation
+
+
 def test_table_profile_needs_its_table():
     with pytest.raises(ConfigError) as err:
         driver.parse_config_text("[background]\nprofile = table\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import interpolate
 
 from ymtorus import geometry
 
@@ -54,7 +55,7 @@ def test_second_fundamental_form_cases():
     frame = bg.frame(0.5)
     assert np.abs(frame.II).max() == 0.0 and frame.H == 0.0 and np.abs(frame.dII).max() == 0.0
     # isotropic b: frame components II_ii = -bdot/b
-    bg = geometry.isotropic(prof, lambda t: 1 + 0.3 * t, lambda t: 0.3, lambda t: 0.0)
+    bg = geometry.polynomial_b(prof, [[1.0, 0.3]] * 3)
     tau = 0.4
     frame = bg.frame(tau)
     expect = -0.3 / (1 + 0.3 * tau)
@@ -73,14 +74,11 @@ def test_second_fundamental_form_cases():
 def test_scalar_curvature_static_zero_and_frw():
     bg = geometry.static_flat()
     assert bg.frame(0.3).scal == 0.0
-    # isotropic b(tau): compare with the textbook flat-FRW value
+    # isotropic b(tau) = 1 + 0.2 t + 0.05 t^2: compare with the textbook flat-FRW value
     prof = geometry.ScaleProfile("desitter")
-    b = lambda t: 1 + 0.2 * t + 0.05 * t ** 2
-    bd = lambda t: 0.2 + 0.1 * t
-    bdd = lambda t: 0.1
-    bg = geometry.isotropic(prof, b, bd, bdd)
+    bg = geometry.polynomial_b(prof, [[1.0, 0.2, 0.05]] * 3)
     tau = 0.6
-    a, ad, add = b(tau), bd(tau), bdd(tau)
+    a, ad, add = 1 + 0.2 * tau + 0.05 * tau ** 2, 0.2 + 0.1 * tau, 0.1
     expect = 6 * (add / a + (ad / a) ** 2)
     assert abs(bg.frame(tau).scal - expect) < 1e-12
 
@@ -89,10 +87,7 @@ def test_scalar_curvature_finite_difference_oracle():
     # numerically differentiate II for an isotropic profile and evaluate the
     # same trace formula; agreement at O(dtau^2)
     prof = geometry.ScaleProfile("desitter")
-    b = lambda t: 1 + 0.1 * np.sin(t)
-    bd = lambda t: 0.1 * np.cos(t)
-    bdd = lambda t: -0.1 * np.sin(t)
-    bg = geometry.isotropic(prof, b, bd, bdd)
+    bg = geometry.polynomial_b(prof, [[1.0, 0.1, -0.05, 0.02]] * 3)
     tau, h = 0.5, 1e-4
     kap = bg.frame(tau).II
     dk_fd = (bg.frame(tau + h).II - bg.frame(tau - h).II) / (2 * h)
@@ -206,31 +201,48 @@ def test_extrinsic_bound_logged():
     assert np.isfinite(val) and val >= 0
 
 
-# The Background methods that Background.frame replaced, verbatim but for
-# self -> bg; the frame must keep their bits.
-def old_II(bg, tau):
-    return -np.asarray(bg._bdot(tau)) / bg.b(tau)
+# The closures that built the backgrounds before b was one piecewise
+# polynomial, verbatim; the frame must keep their bits.
+def closure_static_flat():
+    return (lambda tau: np.ones(3), lambda tau: np.zeros(3), lambda tau: np.zeros(3))
 
 
-def old_H(bg, tau):
-    return float(np.sum(old_II(bg, tau))) / 3.0
+def closure_bianchi1(eps):
+    def b(tau):
+        return np.array([1.0, 1.0 + eps * tau, 1.0])
+
+    def bd(tau):
+        return np.array([0.0, eps, 0.0])
+
+    def bdd(tau):
+        return np.zeros(3)
+
+    return (b, bd, bdd)
 
 
-def old_dII_dtau(bg, tau):
-    b = bg.b(tau)
-    bd = np.asarray(bg._bdot(tau), dtype=float)
-    bdd = np.asarray(bg._bddot(tau), dtype=float)
-    return -bdd / b + (bd / b) ** 2
+def closure_from_b_table(path):
+    data = np.loadtxt(path, delimiter=",", comments="#")
+    tau = data[:, 0]
+    splines = [interpolate.CubicSpline(tau, data[:, 1 + i]) for i in range(3)]
+
+    def b(t):
+        return np.array([sp(t) for sp in splines])
+
+    def bd(t):
+        return np.array([sp(t, 1) for sp in splines])
+
+    def bdd(t):
+        return np.array([sp(t, 2) for sp in splines])
+
+    return (b, bd, bdd)
 
 
-def old_scal_h(bg, tau):
-    kappa = old_II(bg, tau)
-    dk = old_dII_dtau(bg, tau)
-    return float(-2.0 * np.sum(dk) + np.sum(kappa ** 2) + np.sum(kappa) ** 2)
-
-
-def old_sqrt_g(bg, tau):
-    return float(np.prod(bg.b(tau)))
+def closure_frame(funcs, tau):
+    """The frame formulas of Background.frame over a closure triple."""
+    b = np.asarray(funcs[0](tau), dtype=float)
+    bd = np.asarray(funcs[1](tau))
+    bdd = np.asarray(funcs[2](tau), dtype=float)
+    return b, -bd / b, -bdd / b + (bd / b) ** 2
 
 
 def same_bits(a, b):
@@ -244,28 +256,34 @@ def test_frame_keeps_the_bits_of_the_background_methods(tmp_path):
     path = tmp_path / "btab.csv"
     np.savetxt(path, np.column_stack([taus, 1 + 0.1 * taus, np.ones_like(taus),
                                       1 + 0.05 * taus ** 2]), delimiter=",")
-    coeffs = np.array([[1.0, 0.3, -0.1], [1.0, -0.2, 0.05], [1.0, 0.0, 0.2]])
-    backgrounds = [
-        geometry.static_flat(prof),
-        geometry.isotropic(prof, lambda t: 1 + 0.3 * t, lambda t: 0.3, lambda t: 0),
-        geometry.bianchi1(prof, eps=0.25),
-        geometry.polynomial_b(prof, coeffs),
-        geometry.from_b_table(prof, path),
-    ]
-    for bg in backgrounds:
-        for tau in (0.0, 0.3, 0.77, 1.2, 1.5):
+    cases = [(geometry.static_flat(prof), closure_static_flat()),
+             (geometry.from_b_table(prof, path), closure_from_b_table(path))]
+    cases += [(geometry.bianchi1(prof, eps=eps), closure_bianchi1(eps))
+              for eps in (0.0, 0.2, 0.25, 0.3)]
+    for bg, funcs in cases:
+        for tau in np.append(np.linspace(0.0, 1.5, 61), [0.77, bg.T * (1 - 1e-12)]):
             frame = bg.frame(tau)
-            assert np.array_equal(frame.b, bg.b(tau))
-            assert np.array_equal(frame.II, old_II(bg, tau))
-            assert np.array_equal(frame.dII, old_dII_dtau(bg, tau))
-            assert same_bits(frame.II, old_II(bg, tau))  # signs of zero included
-            assert same_bits(frame.dII, old_dII_dtau(bg, tau))
-            assert frame.H == old_H(bg, tau)
-            assert frame.scal == old_scal_h(bg, tau)
-            assert frame.sqrt_g == old_sqrt_g(bg, tau)
+            b, II, dII = closure_frame(funcs, tau)
+            assert same_bits(bg.b(tau), b)
+            for got, want in ((frame.b, b), (frame.II, II), (frame.dII, dII)):
+                assert same_bits(got, want)  # signs of zero included
+            assert frame.H == float(np.sum(II)) / 3.0
+            assert frame.scal == float(-2.0 * np.sum(dII) + np.sum(II ** 2) + np.sum(II) ** 2)
+            assert frame.sqrt_g == float(np.prod(b))
         for tau in (bg.T, -0.1):
             with pytest.raises(geometry.InputError):
                 bg.frame(tau)
+
+
+def test_polynomial_b_matches_the_ascending_powers():
+    prof = geometry.ScaleProfile("desitter")
+    coeffs = np.array([[1.0, 0.3, -0.1], [1.0, -0.2, 0.05], [1.0, 0.0, 0.2]])
+    bg = geometry.polynomial_b(prof, coeffs)
+    polys = [np.polynomial.Polynomial(c) for c in coeffs]
+    for tau in (0.0, 0.3, 0.77, 1.2, 1.5):  # beyond the piece [0, 1] it extrapolates
+        for nu in range(3):
+            want = [p.deriv(nu)(tau) for p in polys]
+            assert np.allclose(bg.b(tau, nu), want, rtol=1e-15, atol=1e-15)
 
 
 def test_unit_frame_is_the_static_unit_frame():

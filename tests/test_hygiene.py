@@ -10,6 +10,8 @@ driver.SCHEMA that the package never reads, and a float(), int() or
 .split() applied to a config read in the package: the schema is the one
 place where config text becomes values.  A definition that only tests
 load is listed in TEST_ONLY with the criterion or paper identity it checks.
+An optional parameter of the package that no call outside the tests sets is
+listed in TEST_KNOBS with the criterion it serves; any other is a constant.
 """
 
 import ast
@@ -127,8 +129,6 @@ TEST_ONLY = {
     "dynamics.principal_symbol": "C2",
     "dynamics.principal_symbol_dtau": "C2",
     "energy.norm_evolution_ratio": "C4",
-    "geometry.isotropic": "FRW",
-    "geometry.polynomial_b": "C10",
     "geometry.riemann_components": "C10",
     "lattice.load_state": "snapshots",  # the model check of a saved state
 }
@@ -167,6 +167,80 @@ def test_only_the_listed_definitions_are_read_by_tests_alone():
     tests = ROOT / "tests"
     assert unread_definitions(readers=[path for path in READERS
                                        if tests not in path.parents]) == sorted(TEST_ONLY)
+
+
+def signatures(package=PACKAGE):
+    """(called name, where, positional names, optional names) of every
+    module-level function and method of the package, where =
+    module.[Class.]name; a class is called through its __init__, and a
+    method's self (or cls) is bound."""
+    found = []
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = [(node.name, node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [(node.name if item.name == "__init__" else item.name,
+                          "%s.%s" % (node.name, item.name), item, 1)
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+            for called, where, fn, bound in defs:
+                params = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+                optional = params[len(params) - len(fn.args.defaults):]
+                optional += [p.arg for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                             if default is not None]
+                found.append((called, "%s.%s" % (path.stem, where), params[bound:], optional))
+    return found
+
+
+def unset_parameters(package=PACKAGE, callers=READERS):
+    """where.param of every optional parameter of `package` that no call in
+    `callers` sets, by keyword or by position, to a function or class of
+    that name; a call with *args or **kwargs sets them all."""
+    calls = [node for path in callers
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    unset = []
+    for called, where, positional, optional in signatures(package):
+        set_here = set()
+        for call in calls:
+            if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) != called:
+                continue
+            if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(kw.arg is None for kw in call.keywords)):
+                set_here |= set(optional)
+            set_here |= set(positional[:len(call.args)]) | {kw.arg for kw in call.keywords}
+        unset += ["%s.%s" % (where, name) for name in optional if name not in set_here]
+    return sorted(unset)
+
+
+def test_parameter_scan_sees_positions_keywords_and_methods(tmp_path):
+    module, caller = tmp_path / "module.py", tmp_path / "caller.py"
+    module.write_text("def f(a, b=1, c=2, *, d=3): pass\n\nclass K:\n"
+                      "    def __init__(self, x=0): pass\n\n    def m(self, y=0, z=1): pass\n")
+    caller.write_text("f(0, 1)\nf(0, d=4)\nK().m(1)\n")
+    assert unset_parameters([module], [caller]) == ["module.K.__init__.x", "module.K.m.z",
+                                                    "module.f.c"]
+    caller.write_text("f(*args)\nK(**kw)\n")
+    assert unset_parameters([module], [caller]) == ["module.K.m.y", "module.K.m.z"]
+
+
+# Optional parameters that only tests set, each with the acceptance criterion
+# (C1-C10) or the check that sets it; every other optional parameter of the
+# package is set by some caller outside the tests.
+TEST_KNOBS = {
+    "__main__.main.argv": "CLI",  # sys.argv when None
+    "algebra.check_equivariance.samples": "C1",
+    "algebra.u1_toy.q_w": "abelian-current",  # J_i = -q |phi|^2 at charge q
+    "conformal.conformal_residual_check.phi_weight": "C9",  # the wrong-weight control
+    "conformal.conformal_residual_check.seed": "C9",
+    "constraints.operator_symmetry_defect.bg": "C3",
+    "energy.sector_energy.connection": "C4",  # the reference-connection energy
+}
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    tests = ROOT / "tests"
+    assert unset_parameters(callers=[path for path in READERS
+                                     if tests not in path.parents]) == sorted(TEST_KNOBS)
 
 
 def config_reads(tree):
