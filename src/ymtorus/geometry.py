@@ -40,7 +40,8 @@ class ScaleProfile:
 
     Shipped kinds: 'desitter' (s = a cosh(t/a)), 'exponential'
     (s = s0 exp(rate t)), 'power' (s = s0 (1 + t/t0)^p, p > 1) and 'table'
-    (cubic spline through sampled (t, s)); any other kind is rejected.
+    (cubic spline through sampled (t, s), then s(t_max) exp(rate (t - t_max))
+    with the rate fitted to the last fifth); any other kind is rejected.
     """
 
     def __init__(self, kind, **params):
@@ -67,14 +68,10 @@ class ScaleProfile:
                 raise InputError("profile table needs increasing t and s > 0")
             self._spline = interpolate.CubicSpline(t, s)
             self._tmax = t[-1]
-            # crude tail model: exponential fit over the last fifth of the table
-            m = max(4, t.size // 5)
-            slope = np.polyfit(t[-m:], np.log(s[-m:]), 1)[0]
-            if slope <= 1e-12:
-                raise InputError(
-                    "tabulated scale factor does not grow; 1/s is not integrable"
-                )
-            self._tail_rate = slope
+            m = max(4, t.size // 5)  # the tail's rate: a fit over the last fifth
+            self._tail_rate = np.polyfit(t[-m:], np.log(s[-m:]), 1)[0]
+            if self._tail_rate <= 1e-12:
+                raise InputError("tabulated scale factor does not grow; 1/s is not integrable")
         else:
             raise InputError("unknown scale profile kind %r" % kind)
 
@@ -87,7 +84,8 @@ class ScaleProfile:
             return self.s0 * np.exp(self.rate * t)
         if self.kind == "power":
             return self.s0 * (1.0 + t / self.t0) ** self.p
-        return self._spline(t)
+        tail = self._spline(self._tmax) * np.exp(self._tail_rate * (t - self._tmax))
+        return np.where(t > self._tmax, tail, self._spline(np.minimum(t, self._tmax)))
 
     # -- Gaussian time map ------------------------------------------------
     def tau_of_t(self, t):
@@ -95,6 +93,9 @@ class ScaleProfile:
         if np.ndim(t) > 0:
             return np.array([self.tau_of_t(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
         t = float(t)
+        if self.kind == "table" and t > self._tmax:  # the tail, in closed form
+            return (self.tau_of_t(self._tmax) - np.expm1(-self._tail_rate * (t - self._tmax))
+                    / (self.s(self._tmax) * self._tail_rate))
         # a spline is smooth only between its knots: break the integral there
         knots = self._spline.x if self.kind == "table" else np.empty(0)
         knots = knots[(knots > min(0.0, t)) & (knots < max(0.0, t))]
@@ -115,8 +116,7 @@ class ScaleProfile:
             tcut = self.t0 * 1e4
             tail = self.t0 / (self.s0 * (self.p - 1)) * (1 + tcut / self.t0) ** (1 - self.p)
         else:
-            tcut = self._tmax
-            tail = np.exp(-0.0) / (self.s(self._tmax) * self._tail_rate)
+            tcut, tail = self._tmax, 1.0 / (self.s(self._tmax) * self._tail_rate)
         return self.tau_of_t(tcut) + tail
 
     def t_of_tau(self, tau):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ymtorus import algebra, geometry, lattice
@@ -43,3 +44,28 @@ def make_state(grid, model, bg, seed=3, amplitude=0.1, cutoff=1, solve=False,
     if solve:
         constraints.solve_gauss_initial(u, bg, cg_tol=cg_tol)
     return u
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: every value, the sign of every zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_states(got, ref):
+    for field in lattice.FIELDS:
+        assert same_bits(getattr(got, field), getattr(ref, field)), field
+
+
+def with_zeros(fld, seed):
+    """fld with a tenth of its entries set to +0 and a tenth to -0 (parts of
+    both signs on complex fields), where a reordered sum would flip a sign."""
+    rng = np.random.default_rng(seed)
+    out = fld.copy()
+    pick = rng.random(fld.shape)
+    out[pick < 0.1] = 0.0
+    out[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    if np.iscomplexobj(out):
+        out[(pick >= 0.2) & (pick < 0.25)] = complex(-0.0, 0.0)
+        out[(pick >= 0.25) & (pick < 0.3)] = complex(0.0, -0.0)
+    return out

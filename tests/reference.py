@@ -129,20 +129,15 @@ def currents(u):
     return J
 
 
-def live_sectors(u, model):
-    """(higgs, dirac): whether each matter triple's derivative can be nonzero."""
-    dirac = bool(np.any(u.sectors["dirac"]))
-    return (dirac and bool(model.yukawa.terms.pairs)) or bool(np.any(u.sectors["higgs"])), dirac
-
-
 def rhs(u, bg, couplings):
     """The state derivative of dynamics' first-order system at u.tau."""
     model, grid, frame = couplings.model, u.grid, bg.frame(u.tau)
     kap, dkap, H, scal = frame.II, frame.dII, frame.H, frame.scal
     yuk, chi_acts, yuk_acts = model.yukawa, model.chi.terms.pairs, model.yukawa.terms.pairs
-    higgs, dirac = live_sectors(u, model)
+    dirac = np.any(u.sectors["dirac"])  # the live matter triples
+    higgs = (dirac and yuk_acts) or np.any(u.sectors["higgs"])
     out = FieldState.zeros(grid, model, tau=u.tau)
-    B, J = hodge_dual_B(u.Q), currents(u)
+    B, J = hodge_dual_B(u.Q), currents(u)  # J of zero matter is +0, as rhs takes it
 
     def D(fld, k, kind):
         return covariant_d(fld, k, u.eta, model, grid, kind, frame)

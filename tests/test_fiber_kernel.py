@@ -1,11 +1,12 @@
 """The sparse fiber-action kernel against the dense einsum formulas, and the
-sign-folded kernel against the kernel that built every pair's matrix.
+sign-folded kernel against the whole-array kernel that builds every pair's
+matrix.
 
 The dense contractions below multiply every entry of f, of the generators
 and of the Yukawa blocks; they are the reference the term tables must reproduce, up to
 the reassociation of the sums (rtol 1e-13 against the largest entry).  The
 folded kernel, with components built per call or held by a lattice.Connection,
-must give the unfolded kernel's bits, signs of zero included, and one
+must give the bits of reference.fiber_apply, signs of zero included, and one
 evaluation builds each direction's adjoint components once.
 """
 
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from ymtorus import algebra, clifford, constraints, dynamics, energy, geometry, lattice
-from conftest import make_state
-from test_memory import with_zeros
+import reference
+from conftest import make_state, same_bits, with_zeros
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -218,50 +219,8 @@ def test_zero_yukawa_map_is_exact_zero(yuk):
 
 
 # ---------------------------------------------------------------------------
-# The sign-folded kernel against the kernel that built every M_bc
+# The sign-folded kernel against the whole-array kernel
 # ---------------------------------------------------------------------------
-
-def unfolded_fiber_apply(terms, xi, x, axis=0, out=None):
-    """The fiber kernel as it was when every call built each pair's M_bc,
-    verbatim apart from the pair lists, which it formed from terms.pairs."""
-    by_out = [[(b, coeffs) for b, c, coeffs in terms.pairs if c == out_c]
-              for out_c in range(terms.dim_out)]
-    grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
-    dtype = np.result_type(terms.dtype, xi, x)
-    if out is None:  # each component is summed in place, over all leading indices at once
-        out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid, dtype)
-        positions, acc = [(slice(None),) * axis], None
-    else:
-        positions, acc = list(np.ndindex(x.shape[:axis])), np.empty(grid, dtype)
-    for c, pairs in enumerate(by_out):
-        Ms = {}  # b -> M_bc, kept for the other leading indices
-        for pos in positions:
-            if acc is not None:
-                acc.fill(0.0)
-            for b, coeffs in pairs:
-                M = Ms.get(b)
-                if M is None:
-                    (a, w), rest = coeffs[0], coeffs[1:]
-                    M = xi[a] if w == 1 else w * xi[a]
-                    for a, w in rest:
-                        M = M + w * xi[a]
-                    if len(positions) > 1:
-                        Ms[b] = M
-                if acc is None:
-                    out[pos + (c,)] += M * x[pos + (b,)]
-                else:
-                    acc += M * x[pos + (b,)]
-            if acc is not None:
-                out[pos + (c,)] += acc
-        del Ms  # before the next component's are built
-    return out
-
-
-def _same_bits(a, b):
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
-
 
 def _tables(model, rng, grid):
     """(table, xi, fiber dimension of x) of every fiber kind of the model, the
@@ -281,13 +240,13 @@ def test_folded_kernel_keeps_the_bits(name, n_lead):
     for terms, xi, dim_x in _tables(model, rng, grid):
         for x in (with_zeros(_real(rng, lead + (dim_x,) + grid), seed=13),
                   with_zeros(_complex(rng, lead + (dim_x,) + grid), seed=14)):
-            ref = unfolded_fiber_apply(terms, xi, x, n_lead)
+            ref = reference.fiber_apply(terms, xi, x, n_lead)
             for built in (None, terms.build(xi)):
-                assert _same_bits(algebra._fiber_apply(terms, xi, x, n_lead, built=built), ref)
+                assert same_bits(algebra._fiber_apply(terms, xi, x, n_lead, built=built), ref)
                 base = with_zeros(_complex(rng, ref.shape), seed=15)
-                assert _same_bits(
+                assert same_bits(
                     algebra._fiber_apply(terms, xi, x, n_lead, out=base.copy(), built=built),
-                    unfolded_fiber_apply(terms, xi, x, n_lead, out=base.copy()))
+                    base + ref)
 
 
 def test_a_cancelling_su3_component_keeps_the_bits():
@@ -310,10 +269,9 @@ def test_a_cancelling_su3_component_keeps_the_bits():
         axis = fld.ndim - 4
         base = with_zeros(_real(rng, fld.shape), seed=24)
         conn = lattice.Connection(np.stack([xi] * 3), algebra.su3_pure())
-        for out in (None, base.copy()):
-            expect = unfolded_fiber_apply(lie.terms, xi, fld, axis,
-                                          None if out is None else base.copy())
-            assert _same_bits(lattice.connection_action(fld, conn, 1, "adjoint", out=out), expect)
+        ref = reference.fiber_apply(lie.terms, xi, fld, axis)
+        for out, expect in ((None, ref), (base.copy(), base + ref)):
+            assert same_bits(lattice.connection_action(fld, conn, 1, "adjoint", out=out), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy import interpolate
 
+import reference
 from ymtorus import geometry
+from conftest import same_bits
 
 
 def test_horizon_closed_forms():
@@ -46,6 +47,22 @@ def test_table_profile():
     flat = np.ones_like(t)
     with pytest.raises(geometry.InputError):
         geometry.ScaleProfile("table", t=t, s=flat)
+
+
+def test_table_profile_continues_by_the_horizon_tail():
+    # s = e^t on [0, 1], so the fitted rate is 1: past t = 1, s and the time
+    # map follow the exponential tail that horizon() integrates, not the
+    # extrapolated spline, and s_of_tau = 1 / (rate (T - tau)) grows without bound
+    t = np.linspace(0.0, 1.0, 11)
+    p = geometry.ScaleProfile("table", t=t, s=np.exp(t))
+    T = p.horizon()
+    assert T == pytest.approx(1.0, abs=1e-6)
+    for x in (2.0, 5.0, 10.0):
+        assert p.tau_of_t(x) < T
+        assert p.s(x) == pytest.approx(np.exp(x), rel=1e-12)
+    assert p.s_of_tau(0.9 * T) == pytest.approx(1.0 / (0.1 * T), rel=1e-9)
+    # 1 / (1 - 0.9 T) differs from it by 1.2e-6, as T does from 1 (the spline's error)
+    assert p.s_of_tau(0.9 * T) == pytest.approx(1.0 / (1.0 - 0.9 * T), rel=2e-6)
 
 
 def test_second_fundamental_form_cases():
@@ -201,69 +218,20 @@ def test_extrinsic_bound_logged():
     assert np.isfinite(val) and val >= 0
 
 
-# The closures that built the backgrounds before b was one piecewise
-# polynomial, verbatim; the frame must keep their bits.
-def closure_static_flat():
-    return (lambda tau: np.ones(3), lambda tau: np.zeros(3), lambda tau: np.zeros(3))
-
-
-def closure_bianchi1(eps):
-    def b(tau):
-        return np.array([1.0, 1.0 + eps * tau, 1.0])
-
-    def bd(tau):
-        return np.array([0.0, eps, 0.0])
-
-    def bdd(tau):
-        return np.zeros(3)
-
-    return (b, bd, bdd)
-
-
-def closure_from_b_table(path):
-    data = np.loadtxt(path, delimiter=",", comments="#")
-    tau = data[:, 0]
-    splines = [interpolate.CubicSpline(tau, data[:, 1 + i]) for i in range(3)]
-
-    def b(t):
-        return np.array([sp(t) for sp in splines])
-
-    def bd(t):
-        return np.array([sp(t, 1) for sp in splines])
-
-    def bdd(t):
-        return np.array([sp(t, 2) for sp in splines])
-
-    return (b, bd, bdd)
-
-
-def closure_frame(funcs, tau):
-    """The frame formulas of Background.frame over a closure triple."""
-    b = np.asarray(funcs[0](tau), dtype=float)
-    bd = np.asarray(funcs[1](tau))
-    bdd = np.asarray(funcs[2](tau), dtype=float)
-    return b, -bd / b, -bdd / b + (bd / b) ** 2
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_frame_keeps_the_bits_of_the_background_methods(tmp_path):
     prof = geometry.ScaleProfile("desitter")
     taus = np.linspace(0, 1.5, 100)
     path = tmp_path / "btab.csv"
     np.savetxt(path, np.column_stack([taus, 1 + 0.1 * taus, np.ones_like(taus),
                                       1 + 0.05 * taus ** 2]), delimiter=",")
-    cases = [(geometry.static_flat(prof), closure_static_flat()),
-             (geometry.from_b_table(prof, path), closure_from_b_table(path))]
-    cases += [(geometry.bianchi1(prof, eps=eps), closure_bianchi1(eps))
+    cases = [(geometry.static_flat(prof), reference.static_flat_b),
+             (geometry.from_b_table(prof, path), reference.b_table_b(path))]
+    cases += [(geometry.bianchi1(prof, eps=eps), reference.bianchi1_b(eps))
               for eps in (0.0, 0.2, 0.25, 0.3)]
-    for bg, funcs in cases:
+    for bg, b_and_derivatives in cases:
         for tau in np.append(np.linspace(0.0, 1.5, 61), [0.77, bg.T * (1 - 1e-12)]):
             frame = bg.frame(tau)
-            b, II, dII = closure_frame(funcs, tau)
+            b, II, dII = reference.frame_of(b_and_derivatives, tau)
             assert same_bits(bg.b(tau), b)
             for got, want in ((frame.b, b), (frame.II, II), (frame.dII, dII)):
                 assert same_bits(got, want)  # signs of zero included

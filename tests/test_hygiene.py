@@ -15,8 +15,12 @@ listed in TEST_KNOBS with the criterion it serves; any other is a constant.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 import re
+
+from ymtorus import clifford, constraints, dynamics, lattice
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ymtorus").glob("*.py"))
@@ -167,6 +171,25 @@ def test_only_the_listed_definitions_are_read_by_tests_alone():
     tests = ROOT / "tests"
     assert unread_definitions(readers=[path for path in READERS
                                        if tests not in path.parents]) == sorted(TEST_ONLY)
+
+
+def test_every_tracer_target_is_a_package_function():
+    # resolved as Tracer.install resolves it: Tier 1 never installs the tracer,
+    # so a renamed or deleted target would fail only a traced benchmark run
+    targets = [pair for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.Assign)
+               and node.targets[0].id in ("LAYER_TARGETS", "PHASE_TARGETS")
+               for pair in ast.literal_eval(node.value)]
+    assert {("lattice", "FieldState.lincomb"), ("dynamics", "evolve")} <= set(targets)
+    for module, path in targets:
+        owner = importlib.import_module("ymtorus." + module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        target = vars(owner).get(attr)
+        assert inspect.isfunction(target) and target.__module__ == "ymtorus." + module, path
+    # the bindings that the benchmark's tracer test reads
+    assert dynamics.diff is lattice.diff and constraints.gamma_apply is clifford.gamma_apply
 
 
 def signatures(package=PACKAGE):

@@ -1,11 +1,10 @@
 """A run holds four states, and covariant derivatives and chain tops make no
 whole-field temporaries, with the bits of the code that made them.
 
-The references below are the covariant derivative, the fiber kernel and the
-Sobolev chain as they were written when the fiber terms were added as whole
-fields and the chain's last level was stacked before it was summed.  The new
-code must match them bit for bit, signs of zero included.  Peaks are
-measured with tracemalloc, which sees numpy's data buffers.
+tests/reference.py adds the fiber terms as whole fields and stacks a chain's
+last level before it is summed.  The covariant derivative, the fiber kernel
+and the Sobolev chain must match it bit for bit, signs of zero included.
+Peaks are measured with tracemalloc, which sees numpy's data buffers.
 """
 
 import gc
@@ -14,9 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ymtorus import algebra, clifford, dynamics, energy, geometry, lattice
-from ymtorus.errors import InputError
-from conftest import make_state
+import reference
+from ymtorus import algebra, dynamics, energy, geometry, lattice
+from conftest import make_state, same_bits, with_zeros
 
 MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
           "su3_pure": algebra.su3_pure}
@@ -25,76 +24,8 @@ TAU = 0.3
 
 
 # ---------------------------------------------------------------------------
-# References: whole-field fiber terms and a stacked last level
+# Bits
 # ---------------------------------------------------------------------------
-
-def ref_fiber_apply(terms, xi, x, axis=0):
-    lead = (slice(None),) * axis
-    grid = np.broadcast_shapes(xi.shape[1:], x.shape[axis + 1:])
-    out = np.zeros(x.shape[:axis] + (terms.dim_out,) + grid,
-                   dtype=np.result_type(terms.dtype, xi, x))
-    for b, c, coeffs in terms.pairs:
-        (a, w), rest = coeffs[0], coeffs[1:]
-        M = xi[a] if w == 1 else w * xi[a]
-        for a, w in rest:
-            M = M + w * xi[a]
-        out[lead + (c,)] += M * x[lead + (b,)]
-    return out
-
-
-def ref_covariant_d(fld, k, eta, model, grid, kind, frame=geometry.UNIT):
-    b, II = frame.b, frame.II
-    dk = lattice.diff(fld, k, grid)
-    if b[k] != 1.0:
-        lattice._divide(dk, b[k])
-    if not lattice.drops_connection(lattice.Connection(eta, model), kind):
-        if kind not in model.terms:
-            raise InputError("unknown fiber kind %r" % kind)
-        dk += ref_fiber_apply(model.terms[kind], eta[k], fld, axis=fld.ndim - 4)
-    if kind == "spinor" and II[k]:
-        spin = clifford.gamma_apply(clifford.G0G[k], np.moveaxis(fld, -5, 0))
-        spin *= 0.5 * II[k]
-        dk += np.moveaxis(spin, 0, -5)
-    return dk
-
-
-def ref_covariant_diff(fld, eta, model, grid, kind, frame=geometry.UNIT):
-    return np.stack([ref_covariant_d(fld, k, eta, model, grid, kind, frame)
-                     for k in range(3)])
-
-
-def ref_sobolev_norms(fld, k, eta, model, grid, kind, frame=geometry.UNIT, weight=1.0):
-    if lattice.drops_connection(lattice.Connection(eta, model), kind):
-        return lattice.fourier_sobolev_norms(fld, k, grid, kind, frame, weight=weight)
-    cur, total = fld, lattice.sq_norm(fld)
-    norms = [float(total * weight)]
-    for _ in range(k):
-        cur = ref_covariant_diff(cur, eta, model, grid, kind, frame)
-        total += lattice.sq_norm(cur)
-        norms.append(float(total * weight))
-    return norms
-
-
-def same_values_and_signs(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
-
-
-def with_zeros(fld, seed):
-    """fld with a tenth of its entries set to +0 and a tenth to -0 (parts of
-    both signs on complex fields), where a reordered sum would flip a sign."""
-    rng = np.random.default_rng(seed)
-    out = fld.copy()
-    pick = rng.random(fld.shape)
-    out[pick < 0.1] = 0.0
-    out[(pick >= 0.1) & (pick < 0.2)] = -0.0
-    if np.iscomplexobj(out):
-        out[(pick >= 0.2) & (pick < 0.25)] = complex(-0.0, 0.0)
-        out[(pick >= 0.25) & (pick < 0.3)] = complex(0.0, -0.0)
-    return out
-
 
 def field(u, kind, lead):
     """A field of the kind with `lead` leading 1-form axes (0, 1 or 2)."""
@@ -104,10 +35,6 @@ def field(u, kind, lead):
         stack = np.stack([stack, -stack[::-1], 0.5 * stack])
     return with_zeros(stack, seed=lead)
 
-
-# ---------------------------------------------------------------------------
-# Bits
-# ---------------------------------------------------------------------------
 
 FRAMES = {"unit": geometry.UNIT, "bianchi1": BIANCHI.frame(TAU),
           "skew": geometry.Frame((1.0, 1.3, 0.8), (0.2, -0.3, 0.1))}
@@ -123,12 +50,13 @@ def test_covariant_d_and_norms_keep_the_bits(name, kind, lead, frame):
     frame, conn = FRAMES[frame], lattice.Connection(eta, u.model)
     for k in range(3):
         new = lattice.covariant_d(fld, k, conn, u.grid, kind, frame)
-        ref = ref_covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
-        assert same_values_and_signs(new, ref), (k, "covariant_d")
+        ref = reference.covariant_d(fld, k, eta, u.model, u.grid, kind, frame)
+        assert same_bits(new, ref), (k, "covariant_d")
     if lead < 2:  # the chain's levels add the leading axes
         for top in (1, 2, 3):
             new = energy.sobolev_norms(fld, top, conn, u.grid, kind, frame, 0.7)
-            assert new == ref_sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame, 0.7)
+            assert new == reference.sobolev_norms(fld, top, eta, u.model, u.grid, kind, frame,
+                                                  0.7)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -144,11 +72,10 @@ def test_fiber_kernel_keeps_the_bits(name):
         x = with_zeros(rng.standard_normal((4, dim_x) + grid)
                        + 1j * rng.standard_normal((4, dim_x) + grid), seed=2)
         for args in ((xi, x[0]), (xi[:, 0, 0, 0], x[0]), (xi, x[0, :, 0, 0, 0]), (xi, x, 1)):
-            assert same_values_and_signs(algebra._fiber_apply(terms, *args),
-                                         ref_fiber_apply(terms, *args))
+            assert same_bits(algebra._fiber_apply(terms, *args), reference.fiber_apply(terms, *args))
         base = with_zeros(rng.standard_normal(x.shape) + 0j, seed=4)
         added = algebra._fiber_apply(terms, xi, x, 1, out=base.copy())
-        assert same_values_and_signs(added, base + ref_fiber_apply(terms, xi, x, 1))
+        assert same_bits(added, base + reference.fiber_apply(terms, xi, x, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,7 @@ import pytest
 
 from ymtorus import algebra, clifford, constraints, driver, dynamics, energy, geometry
 from ymtorus import lattice
-from conftest import make_state
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+from conftest import make_state, same_bits
 
 
 def states_same_bits(u, v):

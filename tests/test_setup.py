@@ -1,8 +1,8 @@
 """Set-up normalises on the gauge rows of the rhs and the total energy alone.
 
-The reference below is the gauge block of rhs as it was written before
-dynamics.gauge_rhs took it over; the rows must keep their bits, and the
-set-up total must be the total an energy report of the full rhs records.
+The gauge rows, of rhs and of dynamics.gauge_rhs alone, must keep the bits
+of tests/reference.py, and the set-up total must be the total an energy
+report of the full rhs records.
 """
 
 import hashlib
@@ -10,9 +10,10 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference
 from ymtorus import algebra, constraints, driver, dynamics, energy, geometry, lattice
-from ymtorus.lattice import EPS, Connection, FieldState, covariant_d, hodge_dual_B
-from conftest import make_state
+from ymtorus.lattice import FieldState
+from conftest import make_state, same_bits
 
 MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
           "su3_pure": algebra.su3_pure}
@@ -20,42 +21,6 @@ BACKGROUNDS = {
     "bianchi1": lambda: geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2),
     "desitter": lambda: geometry.static_flat(geometry.ScaleProfile("desitter", a=1.0)),
 }
-
-
-def reference_gauge_rows(u, bg, couplings):
-    """The gauge block of rhs, verbatim, with the set-up it read."""
-    model = couplings.model
-    grid = u.grid
-    frame = bg.frame(u.tau)
-    kappa = frame.II
-    H = frame.H
-
-    def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
-
-    out = FieldState.zeros(grid, model)
-    out.tau = u.tau
-    live = dynamics._live_sectors(u, model, zero=[out])
-    higgs, dirac = "higgs" in live, "dirac" in live
-    B = hodge_dual_B(u.Q)
-    J = dynamics.currents(u) if higgs or dirac else np.zeros_like(u.E)
-
-    for i in range(3):
-        np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
-
-        acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
-        for j in range(3):
-            for k in range(3):
-                e = EPS[i, j, k]
-                if e:
-                    acc += e * D(u.E[k], j, "adjoint")
-
-        acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
-        acc += J[i]
-        for k in range(3):
-            if k != i:  # B[i, i] = 0
-                acc += D(B[k, i], k, "adjoint")
-    return out
 
 
 def state(name, bg_name, matter=True):
@@ -68,22 +33,18 @@ def state(name, bg_name, matter=True):
     return u, bg, dynamics.Couplings(u.model, lam=1.0)
 
 
-def same_values_and_signs(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("bg_name", sorted(BACKGROUNDS))
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("matter", [True, False])
 def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
     u, bg, coup = state(name, bg_name, matter)
-    ref = reference_gauge_rows(u, bg, coup)
+    ref = reference.rhs(u, bg, coup)
     full = dynamics.rhs(u, bg, coup)
     alone = FieldState.zeros(u.grid, u.model)
     dynamics.gauge_rhs(u, bg.frame(u.tau), coup, alone)
     for field in lattice.SECTORS["gauge"]:
         for rows in (full, alone):
-            assert same_values_and_signs(getattr(rows, field), getattr(ref, field)), field
+            assert same_bits(getattr(rows, field), getattr(ref, field)), field
     # the set-up evaluation writes the gauge rows only
     assert not np.any(alone.sectors["higgs"]) and not np.any(alone.sectors["dirac"])
 

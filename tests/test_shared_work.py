@@ -1,21 +1,21 @@
 """Complex stencils scaled on their float view and each Dirac product formed
 once per rhs: the values of the code they replaced.
 
-The references below are that code: the np.roll stencil with numpy's complex
-division and the Dirac rows of rhs with every chi* product formed where it is
-used.  Complex
-results are compared with np.array_equal (value for value: only the sign of
-an exact zero may differ), real ones bit for bit.
+The stencil reference is the np.roll stencil with numpy's complex division;
+complex results are compared with np.array_equal (value for value: only the
+sign of an exact zero may differ), real ones bit for bit.  The Dirac rows of
+rhs keep the bits of tests/reference.py, which forms every chi* product where
+it is used.
 """
 
 import numpy as np
 import pytest
 
+import reference
 from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, oracles
-from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
-from ymtorus.lattice import Connection, FieldState, covariant_d, covariant_div, hodge_dual_B
-from conftest import make_state
-from test_report_reuse import roll_diff, same_bits
+from ymtorus.lattice import covariant_d
+from conftest import make_state, same_bits
+from test_report_reuse import roll_diff
 
 MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy}
 BVEC = (1.0, 1.3, 0.8)  # b_0 = 1 skips the division
@@ -81,60 +81,13 @@ def test_diff_and_covariant_d_match_roll_and_true_division(order, lead, complex_
 # Dirac rows of rhs
 # ---------------------------------------------------------------------------
 
-def ref_dirac_rows(u, bg, couplings):
-    """The Dirac rows of rhs with each chi* product formed where it is used."""
-    model = couplings.model
-    grid = u.grid
-    frame = bg.frame(u.tau)
-    kappa = frame.II
-    dkappa = frame.dII
-    H = frame.H
-    scal = frame.scal
-    yuk = model.yukawa
-
-    def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
-
-    def div(vec, kind, out=None):
-        return covariant_div(vec, Connection(u.eta, model), grid, kind, frame, out=out)
-
-    out = FieldState.zeros(grid, model)
-    B = hodge_dual_B(u.Q)
-    chi_acts = model.acts["spinor"]
-    np.copyto(out.psi, u.psidot)
-    acc = div(u.S, "spinor", out=out.psidot)
-    acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
-    if chi_acts:
-        for k in range(3):
-            acc += gamma_apply(G0G[k], algebra.chi_spinor_apply(model.chi, u.E[k], u.psi))
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    acc -= 0.5 * gamma_apply(
-                        GG[i, j], algebra.chi_spinor_apply(model.chi, B[i, j], u.psi))
-    if model.acts["yukawa"]:
-        acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
-        for k in range(3):
-            acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
-        acc += algebra.yukawa_spinor_apply(
-            yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
-    for i in range(3):
-        acc = D(u.psidot, i, "spinor", out=out.S[i])
-        if dkappa[i] != kappa[i] ** 2:
-            acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
-        if chi_acts:
-            acc += algebra.chi_spinor_apply(model.chi, u.E[i], u.psi)
-        acc += kappa[i] * u.S[i]
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_dirac_rows_match_products_formed_where_used(name):
     u, bg, coup = bianchi_state(name)
     assert u.model.acts["spinor"] and u.model.acts["yukawa"] and np.any(bg.frame(u.tau).II)
-    got, ref = dynamics.rhs(u, bg, coup), ref_dirac_rows(u, bg, coup)
+    got, ref = dynamics.rhs(u, bg, coup), reference.rhs(u, bg, coup)
     for field in lattice.SECTORS["dirac"]:
-        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert same_bits(getattr(got, field), getattr(ref, field)), field
 
 
 def test_chi_and_gamma_calls_per_rhs(monkeypatch):

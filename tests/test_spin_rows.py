@@ -1,22 +1,23 @@
 """Spin matrices act row by row, spinor pairings sum one spin row at a time,
-and rhs forms no B = *Q: with the bits of the code that made whole copies.
+and rhs forms no B = *Q: with the bits of the whole-array code.
 
-The references below are that code, verbatim: a permuted copy of each
-spinor for every constant spin matrix (gamma_apply), a conjugated copy of
-the rotated spinor for each pairing, and the whole B = *Q in rhs and
-gauge_rhs.  The new code must match them value for value and in the sign of
-every zero part, on states with a fifth of their entries set to +-0.
-Temporaries are measured with tracemalloc, which sees numpy's data buffers.
+tests/reference.py forms a permuted copy of each spinor for every constant
+spin matrix (gamma_apply), a conjugated copy of the rotated spinor for each
+pairing, and the whole B = *Q.  rhs, gauge_rhs, the currents and the Dirac
+constraint must match it bit for bit, signs of zero included, on states with
+a fifth of their entries set to +-0.  Temporaries are measured with
+tracemalloc, which sees numpy's data buffers.
 """
 
 import numpy as np
 import pytest
 
+import reference
 from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, parallel
 from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
-from ymtorus.lattice import EPS, Connection, FieldState, covariant_d, covariant_div, hodge_dual_B
-from conftest import make_state
-from test_memory import same_values_and_signs, traced_peak, with_zeros
+from ymtorus.lattice import FieldState
+from conftest import assert_same_states, make_state, same_bits, with_zeros
+from test_memory import traced_peak
 from test_threads import force_threads
 
 MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
@@ -33,143 +34,6 @@ BACKGROUNDS = {
 
 
 # ---------------------------------------------------------------------------
-# References: whole permuted copies and the whole B
-# ---------------------------------------------------------------------------
-
-def ref_fiber_pairing(terms, left, right, first=0):
-    axis = right.ndim - 4 if right.ndim >= 4 else right.ndim - 1
-    lead = (slice(None),) * axis
-    out = np.zeros((terms.dim_xi - first,) + right.shape[axis + 1:], dtype=complex)
-    for b, c, coeffs in terms.pairs:
-        coeffs = [(a - first, w) for a, w in coeffs if a >= first]
-        if coeffs:
-            C = np.sum(np.conj(left[lead + (c,)]) * right[lead + (b,)],
-                       axis=tuple(range(axis)))
-            for a, w in coeffs:
-                out[a] += w * C
-    return out
-
-
-def ref_yukawa_antilinear_current(yuk, psi):
-    left = gamma_apply(GAMMA[0], psi)
-    return 1j * ref_fiber_pairing(yuk.terms, left, psi, first=yuk.dim_W)
-
-
-def ref_currents(u):
-    model = u.model
-    J = np.zeros_like(u.E)
-    for i in range(3):
-        J[i] -= np.real(ref_fiber_pairing(model.rho.terms, u.Z[i], u.phi))
-        if model.acts["spinor"]:
-            psi_rot = gamma_apply(G0G[i], u.psi)
-            J[i] += 0.5 * np.imag(ref_fiber_pairing(model.chi.terms, psi_rot, u.psi))
-    return J
-
-
-def ref_gauge_rhs(u, frame, couplings, out, live=None, B=None):
-    kappa, H = frame.II, frame.H
-    live = dynamics._live_sectors(u, couplings.model) if live is None else live
-    B = hodge_dual_B(u.Q) if B is None else B
-    J = ref_currents(u) if len(live) > 1 else np.zeros_like(u.E)
-
-    def D(fld, k):
-        return covariant_d(fld, k, Connection(u.eta, couplings.model), u.grid, "adjoint", frame)
-
-    for i in range(3):
-        np.add(kappa[i] * u.eta[i], u.E[i], out=out.eta[i])
-
-        acc = np.subtract(3.0 * H * u.Q[i], kappa[i] * u.Q[i], out=out.Q[i])
-        for j, k in np.argwhere(EPS[i]):
-            acc += EPS[i, j, k] * D(u.E[k], j)
-
-        acc = np.subtract(3.0 * H * u.E[i], kappa[i] * u.E[i], out=out.E[i])
-        acc += J[i]
-        for k in range(3):
-            if k != i:
-                acc += D(B[k, i], k)
-    return B
-
-
-def ref_rhs(u, bg, couplings):
-    frame = bg.frame(u.tau)
-    model, grid = couplings.model, u.grid
-    out = FieldState.zeros(grid, model)
-    out.tau = u.tau
-    live = dynamics._live_sectors(u, model, zero=[out])
-    higgs, dirac = "higgs" in live, "dirac" in live
-    B = hodge_dual_B(u.Q)
-    kappa, dkappa, H, scal = frame.II, frame.dII, frame.H, frame.scal
-    lam, yuk = couplings.lam, model.yukawa
-
-    def D(fld, k, kind, out=None):
-        return covariant_d(fld, k, Connection(u.eta, model), grid, kind, frame, out=out)
-
-    def div(vec, kind, out=None):
-        return covariant_div(vec, Connection(u.eta, model), grid, kind, frame, out=out)
-
-    def gauge_and_higgs_rows():
-        ref_gauge_rhs(u, frame, couplings, out, live, B)
-        if higgs:
-            np.copyto(out.phi, u.phidot)
-            acc = np.subtract(3.0 * H * u.phidot, (scal / 6.0) * u.phi, out=out.phidot)
-            acc -= lam * np.sum(np.abs(u.phi) ** 2, axis=0) * u.phi
-            if dirac and model.acts["yukawa"]:
-                acc -= ref_yukawa_antilinear_current(yuk, u.psi)
-            acc += div(u.Z, "higgs")
-            for i in range(3):
-                acc = D(u.phidot, i, "higgs", out=out.Z[i])
-                acc += algebra.rho_star_apply(model.rho, u.E[i], u.phi)
-                acc += kappa[i] * u.Z[i]
-
-    if not dirac:
-        gauge_and_higgs_rows()
-        return out
-
-    chi_acts = model.acts["spinor"]
-    chi_E = chi_acts and [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
-
-    def S_rows():
-        for i in range(3):
-            acc = D(u.psidot, i, "spinor", out=out.S[i])
-            if dkappa[i] != kappa[i] ** 2:
-                acc += 0.5 * (dkappa[i] - kappa[i] ** 2) * gamma_apply(G0G[i], u.psi)
-            if chi_acts:
-                acc += chi_E[i]
-            acc += kappa[i] * u.S[i]
-
-    def psi_rows():
-        np.copyto(out.psi, u.psidot)
-        acc = div(u.S, "spinor", out=out.psidot)
-        acc += 3.0 * H * u.psidot - (scal / 4.0) * u.psi
-        if chi_acts:
-            for k in range(3):
-                acc += gamma_apply(G0G[k], chi_E[k])
-            curv = {(i, j): 0.5 * gamma_apply(GG[i, j], algebra.chi_spinor_apply(
-                model.chi, B[i, j], u.psi)) for i, j in ((0, 1), (0, 2), (1, 2))}
-            for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-                acc -= curv[min(i, j), max(i, j)]
-        if model.acts["yukawa"]:
-            acc += gamma_apply(GAMMA[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
-            for k in range(3):
-                acc -= gamma_apply(GAMMA[k + 1], algebra.yukawa_spinor_apply(yuk, u.Z[k], u.psi))
-            acc += algebra.yukawa_spinor_apply(
-                yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi))
-
-    gauge_and_higgs_rows()
-    S_rows()
-    psi_rows()
-    return out
-
-
-def ref_dirac_operator_rhs(u):
-    model = u.model
-    acc = algebra.yukawa_spinor_apply(model.yukawa, u.phi, u.psi) if model.acts["yukawa"] else 0.0
-    for k in range(3):
-        acc = acc + gamma_apply(GAMMA[k + 1], u.S[k])
-    return gamma_apply(GAMMA[0], acc)
-
-
-# ---------------------------------------------------------------------------
 # Bits
 # ---------------------------------------------------------------------------
 
@@ -183,11 +47,6 @@ def state(name, bg_name, matter=True, n=8, seed=23):
     return u, bg, dynamics.Couplings(u.model, lam=1.0)
 
 
-def assert_same_states(got, ref):
-    for field in lattice.FIELDS:
-        assert same_values_and_signs(getattr(got, field), getattr(ref, field)), field
-
-
 @pytest.mark.parametrize("matter", [True, False])
 @pytest.mark.parametrize("bg_name", sorted(BACKGROUNDS))
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -197,25 +56,27 @@ def test_rows_and_pairings_keep_the_bits(name, bg_name, matter):
     if bg_name != "desitter":
         assert np.all(frame.II != 0) if bg_name == "curved" else np.any(frame.II)
         assert np.any(frame.dII != frame.II ** 2) == (bg_name == "curved")
-    assert_same_states(dynamics.rhs(u, bg, coup), ref_rhs(u, bg, coup))
+    ref = reference.rhs(u, bg, coup)
+    assert_same_states(dynamics.rhs(u, bg, coup), ref)
 
-    alone, ref = FieldState.zeros(u.grid, u.model), FieldState.zeros(u.grid, u.model)
+    alone = FieldState.zeros(u.grid, u.model)
     assert dynamics.gauge_rhs(u, frame, coup, alone) is None
-    ref_gauge_rhs(u, frame, coup, ref)
-    assert_same_states(alone, ref)
+    for field in lattice.SECTORS["gauge"]:
+        assert same_bits(getattr(alone, field), getattr(ref, field)), field
+    for sector in ("higgs", "dirac"):  # not written
+        assert same_bits(alone.sectors[sector], np.zeros_like(alone.sectors[sector]))
 
-    assert same_values_and_signs(dynamics.currents(u), ref_currents(u))
+    assert same_bits(dynamics.currents(u), reference.currents(u))
     yuk = u.model.yukawa
-    assert same_values_and_signs(algebra.yukawa_antilinear_current(yuk, u.psi),
-                                 ref_yukawa_antilinear_current(yuk, u.psi))
-    assert same_values_and_signs(constraints.dirac_constraint(u),
-                                 u.psidot - ref_dirac_operator_rhs(u))
+    assert same_bits(algebra.yukawa_antilinear_current(yuk, u.psi),
+                     reference.yukawa_antilinear_current(yuk, u.psi))
+    assert same_bits(constraints.dirac_constraint(u), reference.dirac_constraint(u))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_split_rows_keep_the_bits(monkeypatch, name):
     u, bg, coup = state(name, "bianchi1", n=20)  # the smallest grid that splits
-    ref = ref_rhs(u, bg, coup)
+    ref = reference.rhs(u, bg, coup)
     for count in (1, 2):
         force_threads(monkeypatch, count)
         assert parallel.threads(u.grid) == count
@@ -235,10 +96,10 @@ def test_row_kernel_is_the_whole_product():
         for scale in (None, 0.5, -0.3):
             scaled = whole if scale is None else scale * whole
             for r in range(4):
-                assert same_values_and_signs(clifford.spin_row(rows, X, r, scale), scaled[r])
-            assert same_values_and_signs(clifford.spin_add(acc.copy(), rows, X, scale),
+                assert same_bits(clifford.spin_row(rows, X, r, scale), scaled[r])
+            assert same_bits(clifford.spin_add(acc.copy(), rows, X, scale),
                                          acc + scaled)
-            assert same_values_and_signs(
+            assert same_bits(
                 clifford.spin_add(acc.copy(), rows, X, scale, subtract=True), acc - scaled)
 
 
