@@ -129,13 +129,14 @@ def currents(u):
     return J
 
 
-def rhs(u, bg, couplings):
-    """The state derivative of dynamics' first-order system at u.tau."""
+def rhs(u, bg, couplings, every_row=False):
+    """The state derivative of dynamics' first-order system at u.tau; with
+    every_row, also the matter rows of zero matter that rhs skips."""
     model, grid, frame = couplings.model, u.grid, bg.frame(u.tau)
     kap, dkap, H, scal = frame.II, frame.dII, frame.H, frame.scal
     yuk, chi_acts, yuk_acts = model.yukawa, model.chi.terms.pairs, model.yukawa.terms.pairs
-    dirac = np.any(u.sectors["dirac"])  # the live matter triples
-    higgs = (dirac and yuk_acts) or np.any(u.sectors["higgs"])
+    dirac = every_row or np.any(u.sectors["dirac"])  # the live matter triples
+    higgs = every_row or (dirac and yuk_acts) or np.any(u.sectors["higgs"])
     out = FieldState.zeros(grid, model, tau=u.tau)
     B, J = hodge_dual_B(u.Q), currents(u)  # J of zero matter is +0, as rhs takes it
 
