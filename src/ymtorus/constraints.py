@@ -154,19 +154,29 @@ def constraint_fields(u, bg=None):
 # Initial data
 # ---------------------------------------------------------------------------
 
-def complete_state(u, bg=None):
-    """Fill the derived sectors from the free data (eta, E, phi, phidot, psi):
-    Q from the curvature constraint, Z and S as covariant derivatives, psidot
-    from the Dirac constraint.  Mutates and returns u."""
-    conn = Connection(u.eta, u.model)
+def complete_Q_Z(u, bg=None, conn=None):
+    """Q from the curvature constraint and Z = D phi: reads eta and phi."""
+    conn = conn or Connection(u.eta, u.model)
     u.Q[:] = hodge_dual_Q(curvature_2form(u, bg, conn))
     u.Z[:] = covariant_diff(u.phi, conn, u.grid, "higgs", frame_at(u, bg))
+
+
+def complete_S_psidot(u, bg=None, conn=None):
+    """S = D psi and psidot from the Dirac constraint: reads eta, phi and psi."""
     u.S[:] = recompute_S(u, bg, conn)
     u.psidot[:] = dirac_operator_rhs(u)
+
+
+def complete_state(u, bg=None):
+    """Fill the derived sectors from the free data (eta, E, phi, phidot, psi)
+    by its two halves, neither of which reads E.  Mutates and returns u."""
+    conn = Connection(u.eta, u.model)
+    complete_Q_Z(u, bg, conn)
+    complete_S_psidot(u, bg, conn)
     return u
 
 
-def solve_gauss_initial(u, bg=None, cg_tol=1e-10):
+def solve_gauss_initial(u, bg=None, cg_tol=1e-10, conn=None):
     """Project E so the Gauss constraint holds: E -> E - grad_omega(phi) with
     the covariant Poisson problem  -div_omega grad_omega phi = -C0(E).
 
@@ -175,7 +185,8 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10):
     u.E and returns an info dict; its "converged" is false when CG stopped
     on a non-positive curvature p.Ap before reaching the residual target
     (a source component the centered stencils cannot see), and it raises
-    SolverError after 10 n^3 iterations.
+    SolverError after 10 n^3 iterations.  It reads E, eta, phi, phidot and
+    psi.
     """
     grid = u.grid
     max_iter = 10 * grid.n ** 3
@@ -185,7 +196,7 @@ def solve_gauss_initial(u, bg=None, cg_tol=1e-10):
         m = y.mean(axis=(-3, -2, -1))
         return y - m.reshape(m.shape + (1, 1, 1)), m
 
-    conn, frame = Connection(u.eta, u.model), frame_at(u, bg)  # the solve changes E, not eta
+    conn, frame = conn or Connection(u.eta, u.model), frame_at(u, bg)  # E changes, not eta
     src = -gauss_constraint(u, bg, conn)
     src, mean = demean(src)
 

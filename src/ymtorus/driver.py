@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, algebra, conformal, constraints, dynamics, energy, geometry
-from . import lattice, plots
+from . import lattice, parallel, plots
 from .errors import ConfigError, InputError
 
 
@@ -230,20 +230,18 @@ def build_model(cfg):
     return model
 
 
+# the [background] keys of each analytic profile kind, passed on by name
+PROFILE_KEYS = {"desitter": ("a",), "exponential": ("s0", "rate"), "power": ("s0", "t0", "p")}
+
+
 def build_background(cfg):
-    prof_name = cfg.value("background", "profile")
-    if prof_name == "desitter":
-        profile = geometry.ScaleProfile("desitter", a=cfg.value("background", "a"))
-    elif prof_name == "exponential":
-        profile = geometry.ScaleProfile("exponential", s0=cfg.value("background", "s0"),
-                                        rate=cfg.value("background", "rate"))
-    elif prof_name == "power":
-        profile = geometry.ScaleProfile("power", s0=cfg.value("background", "s0"),
-                                        t0=cfg.value("background", "t0"),
-                                        p=cfg.value("background", "p"))
-    else:
+    kind = cfg.value("background", "profile")
+    if kind == "table":
         data = np.loadtxt(cfg.value("background", "s_table"), delimiter=",", comments="#")
-        profile = geometry.ScaleProfile("table", t=data[:, 0], s=data[:, 1])
+        params = {"t": data[:, 0], "s": data[:, 1]}
+    else:
+        params = {key: cfg.value("background", key) for key in PROFILE_KEYS[kind]}
+    profile = geometry.ScaleProfile(kind, **params)
     lapse = cfg.value("background", "lapse")
     b_kind = cfg.value("background", "b_kind")
     if b_kind == "bianchi1":
@@ -284,8 +282,11 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
 
     Iterates the rescale (at most six passes) because the derived sectors and
     the Gauss projection are nonlinear in the free data; converges in a couple
-    of passes at small amplitude.  Each pass evaluates only what the k-th
-    total energy reads: the gauge rows of the rhs (dynamics.gauge_rhs) and
+    of passes at small amplitude.  Each pass reads one lattice.Connection and
+    evaluates only what the k-th total energy reads, first in two blocks
+    (parallel.split): Q, Z and the Gauss solve, which writes only E, beside
+    S, psidot and the matter norms (energy.matter_norms), which read none of
+    E, Q and Z; then the gauge rows of the rhs (dynamics.gauge_rhs) and
     energy.total_energy.  The returned state is the last one measured, so
     info["energy"] is its energy; info["converged"] says whether that is
     amplitude**2 within 1e-10 + 1e-9 amplitude**2.  A dict `measured` is
@@ -306,15 +307,25 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
 
     target = amplitude ** 2
     du = lattice.FieldState.zeros(grid, model)
+    table = {} if measured is None else measured
     for attempt in range(6):
         if attempt:  # rescale a measured miss; the last pass stays as measured
             for buf in u.sectors.values():
                 buf *= np.sqrt(target / e)
-        constraints.complete_state(u, bg)
-        info["gauss"] = constraints.solve_gauss_initial(
-            u, bg, cg_tol=cfg.value("numerics", "cg_tol"))
-        dynamics.gauge_rhs(u, bg.frame(u.tau), couplings, du)
-        e = info["energy"] = energy.total_energy(u, du, bg, k=k, table=measured)
+        table.clear()
+        conn = lattice.Connection(u.eta, model)
+
+        def gauss():
+            constraints.complete_Q_Z(u, bg, conn)
+            return constraints.solve_gauss_initial(u, bg, cfg.value("numerics", "cg_tol"), conn)
+
+        def matter():
+            constraints.complete_S_psidot(u, bg, conn)
+            energy.matter_norms(u, bg, k, table, conn)
+
+        info["gauss"], _ = parallel.split(grid, gauss, matter)
+        dynamics.gauge_rhs(u, bg.frame(u.tau), couplings, du, conn=conn)
+        e = info["energy"] = energy.total_energy(u, du, bg, k=k, table=table, conn=conn)
         info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
         if info["converged"]:
             break
@@ -335,8 +346,13 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     os.makedirs(out_dir, exist_ok=True)
 
     measured = {}  # set-up's last H^l table, read by the step-0 report
-    u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
-                                         measured=measured)
+    record = {"config": cfg.as_dict(), "version": __version__}
+    try:
+        u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
+                                             measured=measured)
+    except Exception as err:  # record the error, re-raise
+        _write_failure(out_dir, {**record, "warnings": []}, err)
+        raise
     warnings = []
     if not init_info["gauss"]["converged"]:
         warnings.append("Gauss CG stopped before its residual target (iterations %d, "
@@ -393,12 +409,9 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     except Exception as err:  # keep what was computed, record the error, re-raise
         if energy_rows:
             write_rows()
-        with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
-            json.dump({"config": cfg.as_dict(), "version": __version__, "n_steps": n_steps,
-                       "last_reported_step": reported[-1] if reported else None,
-                       "initial_data": init_info, "warnings": warnings,
-                       "error": {"type": type(err).__name__, "message": str(err)}},
-                      fh, indent=1, default=float)
+        _write_failure(out_dir, {**record, "n_steps": n_steps,
+                                "last_reported_step": reported[-1] if reported else None,
+                                "initial_data": init_info, "warnings": warnings}, err)
         raise
 
     # post-processing
@@ -438,8 +451,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         gauge_experiment = {"kind": "automorphism", **run_automorphism_check(cfg)}
 
     summary = {
-        "config": cfg.as_dict(),
-        "version": __version__,
+        **record,
         "gauge_experiment": gauge_experiment,
         "grid": {"n": grid.n, "L": grid.L, "order": grid.order, "dx": grid.dx},
         "dtau": dtau,
@@ -464,6 +476,13 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     if cfg.value("outputs", "plot"):
         replot(out_dir)
     return summary
+
+
+def _write_failure(out_dir, record, err):
+    """metadata.json of a run that raised `err`: `record` and the error."""
+    with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
+        json.dump({**record, "error": {"type": type(err).__name__, "message": str(err)}},
+                  fh, indent=1, default=float)
 
 
 def _fmt(x):

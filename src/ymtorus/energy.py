@@ -80,16 +80,16 @@ class _Norms:
     An entry, keyed (connection acts, source, field), holds [H^0, H^1, ...]
     of one field; where a connection acts by zero it is the reference entry.
     compute() fills every entry that the energies on some connections read,
-    in two threads on large grids, which share one lattice.Connection of
-    u.eta; energy() fills a missing entry lazily.
+    in two threads on large grids, which share one lattice.Connection `conn`
+    of u.eta (built if None); energy() fills a missing entry lazily.
     `table` is the dict the entries go into (a new one if None); it may
     already hold entries of this state at this top.
     """
 
-    def __init__(self, u, rhs_state, bg, top, table=None):
+    def __init__(self, u, rhs_state, bg, top, table=None, conn=None):
         self.u, self.rhs_state, self.top = u, rhs_state, top
         self.frame, self.w = frame_at(u, bg), volume_weight(u, bg)
-        self.conn = Connection(u.eta, u.model)
+        self.conn = conn or Connection(u.eta, u.model)
         self.table = {} if table is None else table  # key -> [H^0, H^1, ...]
 
     def _terms(self, sector, connection):
@@ -202,16 +202,25 @@ class EnergyReport:
         return row
 
 
-def total_energy(u, rhs_state, bg=None, k=2, table=None):
+def matter_norms(u, bg, k, table, conn):
+    """Fill `table` with the H^l norms (top k) of phidot, phi, psidot and psi
+    that the k-th total reads, in the calling thread (set-up runs it in the
+    worker, where a split raises), on u.eta's lattice.Connection `conn`."""
+    norms = _Norms(u, None, bg, k, table, conn)
+    norms.energy("higgs", k)
+    norms.energy("dirac", k)
+
+
+def total_energy(u, rhs_state, bg=None, k=2, table=None, conn=None):
     """EnergyReport.total alone; of rhs_state it reads only E and Q.
 
-    A dict `table` is cleared and left holding the norms measured, floats
-    keyed (connection acts, source, field) with top k, which
+    A dict `table` may hold norms of u at top k already (matter_norms'),
+    which are read, not recomputed, and is left holding every norm the total
+    read, floats keyed (connection acts, source, field), which
     energy_report(u, rhs(u), bg, k, measured=table) reads instead of
-    recomputing them while u is unchanged."""
-    if table is not None:
-        table.clear()
-    norms = _Norms(u, rhs_state, bg, k, table)
+    recomputing them while u is unchanged.  `conn` is u.eta's
+    lattice.Connection (built if None)."""
+    norms = _Norms(u, rhs_state, bg, k, table, conn)
     norms.compute(("omega",))
     return norms.total(k)
 

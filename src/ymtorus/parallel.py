@@ -8,8 +8,10 @@ interpreter lock inside its array loops, so the pieces overlap in two
 threads.  dynamics.rhs splits its row blocks and dynamics.step its sector
 updates this way while the Dirac triple is live (dynamics.threads), and
 energy._Norms.compute splits the H^l norms that set-up and every report
-read into two lists of about equal cost (threads(grid)).  No piece splits
-again: a split called in the worker raises, where it would wait for itself.
+read into two lists of about equal cost (threads(grid)), and each set-up
+pass of driver.prepare_initial_state runs its Gauss solve beside the matter
+work that does not read E (threads(grid)).  No piece splits again: a split
+called in the worker raises, where it would wait for itself.
 
 The split pays only on grids of at least MIN_SITES sites, and only where the
 process may run on two CPUs: the CPU affinity is the switch, so
@@ -85,16 +87,16 @@ def _executor():
 def split(grid, first, second):
     """(first(), second()) for two callables that write disjoint buffers and
     read none that the other writes.  With threads(grid) == 2, second runs
-    in the worker while first runs here; both have finished when split
-    returns, and an exception in either is raised here.  Called in the
-    worker, it raises RuntimeError: the one worker is busy with the caller."""
+    in the worker while first runs here; with one thread, second runs after
+    first.  Either way both have finished when split returns or raises, also
+    when first raised, and an exception in either is raised here (second's,
+    if both raised).  Called in the worker, it raises RuntimeError: the one
+    worker is busy with the caller."""
     if threading.current_thread().name.startswith(_WORKER_NAME + "_"):
         raise RuntimeError("parallel.split called in the worker thread")
-    if threads(grid) == 1:
-        return first(), second()
-    pending = _executor().submit(second)
+    pending = _executor().submit(second) if threads(grid) == 2 else None
     try:
         result = first()
     finally:
-        other = pending.result()  # waits for second also when first raised
+        other = second() if pending is None else pending.result()
     return result, other

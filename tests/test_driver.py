@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ymtorus import algebra, driver, lattice
+from ymtorus import __version__, algebra, constraints, driver, geometry, lattice
+from ymtorus.errors import SolverError
 
 
 def test_presets_parse_and_validate():
@@ -458,3 +459,41 @@ def test_failed_run_keeps_its_rows(tmp_path, monkeypatch):
     assert meta["last_reported_step"] == 2 and meta["n_steps"] > 3
     assert meta["config"] == cfg.as_dict() and meta["warnings"] == []
     assert meta["initial_data"]["converged"] is True and "version" in meta
+
+
+def test_failed_set_up_leaves_a_record(tmp_path, monkeypatch):
+    message = "Gauss CG did not converge: |r| = 1.000e-03 after 5120 iterations"
+
+    def failing(*args, **kwargs):
+        raise SolverError(message)
+
+    monkeypatch.setattr(constraints, "solve_gauss_initial", failing)
+    cfg = _tiny_config(tmp_path, amplitude="0.01")
+    with pytest.raises(SolverError, match="did not converge"):
+        driver.run_experiment(cfg, quiet=True)
+    out = tmp_path / "out"
+    assert [p.name for p in out.iterdir()] == ["metadata.json"]
+    assert json.loads((out / "metadata.json").read_text()) == {
+        "config": cfg.as_dict(), "version": __version__, "warnings": [],
+        "error": {"type": "SolverError", "message": message}}
+
+
+@pytest.mark.parametrize("keys, profile", [
+    ("profile = desitter\na = 1.7", lambda: geometry.ScaleProfile("desitter", a=1.7)),
+    ("profile = exponential\ns0 = 0.8\nrate = 1.3",
+     lambda: geometry.ScaleProfile("exponential", s0=0.8, rate=1.3)),
+    ("profile = power\ns0 = 0.9\nt0 = 1.4\np = 2.5",
+     lambda: geometry.ScaleProfile("power", s0=0.9, t0=1.4, p=2.5)),
+], ids=["desitter", "exponential", "power"])
+def test_background_of_each_profile_kind_keeps_its_bits(keys, profile):
+    # the reference is the profile built with each key by name, as
+    # build_background did with one branch per kind
+    cfg = driver.parse_config_text("[background]\n%s\nb_kind = bianchi1\nb_eps = 0.3\n" % keys)
+    bg, want = driver.build_background(cfg), geometry.bianchi1(profile(), eps=0.3)
+    ts = np.linspace(0.0, 2.0, 7)
+    taus = np.linspace(0.0, 0.95 * want.T, 7)
+    assert bg.T == want.T
+    for got, ref in ((bg.profile.s(ts), want.profile.s(ts)),
+                     (bg.profile.tau_of_t(ts), want.profile.tau_of_t(ts)),
+                     (bg.b(taus), want.b(taus)), (bg.b(taus, 1), want.b(taus, 1))):
+        assert got.tobytes() == ref.tobytes()

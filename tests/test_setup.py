@@ -113,3 +113,26 @@ def test_unconverged_set_up_is_a_warning(tmp_path, monkeypatch):
     summary = driver.run_experiment(driver.validate_config(raw))
     assert summary["initial_data"]["converged"] is False
     assert any("six rescaling passes" in w for w in summary["warnings"])
+
+
+def test_one_connection_per_set_up_pass(monkeypatch):
+    # complete_state, the Gauss solve, gauge_rhs and the energy norms each
+    # built one from the same eta: 8 builds in this two-pass set-up
+    cfg = driver.validate_config({"grid": {"n": "8"}, "gauge": {"model": "su3_pure"}})
+    grid, model, bg, coup = driver.build_run(cfg)
+    build, solve = lattice.Connection.__init__, constraints.solve_gauss_initial
+    builds, passes = [], []
+
+    def counted_build(self, *args):
+        builds.append(1)
+        build(self, *args)
+
+    def counted_solve(*args, **kwargs):
+        passes.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lattice.Connection, "__init__", counted_build)
+    monkeypatch.setattr(constraints, "solve_gauss_initial", counted_solve)
+    _, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)
+    assert info["converged"] is True
+    assert len(passes) == 2 and len(builds) == 2

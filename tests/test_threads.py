@@ -1,6 +1,7 @@
 """The second thread changes no bit, the pool survives a fork, a split
-called in the worker raises, freed memory stays in the process, and diff's
-blocks change no bit.
+called in the worker raises, an error in set-up's Gauss block is raised only
+after its matter block has finished, freed memory stays in the process, and
+diff's blocks change no bit.
 
 Each comparison forces the thread count through the CPU affinity that
 parallel.threads reads, so it runs the split and the serial path on any
@@ -17,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from ymtorus import algebra, driver, dynamics, energy, geometry, lattice, parallel
+from ymtorus import algebra, constraints, driver, dynamics, energy, geometry, lattice, parallel
+from ymtorus.errors import SolverError
 
 from conftest import make_state
 
@@ -161,13 +163,45 @@ def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
     results = []
     for count in (1, 2):
         force_threads(monkeypatch, count)
-        state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)
+        measured = {}  # set-up splits each pass into its Gauss and matter blocks
+        state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup, measured=measured)
         results.append((energy.total_energy(u, du, bg), energy.energy_report(u, du, bg).as_row(),
-                        state, info["energy"]))
-    (e1, row1, s1, i1), (e2, row2, s2, i2) = results
+                        state, info, measured))
+    (e1, row1, s1, i1, m1), (e2, row2, s2, i2, m2) = results
     assert e1 == e2 and row1 == row2 and i1 == i2
+    assert list(m1) and sorted(m1) == sorted(m2)
+    for key in m1:
+        assert np.array(m1[key]).tobytes() == np.array(m2[key]).tobytes(), key
     for name in lattice.SECTORS:
         assert np.array_equal(s1.sectors[name].view(np.uint64), s2.sectors[name].view(np.uint64))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_failed_gauss_block_is_raised_after_the_matter_block(monkeypatch, count):
+    force_threads(monkeypatch, count)
+    cfg = driver.validate_config({
+        "grid": {"n": "20"}, "gauge": {"model": "su2_toy"},
+        "background": {"tau_end_fraction": "0.05"}, "initial": {"amplitude": "0.02"}})
+    grid, model, bg, coup = driver.build_run(cfg)
+    solve, norms, done = constraints.solve_gauss_initial, energy.matter_norms, []
+
+    def failing(*args, **kwargs):
+        raise SolverError("the Gauss block failed")
+
+    def slow_norms(*args, **kwargs):
+        time.sleep(0.2)  # the Gauss block has failed long before
+        norms(*args, **kwargs)
+        done.append(threading.current_thread().name)
+
+    monkeypatch.setattr(constraints, "solve_gauss_initial", failing)
+    monkeypatch.setattr(energy, "matter_norms", slow_norms)
+    with pytest.raises(SolverError, match="the Gauss block failed"):
+        driver.prepare_initial_state(cfg, grid, model, bg, coup)
+    assert len(done) == 1  # the matter block had finished
+    assert done[0].startswith(parallel._WORKER_NAME) == (count == 2)
+    monkeypatch.setattr(constraints, "solve_gauss_initial", solve)
+    _, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)  # splits again
+    assert info["converged"] is True and len(done) > 1 and set(done) == {done[0]}
 
 
 @pytest.mark.parametrize("model_fn", [algebra.su2_toy, algebra.su3_pure])
