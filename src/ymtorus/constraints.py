@@ -106,11 +106,11 @@ def recompute_S(u, bg=None, conn=None):
     return covariant_diff(u.psi, conn, u.grid, "spinor", frame_at(u, bg))
 
 
-def s_consistency(u, bg=None):
+def s_consistency(u, bg=None, conn=None):
     """L2 norm of u.S - recompute_S(u, bg), formed without either field
     (lattice.covariant_diff_sq_norm): the same squares, in the same sum.  No
     Connection is built where chi* acts by zero (D_k leaves it out there)."""
-    conn = Connection(u.eta, u.model) if u.model.acts["spinor"] else None
+    conn = conn or (Connection(u.eta, u.model) if u.model.acts["spinor"] else None)
     sq = covariant_diff_sq_norm(u.psi, conn, u.grid, "spinor", frame_at(u, bg), u.S)
     return float(np.sqrt(sq * volume_weight(u, bg)))
 
@@ -123,12 +123,11 @@ def l2_norm(field, weight, two_form=False):
     return float(np.sqrt(val))
 
 
-def constraint_report(u, bg=None, fields=None):
+def constraint_report(u, bg=None, fields=None, conn=None):
     """L2 norms of the four constraints (plus the S-consistency diagnostic).
 
     `fields` are constraint_fields(u, bg) when the caller has them already."""
-    if fields is None:
-        fields = constraint_fields(u, bg)
+    fields = fields or constraint_fields(u, bg, conn)
     w = volume_weight(u, bg)
     return ConstraintReport(
         tau=u.tau,
@@ -136,12 +135,12 @@ def constraint_report(u, bg=None, fields=None):
         bianchi=l2_norm(fields["bianchi"], w),
         gauss=l2_norm(fields["gauss"], w),
         dirac=l2_norm(fields["dirac"], w),
-        s_consistency=s_consistency(u, bg),
+        s_consistency=s_consistency(u, bg, conn),
     )
 
 
-def constraint_fields(u, bg=None):
-    conn = Connection(u.eta, u.model)
+def constraint_fields(u, bg=None, conn=None):
+    conn = conn or Connection(u.eta, u.model)
     return {
         "curvature": curvature_constraint(u, bg, conn),
         "bianchi": bianchi_constraint(u, bg, conn),

@@ -198,9 +198,10 @@ def rhs(u, bg, couplings, out=None, live=None):
 
     # Dirac triple; the chi* and Yukawa terms are skipped where they vanish
     # identically, as is the spin-connection term where its coefficient is
-    # zero (adding their zeros changes no value)
+    # zero (adding their zeros changes no value); the first block to read
+    # chi*(E_k) psi forms it
     chi_acts = model.acts["spinor"]
-    chi_E = chi_acts and [algebra.chi_spinor_apply(model.chi, u.E[k], u.psi) for k in range(3)]
+    chi_E = parallel.once(lambda: [algebra.chi_spinor_apply(model.chi, E_k, u.psi) for E_k in u.E])
 
     def S_rows():
         for i in range(3):
@@ -208,7 +209,7 @@ def rhs(u, bg, couplings, out=None, live=None):
             if dkappa[i] != kappa[i] ** 2:
                 spin_add(acc, G0G_ROWS[i], u.psi, 0.5 * (dkappa[i] - kappa[i] ** 2))
             if chi_acts:
-                acc += chi_E[i]
+                acc += chi_E()[i]
             acc += kappa[i] * u.S[i]
 
     def psi_rows():
@@ -221,7 +222,7 @@ def rhs(u, bg, couplings, out=None, live=None):
             row += term
         if chi_acts:
             for k in range(3):
-                spin_add(acc, G0G_ROWS[k], chi_E[k])
+                spin_add(acc, G0G_ROWS[k], chi_E()[k])
             _subtract_curvature(acc, model, u.Q, u.psi)
         if model.acts["yukawa"]:
             spin_add(acc, GAMMA_ROWS[0], algebra.yukawa_spinor_apply(yuk, u.phidot, u.psi))
@@ -232,8 +233,8 @@ def rhs(u, bg, couplings, out=None, live=None):
                 yuk, u.phi, algebra.yukawa_spinor_apply(yuk, u.phi, u.psi), out=acc)
 
     # the S rows join the gauge and Higgs rows so that the blocks cost about
-    # the same: 106 and 96 ms on su2_toy, bianchi1, n = 32 (62 and 127 ms
-    # with every Dirac row in the worker)
+    # the same: 85 and 86 ms on su2_toy, bianchi1, n = 32, one core, with
+    # chi*(E_k) psi formed in the psi rows (101 and 69 ms in the S rows)
     parallel.split(grid, lambda: (gauge_and_higgs_rows(), S_rows()), psi_rows)
     return out
 

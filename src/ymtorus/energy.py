@@ -27,7 +27,7 @@ from .errors import InputError
 from .geometry import UNIT
 from .lattice import (Connection, covariant_diff, covariant_diff_sq_norm, drops_connection,
                       fourier_sobolev_norms, sq_norm)
-from .parallel import split
+from .parallel import balance
 
 
 def sobolev_norms(fld, k, conn, grid, kind="higgs", frame=UNIT, weight=1.0):
@@ -107,36 +107,27 @@ class _Norms:
                              self.top + shift, self.conn if acts else None, u.grid, kind,
                              self.frame, self.w)
 
-    def compute(self, connections):
+    def compute(self, connections, blocks=()):
         """Fill every missing entry that the energies on `connections` read.
 
-        The entries go into two lists of about equal estimated cost, largest
-        first into the lighter list, and the lists run through parallel.split.
-        The estimate is the field's real multiplications per product (four
-        per complex element, one per real element) times sum_{l <= levels}
-        3^l, the sizes of the chain's levels; a Fourier sum counts one field.
-        Each entry is the same sobolev_norms call as lazily, so no bit changes.
+        Each entry is a block of parallel.balance, beside the caller's `blocks`
+        ((cost, callable) pairs; results dropped).  Its estimated cost is the
+        field's real multiplications per product (four per complex element,
+        one per real element) times sum_{l <= levels} 3^l, the sizes of the
+        chain's levels; a Fourier sum counts one field.  Each entry is the
+        same sobolev_norms call as lazily, so no bit changes.
         """
         todo = {key: (kind, shift) for connection in connections for sector in SECTOR_TERMS
                 for key, kind, shift in self._terms(sector, connection)
                 if key not in self.table and self.top + shift >= 0}
 
-        def cost(key):  # an rhs field has the shape and dtype of the state's
+        def entry(key):  # an rhs field has the shape and dtype of the state's
             fld, levels = getattr(self.u, key[2]), self.top + todo[key][1]
             return (fld.size * (4 if np.iscomplexobj(fld) else 1)
-                    * ((3 ** (levels + 1) - 1) // 2 if key[0] else 1))
+                    * ((3 ** (levels + 1) - 1) // 2 if key[0] else 1),
+                    lambda: self._norms(key, *todo[key]))
 
-        lists, loads = ([], []), [0, 0]
-        for key in sorted(todo, key=cost, reverse=True):
-            lighter = int(loads[1] < loads[0])
-            lists[lighter].append(key)
-            loads[lighter] += cost(key)
-
-        def run(keys):
-            return [(key, self._norms(key, *todo[key])) for key in keys]
-
-        for done in split(self.u.grid, lambda: run(lists[0]), lambda: run(lists[1])):
-            self.table.update(done)
+        self.table.update(zip(todo, balance(self.u.grid, [*map(entry, todo), *blocks])))
 
     def energy(self, sector, k, connection="omega"):
         total = 0.0
@@ -225,19 +216,20 @@ def total_energy(u, rhs_state, bg=None, k=2, table=None, conn=None):
     return norms.total(k)
 
 
-def energy_report(u, rhs_state, bg=None, k=2, measured=None):
+def energy_report(u, rhs_state, bg=None, k=2, measured=None, conn=None, blocks=()):
     """Sector energies for k = 0, 1, 2 and k, the headline total at k (as in
     total_energy) and the reference-connection variant (adds ||eta||^2_{H^k}).
 
     Every field's norms are computed once per connection, up to the largest
-    k, before any energy is summed (_Norms.compute), and every energy is
-    summed from its per-level sums.  `measured` is a table that
-    total_energy(u, ..., k, table=) left on this same state; its entries are
-    read, not recomputed, where its top k is the report's (k >= 2)."""
+    k, before any energy is summed (_Norms.compute, with `blocks`, on u.eta's
+    Connection `conn`), and every energy is summed from its per-level sums.
+    `measured` is a table that total_energy(u, ..., k, table=) left on this
+    same state; its entries are read, not recomputed, where its top k is the
+    report's (k >= 2)."""
     k_list = sorted({0, 1, 2, k})
     top = max(k_list)
-    norms = _Norms(u, rhs_state, bg, top, dict(measured) if measured and top == k else None)
-    norms.compute(("omega", "reference"))
+    norms = _Norms(u, rhs_state, bg, top, dict(measured) if measured and top == k else None, conn)
+    norms.compute(("omega", "reference"), blocks)
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
     total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)

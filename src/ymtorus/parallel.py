@@ -6,12 +6,12 @@ buffers and summing in its own fixed order, gives the same bits whether the
 pieces run one after the other or side by side.  numpy releases the
 interpreter lock inside its array loops, so the pieces overlap in two
 threads.  dynamics.rhs splits its row blocks and dynamics.step its sector
-updates this way while the Dirac triple is live (dynamics.threads), and
-energy._Norms.compute splits the H^l norms that set-up and every report
-read into two lists of about equal cost (threads(grid)), and each set-up
-pass of driver.prepare_initial_state runs its Gauss solve beside the matter
-work that does not read E (threads(grid)).  No piece splits again: a split
-called in the worker raises, where it would wait for itself.
+updates this way while the Dirac triple is live (dynamics.threads), rhs's
+blocks sharing chi*(E_k) psi through once.  balance runs the H^l norms of
+energy._Norms.compute and a report's constraint and snapshot blocks as two
+lists of about equal cost, each set-up pass of prepare_initial_state its
+Gauss solve beside the matter work that does not read E (threads(grid)).
+No piece splits again: a split called in the worker raises (it would wait).
 
 The split pays only on grids of at least MIN_SITES sites, and only where the
 process may run on two CPUs: the CPU affinity is the switch, so
@@ -100,3 +100,29 @@ def split(grid, first, second):
     finally:
         other = second() if pending is None else pending.result()
     return result, other
+
+
+def balance(grid, blocks):
+    """[fn() for cost, fn in blocks], blocks as split takes them.  Largest cost first
+    (block order on a tie), each joins the lighter of two lists (the first on a tie);
+    split runs the lists, list 0 first on one thread, and raises a block's error."""
+    lists, loads = ([], []), [0, 0]
+    for i in sorted(range(len(blocks)), key=lambda i: blocks[i][0], reverse=True):
+        lighter = int(loads[1] < loads[0])
+        lists[lighter].append(i)
+        loads[lighter] += blocks[i][0]
+    done = split(grid, *[lambda ids=ids: [(i, blocks[i][1]()) for i in ids] for ids in lists])
+    return [result for _, result in sorted(done[0] + done[1], key=lambda pair: pair[0])]
+
+
+def once(fn):
+    """A callable returning fn(), formed once, under a lock, by its first caller."""
+    lock, result = threading.Lock(), []
+
+    def call():
+        with lock:
+            if not result:
+                result.append(fn())
+        return result[0]
+
+    return call

@@ -461,6 +461,23 @@ def test_failed_run_keeps_its_rows(tmp_path, monkeypatch):
     assert meta["initial_data"]["converged"] is True and "version" in meta
 
 
+def test_failed_snapshot_write_keeps_its_rows(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(lattice, "save_state", failing)
+    cfg = _tiny_config(tmp_path, amplitude="0.01")
+    with pytest.raises(OSError):
+        driver.run_experiment(cfg, quiet=True)
+    out = tmp_path / "out"
+    # the write of step 0's snapshot failed after its report's rows were formed
+    for fname in ("energy.csv", "constraints.csv"):
+        assert len(driver.read_csv(str(out / fname))["tau"]) == 1, fname
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"] == {"type": "OSError", "message": "[Errno 28] No space left on device"}
+    assert meta["last_reported_step"] == 0
+
+
 def test_failed_set_up_leaves_a_record(tmp_path, monkeypatch):
     message = "Gauss CG did not converge: |r| = 1.000e-03 after 5120 iterations"
 

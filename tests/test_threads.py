@@ -1,7 +1,9 @@
 """The second thread changes no bit, the pool survives a fork, a split
-called in the worker raises, an error in set-up's Gauss block is raised only
-after its matter block has finished, freed memory stays in the process, and
-diff's blocks change no bit.
+called in the worker raises, balance runs each block in the list its rule
+names and raises only after both lists, once forms its product once for both
+threads, an error in set-up's Gauss block is raised only after its matter
+block has finished, freed memory stays in the process, and diff's blocks
+change no bit.
 
 Each comparison forces the thread count through the CPU affinity that
 parallel.threads reads, so it runs the split and the serial path on any
@@ -12,6 +14,7 @@ import math
 import os
 import resource
 import signal
+import sys
 import threading
 import time
 
@@ -83,6 +86,90 @@ def test_split_called_in_the_worker_raises(monkeypatch):
     caller.join(timeout=30)
     assert raised == ["parallel.split called in the worker thread"]
     assert parallel.split(grid, lambda: 1, lambda: 2) == (1, 2)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_balance_runs_each_block_in_the_lighter_list(monkeypatch, count):
+    force_threads(monkeypatch, count)
+    ran = []  # (block, thread) in the order the blocks ran
+
+    def block(i):
+        return lambda: ran.append((i, threading.get_ident())) or 10 * i
+
+    # largest first, ties in block order, each into the lighter list (the
+    # first on a tie): loads (5, 0), (5, 5), (9, 5), (9, 8), (9, 10), (10, 10)
+    costs = [3, 5, 1, 5, 2, 4]
+    results = parallel.balance(lattice.Grid(32), [(c, block(i)) for i, c in enumerate(costs)])
+    assert results == [0, 10, 20, 30, 40, 50]
+    here = threading.get_ident()
+    if count == 1:
+        assert ran == [(i, here) for i in (1, 5, 2, 3, 0, 4)]
+    else:
+        assert [i for i, t in ran if t == here] == [1, 5, 2]
+        assert [i for i, t in ran if t != here] == [3, 0, 4]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("failing", [0, 1])
+def test_balance_raises_after_both_lists(monkeypatch, count, failing):
+    force_threads(monkeypatch, count)
+    done = []
+
+    def slow():
+        time.sleep(0.05)
+        done.append(True)
+
+    def fail():
+        raise ValueError("block")
+
+    # the cost-2 block runs in list 0, the cost-1 block in list 1
+    blocks = [(2, fail), (1, slow)] if failing == 0 else [(2, slow), (1, fail)]
+    with pytest.raises(ValueError, match="block"):
+        parallel.balance(lattice.Grid(32), blocks)
+    assert done == [True]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_once_forms_its_product_once_for_both_threads(monkeypatch, count):
+    force_threads(monkeypatch, count)
+    calls = []
+
+    def product():
+        calls.append(threading.get_ident())
+        time.sleep(0.05)  # the other thread asks while it is formed
+        return object()
+
+    shared = parallel.once(product)
+    first, second = parallel.split(lattice.Grid(32), shared, shared)
+    assert first is second and len(calls) == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(200):
+            calls.clear()
+            shared = parallel.once(lambda: calls.append(1) or object())
+            first, second = parallel.split(lattice.Grid(32), shared, shared)
+            assert first is second and len(calls) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_rhs_forms_chi_E_psi_once(monkeypatch, count):
+    force_threads(monkeypatch, count)
+    grid, model = lattice.Grid(20), algebra.su2_toy()
+    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    u = make_state(grid, model, bg, seed=5, amplitude=0.1)
+    chi_apply, on_E = algebra.chi_spinor_apply, []
+
+    def counted(chi, xi, psi):
+        if np.shares_memory(xi, u.E):
+            on_E.append(threading.get_ident())
+        return chi_apply(chi, xi, psi)
+
+    monkeypatch.setattr(algebra, "chi_spinor_apply", counted)
+    dynamics.rhs(u, bg, dynamics.Couplings(model, lam=1.0))
+    assert len(on_E) == 3 and len(set(on_E)) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
