@@ -5,13 +5,15 @@ Four constraints accompany the first-order system (flat reference
 connection, frame-scaled stencils d_k = (1/b_k) diff, and the covariant
 derivative D_k = d_k + [eta_k, .] of lattice.covariant_d):
 
-  curvature  G_ij   = B_ij - (D_i eta_j - d_j eta_i),  B = *Q
+  curvature  G_m    = Q_m - B_ij(eta),  (m, i, j) cyclic, B_ij = D_i eta_j - d_j eta_i
   Bianchi    T      = sum_cyc D_i B_jk = D_k Q_k
   Gauss      C0     = D_k E_k + Re<phidot, rho* phi> - (1/2) Im<g0 psi, chi* psi>
   Dirac      Theta  = psidot - g0 ( gk S_k + Y_phi psi )
 
-Theta uses the evolved S; the separate s_consistency diagnostic compares S
-against a recomputed covariant derivative of psi.  A function of u takes
+Q = *B carries the field strength, so the curvature of eta is formed in
+Q's shape (star_curvature) and G has Q's components.  Theta uses the
+evolved S; the separate s_consistency diagnostic compares S against a
+recomputed covariant derivative of psi.  A function of u takes
 its lattice.Connection `conn` (None: built from u.eta) where others share it.
 """
 
@@ -24,8 +26,8 @@ from .clifford import GAMMA_ROWS, spin_add, spin_row
 from .clifford import gamma_apply  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .errors import SolverError
 from .geometry import UNIT
-from .lattice import (Connection, covariant_d, covariant_diff, covariant_diff_sq_norm,
-                      covariant_div, covariant_laplacian, hodge_dual_B, hodge_dual_Q, sq_norm)
+from .lattice import (EPS, Connection, covariant_d, covariant_diff, covariant_diff_sq_norm,
+                      covariant_div, covariant_laplacian, sq_norm)
 
 
 @dataclass
@@ -48,23 +50,24 @@ def volume_weight(u, bg):
     return frame_at(u, bg).sqrt_g * u.grid.cell_volume
 
 
-def curvature_2form(u, bg=None, conn=None):
-    """Discrete field strength B_ij = D_i eta_j - d_j eta_i
-    = d_i eta_j + [eta_i, eta_j] - d_j eta_i."""
+def star_curvature(u, bg=None, conn=None):
+    """*B(eta) in Q's shape: component m is the discrete field strength
+    B_ij = D_i eta_j - d_j eta_i = d_i eta_j + [eta_i, eta_j] - d_j eta_i for
+    cyclic (m, i, j), formed from the i < j term (B_20 = -B_02) and added to
+    +0, so that a zero is +0."""
     frame, conn = frame_at(u, bg), conn or Connection(u.eta, u.model)
-    B = np.zeros((3, 3) + u.eta.shape[1:], dtype=u.eta.dtype)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            Bij = (covariant_d(u.eta[j], i, conn, u.grid, "adjoint", frame)
-                   - covariant_d(u.eta[i], j, None, u.grid, "adjoint", frame))
-            B[i, j] = Bij
-            B[j, i] = -Bij
-    return B
+    star = np.empty_like(u.Q)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        m = 3 - i - j
+        Bij = (covariant_d(u.eta[j], i, conn, u.grid, "adjoint", frame)
+               - covariant_d(u.eta[i], j, None, u.grid, "adjoint", frame))
+        (np.add if EPS[m, i, j] > 0 else np.subtract)(0.0, Bij, out=star[m])
+    return star
 
 
 def curvature_constraint(u, bg=None, conn=None):
-    """G_ij = (*Q)_ij - B_ij(eta); zero when Q matches the curvature of eta."""
-    return hodge_dual_B(u.Q) - curvature_2form(u, bg, conn)
+    """G = Q - *B(eta); zero when Q matches the curvature of eta."""
+    return u.Q - star_curvature(u, bg, conn)
 
 
 def bianchi_constraint(u, bg=None, conn=None):
@@ -115,12 +118,9 @@ def s_consistency(u, bg=None, conn=None):
     return float(np.sqrt(sq * volume_weight(u, bg)))
 
 
-def l2_norm(field, weight, two_form=False):
-    """Weighted L2 norm; a 2-form counts each independent component once."""
-    val = sq_norm(field) * weight
-    if two_form:
-        val *= 0.5
-    return float(np.sqrt(val))
+def l2_norm(field, weight):
+    """Weighted L2 norm."""
+    return float(np.sqrt(sq_norm(field) * weight))
 
 
 def constraint_report(u, bg=None, fields=None, conn=None):
@@ -131,7 +131,7 @@ def constraint_report(u, bg=None, fields=None, conn=None):
     w = volume_weight(u, bg)
     return ConstraintReport(
         tau=u.tau,
-        curvature=l2_norm(fields["curvature"], w, two_form=True),
+        curvature=l2_norm(fields["curvature"], w),
         bianchi=l2_norm(fields["bianchi"], w),
         gauss=l2_norm(fields["gauss"], w),
         dirac=l2_norm(fields["dirac"], w),
@@ -156,7 +156,7 @@ def constraint_fields(u, bg=None, conn=None):
 def complete_Q_Z(u, bg=None, conn=None):
     """Q from the curvature constraint and Z = D phi: reads eta and phi."""
     conn = conn or Connection(u.eta, u.model)
-    u.Q[:] = hodge_dual_Q(curvature_2form(u, bg, conn))
+    u.Q[:] = star_curvature(u, bg, conn)
     u.Z[:] = covariant_diff(u.phi, conn, u.grid, "higgs", frame_at(u, bg))
 
 

@@ -282,7 +282,8 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
 
     Iterates the rescale (at most six passes) because the derived sectors and
     the Gauss projection are nonlinear in the free data; converges in a couple
-    of passes at small amplitude.  Each pass reads one lattice.Connection and
+    of passes at small amplitude, and in one on zero data (no CG iteration,
+    energy 0).  Each pass reads one lattice.Connection and
     evaluates only what the k-th total energy reads, first in two blocks
     (parallel.split): Q, Z and the Gauss solve, which writes only E, beside
     S, psidot and the matter norms (energy.matter_norms), which read none of
@@ -296,16 +297,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
     amplitude = cfg.value("initial", "amplitude")
     u = lattice.random_state(grid, model, cfg.value("initial", "seed"), amplitude,
                              cfg.value("initial", "cutoff"), cfg.value("initial", "sectors"))
-    info = {}
-    if amplitude == 0.0:
-        constraints.complete_state(u, bg)
-        info["gauss"] = {"iterations": 0, "residual": 0.0, "removed_mean_norm": 0.0,
-                         "converged": True}
-        info["energy"] = 0.0
-        info["converged"] = True
-        return u, info
-
-    target = amplitude ** 2
+    info, target = {}, amplitude ** 2
     du = lattice.FieldState.zeros(grid, model)
     table = {} if measured is None else measured
     for attempt in range(6):
@@ -343,7 +335,9 @@ FIELDS_COST, CONSTRAINT_COST, SNAPSHOT_COST = 0.55, 0.6, 0.9
 
 
 def run_experiment(cfg, out_dir=None, quiet=True):
-    """Execute the full pipeline and write artifacts; returns a summary dict."""
+    """Execute the full pipeline and write artifacts; returns a summary dict.
+    A run that raises leaves the rows it computed and a metadata.json that
+    records the error (_write_failure)."""
     t_wall = time.time()
     grid, model, bg, couplings = build_run(cfg)
     tau_end, dtau, n_steps = run_steps(cfg, grid, bg)  # before anything is written
@@ -351,24 +345,9 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     out_dir = out_dir or cfg.value("outputs", "directory")
     os.makedirs(out_dir, exist_ok=True)
 
-    measured = {}  # set-up's last H^l table, read by the step-0 report
     record = {"config": cfg.as_dict(), "version": __version__}
-    try:
-        u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
-                                             measured=measured)
-    except Exception as err:  # record the error, re-raise
-        _write_failure(out_dir, {**record, "warnings": []}, err)
-        raise
-    warnings = []
-    if not init_info["gauss"]["converged"]:
-        warnings.append("Gauss CG stopped before its residual target (iterations %d, "
-                        "residual %.3e)" % (init_info["gauss"]["iterations"],
-                                            init_info["gauss"]["residual"]))
-    if not init_info["converged"]:
-        warnings.append("initial energy %.6e missed initial.amplitude**2 = %.6e after six "
-                        "rescaling passes" % (init_info["energy"],
-                                              cfg.value("initial", "amplitude") ** 2))
-
+    progress, warnings = {}, []  # the failure record's n_steps, last report and set-up
+    measured = {}  # set-up's last H^l table, read by the step-0 report
     report_every = cfg.value("numerics", "report_every")
     n_snapshots = cfg.value("outputs", "snapshots")
     snap_steps = set()
@@ -377,9 +356,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
 
     energy_rows = []
     constraint_rows = []
-    initial_cfields = constraints.constraint_fields(u, bg)
+    initial_cfields = {}  # the step-0 report's constraint fields, kept for the drift
     drift_rows = []
-    reported = []  # the step of each row; a report appends its three rows together
 
     def report(m, state, du):
         """Rows for a reported step; du is rhs(state), which evolve evaluated.
@@ -389,12 +367,14 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         conn, rows = lattice.Connection(state.eta, model), {}
         size = sum(b.size * (4 if np.iscomplexobj(b) else 1) for b in state.sectors.values())
 
-        def constraint_block():  # only scalars leave it, so its fields are freed here
-            cf = initial_cfields if m == 0 else constraints.constraint_fields(state, bg, conn)
+        def constraint_block():  # after step 0 only scalars leave it: its fields are freed here
+            cf = constraints.constraint_fields(state, bg, conn)
+            if m == 0:
+                initial_cfields.update(cf)
             rows["crep"] = constraints.constraint_report(state, bg, fields=cf, conn=conn)
             w = constraints.volume_weight(state, bg)
-            rows["drift"] = {"tau": state.tau, **{name: constraints.l2_norm(
-                cf[name] - initial_cfields[name], w, two_form=name == "curvature") for name in cf}}
+            rows["drift"] = {"tau": state.tau, **{
+                name: constraints.l2_norm(cf[name] - initial_cfields[name], w) for name in cf}}
 
         def snapshot_block():
             try:
@@ -403,7 +383,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             except Exception as err:  # raised below, after the rows
                 rows["error"] = err
 
-        blocks = [((CONSTRAINT_COST + (FIELDS_COST if m else 0.0)) * size, constraint_block)]
+        blocks = [((CONSTRAINT_COST + FIELDS_COST) * size, constraint_block)]
         if m in snap_steps:
             blocks.append((SNAPSHOT_COST * size, snapshot_block))
         erep = energy.energy_report(state, du, bg, k=k, measured=measured if m == 0 else None,
@@ -411,7 +391,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         energy_rows.append(erep)
         constraint_rows.append(rows["crep"])
         drift_rows.append(rows["drift"])
-        reported.append(m)
+        progress["last_reported_step"] = m
         if "error" in rows:
             raise rows["error"]
         if not quiet:
@@ -423,54 +403,62 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         write_constraints_csv(os.path.join(out_dir, "constraints.csv"),
                               constraint_rows, drift_rows)
 
-    threads = dynamics.threads(u)
     exp_kind = cfg.value("gauge_experiment", "kind")
-    u0 = u.copy() if exp_kind == "static" else None  # evolve advances u in place
     try:
+        u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
+                                             measured=measured)
+        progress.update(n_steps=n_steps, last_reported_step=None, initial_data=init_info)
+        if not init_info["gauss"]["converged"]:
+            warnings.append("Gauss CG stopped before its residual target (iterations %d, "
+                            "residual %.3e)" % (init_info["gauss"]["iterations"],
+                                                init_info["gauss"]["residual"]))
+        if not init_info["converged"]:
+            warnings.append("initial energy %.6e missed initial.amplitude**2 = %.6e after six "
+                            "rescaling passes" % (init_info["energy"],
+                                                  cfg.value("initial", "amplitude") ** 2))
+        u0 = u.copy() if exp_kind == "static" else None  # evolve advances u in place
         dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
+
+        # post-processing
+        taus = [r.tau for r in energy_rows]
+        totals = [r.total for r in energy_rows]
+        verdict = energy.estimate_monitor(taus, totals)
+        sup_series = {name: np.array([r.sup[name] for r in energy_rows])
+                      for name in ("phi", "E", "psi")}
+        try:
+            fits = conformal.decay_report(taus, sup_series, bg)
+            decay = {name: dataclasses.asdict(fit) for name, fit in fits.items()}
+            # diagnostic L2 slopes: physical-frame L2 norms pick up the sqrt(g)
+            # volume growth (s^3) on top of the field rescaling
+            l2 = {}
+            svals = np.array([bg.profile.s_of_tau(t) for t in taus])
+            for name, sector, vol_pow in (("phi", "higgs", 1.0), ("E", "yangmills", 1.0),
+                                          ("psi", "dirac", 0.0)):
+                series = np.array([max(getattr(r, sector)[0], 0.0) for r in energy_rows])
+                phys = np.sqrt(series * svals ** vol_pow)
+                l2[name] = dataclasses.asdict(conformal.decay_fit(taus, phys, bg, rescale=0.0))
+            decay["l2_diagnostic"] = l2
+        except ValueError as err:
+            decay = {"error": str(err)}
+
+        write_rows()
+        with open(os.path.join(out_dir, "decay.json"), "w") as fh:
+            json.dump(decay, fh, indent=1)
+
+        monitor = constraints.propagation_monitor(constraint_rows)
+        gauge_experiment = None
+        if exp_kind == "static":
+            res = run_gauge_invariance(cfg, u0, bg, couplings)
+            gauge_experiment = {"kind": "static",
+                                "worst_relative_mismatch": res["worst_relative_mismatch"],
+                                "unitarity_defect": res["unitarity_defect"]}
+        elif exp_kind == "automorphism":
+            gauge_experiment = {"kind": "automorphism", **run_automorphism_check(cfg)}
     except Exception as err:  # keep what was computed, record the error, re-raise
         if energy_rows:
             write_rows()
-        _write_failure(out_dir, {**record, "n_steps": n_steps,
-                                "last_reported_step": reported[-1] if reported else None,
-                                "initial_data": init_info, "warnings": warnings}, err)
+        _write_failure(out_dir, {**record, **progress, "warnings": warnings}, err)
         raise
-
-    # post-processing
-    taus = [r.tau for r in energy_rows]
-    totals = [r.total for r in energy_rows]
-    verdict = energy.estimate_monitor(taus, totals)
-    sup_series = {name: np.array([r.sup[name] for r in energy_rows])
-                  for name in ("phi", "E", "psi")}
-    try:
-        fits = conformal.decay_report(taus, sup_series, bg)
-        decay = {name: dataclasses.asdict(fit) for name, fit in fits.items()}
-        # diagnostic L2 slopes: physical-frame L2 norms pick up the sqrt(g)
-        # volume growth (s^3) on top of the field rescaling
-        l2 = {}
-        svals = np.array([bg.profile.s_of_tau(t) for t in taus])
-        for name, sector, vol_pow in (("phi", "higgs", 1.0), ("E", "yangmills", 1.0),
-                                      ("psi", "dirac", 0.0)):
-            series = np.array([max(getattr(r, sector)[0], 0.0) for r in energy_rows])
-            phys = np.sqrt(series * svals ** vol_pow)
-            l2[name] = dataclasses.asdict(conformal.decay_fit(taus, phys, bg, rescale=0.0))
-        decay["l2_diagnostic"] = l2
-    except ValueError as err:
-        decay = {"error": str(err)}
-
-    write_rows()
-    with open(os.path.join(out_dir, "decay.json"), "w") as fh:
-        json.dump(decay, fh, indent=1)
-
-    monitor = constraints.propagation_monitor(constraint_rows)
-    gauge_experiment = None
-    if exp_kind == "static":
-        res = run_gauge_invariance(cfg, u0, bg, couplings)
-        gauge_experiment = {"kind": "static",
-                            "worst_relative_mismatch": res["worst_relative_mismatch"],
-                            "unitarity_defect": res["unitarity_defect"]}
-    elif exp_kind == "automorphism":
-        gauge_experiment = {"kind": "automorphism", **run_automorphism_check(cfg)}
 
     summary = {
         **record,
@@ -489,7 +477,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         "decay": decay,
         "extrinsic_bound_samples": [bg.extrinsic_bound(t)
                                     for t in np.linspace(0, tau_end * 0.999, 5)],
-        "threads": threads,
+        "threads": parallel.threads(grid),
         "wall_seconds": time.time() - t_wall,
     }
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:

@@ -284,21 +284,9 @@ def _half(buf, h):
     return buf[mid:] if h else buf[:mid]
 
 
-def threads(u):
-    """Threads that rhs and step use on u: parallel.threads(u.grid) while
-    the Dirac triple is live, else 1.  Without it rhs is one block, and
-    halves of the RK4 updates written by the worker would only slow the
-    one-thread rhs that reads them next (u1_toy at n = 32: 35 ms a step on
-    one thread, 52 ms with split updates)."""
-    return parallel.threads(u.grid) if np.any(u.sectors["dirac"]) else 1
-
-
-def _by_halves(grid, live, fn):
+def _by_halves(grid, fn):
     """(fn(0), fn(1)), where fn(h) reads and writes only the h halves of
-    flat sector buffers: elementwise work, side by side on large grids
-    while the Dirac triple is live (see threads)."""
-    if "dirac" not in live:
-        return fn(0), fn(1)
+    flat sector buffers: elementwise work, side by side on large grids."""
     return parallel.split(grid, lambda: fn(0), lambda: fn(1))
 
 
@@ -310,7 +298,7 @@ def _axpy(out, u, c, du, scratch, sectors):
             cdu = np.multiply(_half(du.sectors[name], h), c, out=_half(scratch.sectors[name], h))
             np.add(_half(u.sectors[name], h), cdu, out=_half(out.sectors[name], h))
 
-    _by_halves(u.grid, sectors, update)
+    _by_halves(u.grid, update)
 
 
 def step(u, bg, couplings, dtau, k1=None, work=None):
@@ -335,7 +323,7 @@ def step(u, bg, couplings, dtau, k1=None, work=None):
         dk = rhs(stage, bg, couplings, out=k, live=live)
         _axpy(out, out, c_out, dk, stage, live)  # rhs has read stage
     out.tau = u.tau + dtau
-    finite = _by_halves(u.grid, live, lambda h: [
+    finite = _by_halves(u.grid, lambda h: [
         np.isfinite(_half(out.sectors[s], h)).all() for s in live])
     for sector, first, second in zip(live, *finite):
         if not (first and second):  # find the field only on failure

@@ -353,15 +353,6 @@ def hodge_dual_B(Q):
     return B
 
 
-def hodge_dual_Q(B):
-    """Inverse of hodge_dual_B: Q_i = (1/2) eps_{ijk} B_{jk}."""
-    shape = B.shape[2:]
-    Q = np.zeros((3,) + shape, dtype=B.dtype)
-    for i, j, k, sgn in _EPS_TERMS:
-        Q[i] += 0.5 * sgn * B[j, k]
-    return Q
-
-
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS[_i, _j, _k] = 1.0

@@ -5,19 +5,20 @@ An evaluation that splits into two independent pieces, each writing its own
 buffers and summing in its own fixed order, gives the same bits whether the
 pieces run one after the other or side by side.  numpy releases the
 interpreter lock inside its array loops, so the pieces overlap in two
-threads.  dynamics.rhs splits its row blocks and dynamics.step its sector
-updates this way while the Dirac triple is live (dynamics.threads), rhs's
-blocks sharing chi*(E_k) psi through once.  balance runs the H^l norms of
-energy._Norms.compute and a report's constraint and snapshot blocks as two
-lists of about equal cost, each set-up pass of prepare_initial_state its
-Gauss solve beside the matter work that does not read E (threads(grid)).
-No piece splits again: a split called in the worker raises (it would wait).
+threads.  dynamics.step splits each RK4 update into halves of the sector
+buffers this way, and dynamics.rhs its row blocks while the Dirac triple is
+live (without it rhs is one block), the blocks sharing chi*(E_k) psi through
+once.  balance runs the H^l norms of energy._Norms.compute and a report's
+constraint and snapshot blocks as two lists of about equal cost, each
+set-up pass of prepare_initial_state its Gauss solve beside the matter work
+that does not read E.  No piece splits again: a split called in the worker
+raises (it would wait).
 
-The split pays only on grids of at least MIN_SITES sites, and only where the
-process may run on two CPUs: the CPU affinity is the switch, so
-`taskset -c 0` runs everything in the calling thread.  The worker is created
-on first use in each process (a forked child makes its own: the parent's
-thread does not exist there).
+threads(grid) is the one rule for every split: two threads on grids of at
+least MIN_SITES sites, and only where the process may run on two CPUs.  The
+CPU affinity is the switch, so `taskset -c 0` runs everything in the
+calling thread.  The worker is created on first use in each process (a
+forked child makes its own: the parent's thread does not exist there).
 
 Importing this module sets one allocator policy for the process (glibc
 only): a single malloc arena, so that the worker's freed temporaries go back

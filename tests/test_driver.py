@@ -133,6 +133,11 @@ def test_zero_amplitude_run_all_zero(tmp_path):
     for name in ("curvature", "bianchi", "gauss", "dirac"):
         assert np.all(c[name] == 0.0)
     assert summary["decay"]["phi"]["undefined"]
+    # zero data takes one set-up pass: no CG iteration, energy 0
+    init = summary["initial_data"]
+    assert init["gauss"]["iterations"] == 0 and init["gauss"]["residual"] == 0.0
+    assert init["gauss"]["converged"] is True and init["converged"] is True
+    assert init["energy"] == 0.0
 
 
 def test_run_determinism_bit_identical(tmp_path):
@@ -476,6 +481,31 @@ def test_failed_snapshot_write_keeps_its_rows(tmp_path, monkeypatch):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["error"] == {"type": "OSError", "message": "[Errno 28] No space left on device"}
     assert meta["last_reported_step"] == 0
+
+
+def test_failed_gauge_experiment_leaves_a_record(tmp_path, monkeypatch):
+    from ymtorus.errors import BlowUpError
+
+    def failing(*args, **kwargs):
+        raise BlowUpError("non-finite E at index [0, 0, 0, 0, 0], tau = 0.010000")
+
+    monkeypatch.setattr(driver, "run_gauge_invariance", failing)
+    raw = driver.preset_config("gauge_invariance").as_dict()
+    raw["grid"]["n"] = "8"
+    raw["background"]["tau_end_fraction"] = "0.05"
+    raw["outputs"] = {"directory": str(tmp_path / "gi"), "plot": "false", "snapshots": "0"}
+    cfg = driver.validate_config(raw)
+    with pytest.raises(BlowUpError):
+        driver.run_experiment(cfg, quiet=True)
+    out = tmp_path / "gi"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "constraints.csv", "decay.json", "energy.csv", "metadata.json"]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"] == {"type": "BlowUpError", "message":
+                             "non-finite E at index [0, 0, 0, 0, 0], tau = 0.010000"}
+    assert meta["last_reported_step"] == meta["n_steps"]
+    assert len(driver.read_csv(str(out / "energy.csv"))["tau"]) == meta["n_steps"] + 1
+    assert meta["config"] == cfg.as_dict() and meta["initial_data"]["converged"] is True
 
 
 def test_failed_set_up_leaves_a_record(tmp_path, monkeypatch):

@@ -279,32 +279,44 @@ def test_run_makes_four_rhs_calls_per_step(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", ["desitter_u1_small", "bianchi1_su2"])
 def test_one_connection_per_report(tmp_path, monkeypatch, preset):
     # the energy norms, the constraint fields and the S-consistency each
-    # built one from the same eta: 3 builds a report (2 at step 0)
+    # built one from the same eta: 3 builds a report (2 at step 0); from
+    # set-up's return to the end of the step-0 report, evolve's rhs and the
+    # report build one each (the step-0 constraint fields built a third)
     raw = driver.preset_config(preset).as_dict()
     raw["grid"]["n"] = "8"
     raw["initial"]["cutoff"] = "1"
     raw["background"]["tau_end_fraction"] = "0.1"
     raw["numerics"].update({"dtau": "0.03", "report_every": "1"})
     raw["outputs"].update({"plot": "false", "directory": str(tmp_path)})
-    build, evolve = lattice.Connection.__init__, dynamics.evolve
-    builds, per_report = [], []
+    build, prepare, evolve = (lattice.Connection.__init__, driver.prepare_initial_state,
+                              dynamics.evolve)
+    builds, per_report, to_step_zero = [], [], []
 
     def counted_build(self, *args):
         builds.append(1)
         build(self, *args)
+
+    def prepare_then_count(*args, **kwargs):
+        result = prepare(*args, **kwargs)
+        builds.clear()
+        return result
 
     def evolve_counting_reports(*args, callback=None):
         def counted(m, state, du):  # evolve's own rhs has built its connection
             before = len(builds)
             callback(m, state, du)
             per_report.append(len(builds) - before)
+            if m == 0:
+                to_step_zero.append(len(builds))
 
         return evolve(*args, callback=counted)
 
     monkeypatch.setattr(lattice.Connection, "__init__", counted_build)
+    monkeypatch.setattr(driver, "prepare_initial_state", prepare_then_count)
     monkeypatch.setattr(dynamics, "evolve", evolve_counting_reports)
     summary = driver.run_experiment(driver.validate_config(raw))
     assert per_report == [1] * (summary["n_steps"] + 1)
+    assert to_step_zero == [2]
 
 
 def small_run_config(tmp_path, energy_k):

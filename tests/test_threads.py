@@ -40,11 +40,6 @@ def test_threads_follow_grid_size_and_affinity(monkeypatch):
     force_threads(monkeypatch, 4)
     assert parallel.threads(lattice.Grid(32)) == 2
     assert parallel.threads(lattice.Grid(16)) == 1
-    # rhs and step split only while the Dirac triple is live
-    u = lattice.FieldState.zeros(lattice.Grid(32), algebra.su2_toy())
-    assert dynamics.threads(u) == 1
-    u.psi[0, 0, 0, 0, 0] = 1.0
-    assert dynamics.threads(u) == 2
 
 
 def test_split_runs_second_in_the_worker_and_raises_its_errors(monkeypatch):
