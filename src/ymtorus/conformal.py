@@ -32,31 +32,33 @@ class DecayFit:
     undefined: bool = False
 
 
-def decay_fit(taus, sup_tilde, bg, rescale=0.0):
-    """Least-squares slope of log sup|X_phys| against log s(t) over the final
-    40% of the run (in tau).
+def physical(name, tilde, s, bg):
+    """The physical-frame series of the simulation-frame series `tilde` of
+    field `name` at scale factors s: tilde s^w / N^max(0, -w), w its
+    RESCALING_EXPONENTS entry and N the Background bg's lapse."""
+    w = RESCALING_EXPONENTS[name]
+    return tilde * s ** w / bg.N ** max(0.0, -w)
 
-    sup_tilde is the simulation-frame sup-norm series; `rescale` is the
-    tilde-to-physical exponent (e.g. -1 for the Higgs field), applied here so
-    callers pass raw simulation output; s and N are the Background bg's.
-    """
+
+def decay_fit(taus, phys, bg):
+    """Least-squares slope of log phys against log s(t) over the final 40% of
+    the run (in tau); phys is a physical-frame series (see physical) and s
+    the Background bg's."""
     taus = np.asarray(taus, dtype=float)
-    sups = np.asarray(sup_tilde, dtype=float)
-    if taus.size != sups.size:
+    phys = np.asarray(phys, dtype=float)
+    if taus.size != phys.size:
         raise InputError("series length mismatch")
     t_lo = taus[-1] - 0.4 * (taus[-1] - taus[0])
     sel = taus >= t_lo - 1e-14
     taus_w = taus[sel]
-    sups_w = sups[sel]
+    phys_w = phys[sel]
     if taus_w.size < 10:
         raise InputError("decay_fit needs >= 10 samples in the window")
-    if np.all(sups_w == 0.0):
+    if np.all(phys_w == 0.0):
         return DecayFit(np.nan, np.nan, int(taus_w.size),
                         (float(t_lo), float(taus[-1])), undefined=True)
-    svals = np.array([bg.profile.s_of_tau(t) for t in taus_w])
-    phys = sups_w * svals ** rescale / bg.N ** max(0.0, -rescale)
-    x = np.log(svals)
-    y = np.log(phys)
+    x = np.log([bg.profile.s_of_tau(t) for t in taus_w])
+    y = np.log(phys_w)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     slope = float(coef[0])
@@ -69,8 +71,10 @@ def decay_fit(taus, sup_tilde, bg, rescale=0.0):
 
 
 def decay_report(taus, sup_series, bg):
-    """Fits for the Higgs, electric and fermion sup-norm series."""
-    return {name: decay_fit(taus, sup_series[name], bg, rescale=RESCALING_EXPONENTS[name])
+    """Fits for the Higgs, electric and fermion sup-norm series, taken in the
+    simulation frame."""
+    s = np.array([bg.profile.s_of_tau(t) for t in taus])
+    return {name: decay_fit(taus, physical(name, sup_series[name], s, bg), bg)
             for name in ("phi", "E", "psi")}
 
 

@@ -261,15 +261,12 @@ def operator_symmetry_defect(u, bg=None):
 # ---------------------------------------------------------------------------
 
 def propagation_monitor(reports):
-    """Summarize a trajectory of ConstraintReport rows: per-constraint series
-    and their initial (post-solve floor) and maximum values."""
-    names = ("curvature", "bianchi", "gauss", "dirac")
-    series = {name: np.array([getattr(r, name) for r in reports]) for name in names}
-    series["tau"] = np.array([r.tau for r in reports])
-    out = {"series": series}
-    out["initial"] = {name: series[name][0] for name in names}
-    out["max"] = {name: series[name].max() for name in names}
-    return out
+    """Summarize a trajectory of ConstraintReport rows: each constraint's
+    initial (post-solve floor) and maximum value."""
+    series = {name: np.array([getattr(r, name) for r in reports])
+              for name in ("curvature", "bianchi", "gauss", "dirac")}
+    return {"initial": {name: x[0] for name, x in series.items()},
+            "max": {name: x.max() for name, x in series.items()}}
 
 
 def observed_order(coarse, fine):

@@ -330,14 +330,16 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
 
 # Report blocks' costs per state element (four per complex one) in units of
 # energy._Norms.compute, 4.5-4.8 ns on su2_toy, bianchi1, n = 32, one core: there the
-# constraint fields took 25 ms, constraint_report and drift 28 ms, a snapshot 39-42 ms.
-FIELDS_COST, CONSTRAINT_COST, SNAPSHOT_COST = 0.55, 0.6, 0.9
+# constraint fields, constraint_report and drift took 53 ms, a snapshot 39-42 ms.
+CONSTRAINT_COST, SNAPSHOT_COST = 1.15, 0.9
 
 
 def run_experiment(cfg, out_dir=None, quiet=True):
-    """Execute the full pipeline and write artifacts; returns a summary dict.
-    A run that raises leaves the rows it computed and a metadata.json that
-    records the error (_write_failure)."""
+    """Execute the full pipeline and write artifacts; returns the run record.
+    The record starts as the config, version and warnings; set-up, each report,
+    post-processing and the end add to it.  write_record writes every file of
+    the run from it once the run ends, also when the run raises: metadata.json
+    then records the error."""
     t_wall = time.time()
     grid, model, bg, couplings = build_run(cfg)
     tau_end, dtau, n_steps = run_steps(cfg, grid, bg)  # before anything is written
@@ -345,24 +347,17 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     out_dir = out_dir or cfg.value("outputs", "directory")
     os.makedirs(out_dir, exist_ok=True)
 
-    record = {"config": cfg.as_dict(), "version": __version__}
-    progress, warnings = {}, []  # the failure record's n_steps, last report and set-up
+    record = {"config": cfg.as_dict(), "version": __version__, "warnings": []}
     measured = {}  # set-up's last H^l table, read by the step-0 report
-    report_every = cfg.value("numerics", "report_every")
-    n_snapshots = cfg.value("outputs", "snapshots")
-    snap_steps = set()
-    if n_snapshots > 0:
-        snap_steps = {int(round(x)) for x in np.linspace(0, n_steps, n_snapshots)}
-
-    energy_rows = []
-    constraint_rows = []
+    snap_steps = {int(round(x))
+                  for x in np.linspace(0, n_steps, cfg.value("outputs", "snapshots"))}
+    energy_rows, constraint_rows = [], []  # constraint rows: (ConstraintReport, drift) pairs
     initial_cfields = {}  # the step-0 report's constraint fields, kept for the drift
-    drift_rows = []
 
     def report(m, state, du):
         """Rows for a reported step; du is rhs(state), which evolve evaluated.
         One parallel.balance runs the norms, constraints and snapshot write."""
-        if m % report_every and m != n_steps:
+        if m % cfg.value("numerics", "report_every") and m != n_steps:
             return
         conn, rows = lattice.Connection(state.eta, model), {}
         size = sum(b.size * (4 if np.iscomplexobj(b) else 1) for b in state.sectors.values())
@@ -371,10 +366,10 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             cf = constraints.constraint_fields(state, bg, conn)
             if m == 0:
                 initial_cfields.update(cf)
-            rows["crep"] = constraints.constraint_report(state, bg, fields=cf, conn=conn)
             w = constraints.volume_weight(state, bg)
-            rows["drift"] = {"tau": state.tau, **{
-                name: constraints.l2_norm(cf[name] - initial_cfields[name], w) for name in cf}}
+            drift = {name: constraints.l2_norm(cf[name] - initial_cfields[name], w) for name in cf}
+            rows["constraints"] = (constraints.constraint_report(state, bg, fields=cf, conn=conn),
+                                   {"tau": state.tau, **drift})
 
         def snapshot_block():
             try:
@@ -383,31 +378,27 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             except Exception as err:  # raised below, after the rows
                 rows["error"] = err
 
-        blocks = [((CONSTRAINT_COST + FIELDS_COST) * size, constraint_block)]
+        blocks = [(CONSTRAINT_COST * size, constraint_block)]
         if m in snap_steps:
             blocks.append((SNAPSHOT_COST * size, snapshot_block))
         erep = energy.energy_report(state, du, bg, k=k, measured=measured if m == 0 else None,
                                     conn=conn, blocks=blocks)
         energy_rows.append(erep)
-        constraint_rows.append(rows["crep"])
-        drift_rows.append(rows["drift"])
-        progress["last_reported_step"] = m
+        constraint_rows.append(rows["constraints"])
+        record["last_reported_step"] = m
         if "error" in rows:
             raise rows["error"]
         if not quiet:
             print("step %5d  tau %.5f  E %.3e  gauss %.3e"
-                  % (m, state.tau, erep.total, rows["crep"].gauss))
-
-    def write_rows():
-        write_energy_csv(os.path.join(out_dir, "energy.csv"), energy_rows)
-        write_constraints_csv(os.path.join(out_dir, "constraints.csv"),
-                              constraint_rows, drift_rows)
+                  % (m, state.tau, erep.total, rows["constraints"][0].gauss))
 
     exp_kind = cfg.value("gauge_experiment", "kind")
+    error = None  # the run's exception, for write_record
     try:
         u, init_info = prepare_initial_state(cfg, grid, model, bg, couplings, k=k,
                                              measured=measured)
-        progress.update(n_steps=n_steps, last_reported_step=None, initial_data=init_info)
+        record.update(n_steps=n_steps, last_reported_step=None, initial_data=init_info)
+        warnings = record["warnings"]
         if not init_info["gauss"]["converged"]:
             warnings.append("Gauss CG stopped before its residual target (iterations %d, "
                             "residual %.3e)" % (init_info["gauss"]["iterations"],
@@ -421,8 +412,6 @@ def run_experiment(cfg, out_dir=None, quiet=True):
 
         # post-processing
         taus = [r.tau for r in energy_rows]
-        totals = [r.total for r in energy_rows]
-        verdict = energy.estimate_monitor(taus, totals)
         sup_series = {name: np.array([r.sup[name] for r in energy_rows])
                       for name in ("phi", "E", "psi")}
         try:
@@ -430,69 +419,69 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             decay = {name: dataclasses.asdict(fit) for name, fit in fits.items()}
             # diagnostic L2 slopes: physical-frame L2 norms pick up the sqrt(g)
             # volume growth (s^3) on top of the field rescaling
-            l2 = {}
             svals = np.array([bg.profile.s_of_tau(t) for t in taus])
+            decay["l2_diagnostic"] = {}
             for name, sector, vol_pow in (("phi", "higgs", 1.0), ("E", "yangmills", 1.0),
                                           ("psi", "dirac", 0.0)):
                 series = np.array([max(getattr(r, sector)[0], 0.0) for r in energy_rows])
-                phys = np.sqrt(series * svals ** vol_pow)
-                l2[name] = dataclasses.asdict(conformal.decay_fit(taus, phys, bg, rescale=0.0))
-            decay["l2_diagnostic"] = l2
+                decay["l2_diagnostic"][name] = dataclasses.asdict(
+                    conformal.decay_fit(taus, np.sqrt(series * svals ** vol_pow), bg))
         except ValueError as err:
             decay = {"error": str(err)}
+        monitor = constraints.propagation_monitor([r for r, _ in constraint_rows])
+        record.update(
+            decay=decay,
+            energy_monitor=dataclasses.asdict(
+                energy.estimate_monitor(taus, [r.total for r in energy_rows])),
+            constraint_initial=monitor["initial"], constraint_max=monitor["max"],
+            terminal_drift=constraint_rows[-1][1])
 
-        write_rows()
-        with open(os.path.join(out_dir, "decay.json"), "w") as fh:
-            json.dump(decay, fh, indent=1)
-
-        monitor = constraints.propagation_monitor(constraint_rows)
         gauge_experiment = None
         if exp_kind == "static":
             res = run_gauge_invariance(cfg, u0, bg, couplings)
-            gauge_experiment = {"kind": "static",
-                                "worst_relative_mismatch": res["worst_relative_mismatch"],
-                                "unitarity_defect": res["unitarity_defect"]}
+            gauge_experiment = {"kind": "static", **{key: res[key] for key in (
+                "worst_relative_mismatch", "unitarity_defect")}}
         elif exp_kind == "automorphism":
             gauge_experiment = {"kind": "automorphism", **run_automorphism_check(cfg)}
-    except Exception as err:  # keep what was computed, record the error, re-raise
-        if energy_rows:
-            write_rows()
-        _write_failure(out_dir, {**record, **progress, "warnings": warnings}, err)
+        record.update(
+            gauge_experiment=gauge_experiment,
+            grid={"n": grid.n, "L": grid.L, "order": grid.order, "dx": grid.dx},
+            dtau=dtau, horizon=bg.T, tau_end=tau_end,
+            extrinsic_bound_samples=[bg.extrinsic_bound(t)
+                                     for t in np.linspace(0, tau_end * 0.999, 5)],
+            threads=parallel.threads(grid), wall_seconds=time.time() - t_wall)
+    except BaseException as err:  # recorded by write_record, then raised on
+        error = err
         raise
-
-    summary = {
-        **record,
-        "gauge_experiment": gauge_experiment,
-        "grid": {"n": grid.n, "L": grid.L, "order": grid.order, "dx": grid.dx},
-        "dtau": dtau,
-        "n_steps": n_steps,
-        "horizon": bg.T,
-        "tau_end": tau_end,
-        "initial_data": init_info,
-        "warnings": warnings,
-        "energy_monitor": dataclasses.asdict(verdict),
-        "constraint_initial": monitor["initial"],
-        "constraint_max": monitor["max"],
-        "terminal_drift": drift_rows[-1],
-        "decay": decay,
-        "extrinsic_bound_samples": [bg.extrinsic_bound(t)
-                                    for t in np.linspace(0, tau_end * 0.999, 5)],
-        "threads": parallel.threads(grid),
-        "wall_seconds": time.time() - t_wall,
-    }
-    with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, default=float)
+    finally:
+        write_record(out_dir, record, energy_rows, constraint_rows, error)
 
     if cfg.value("outputs", "plot"):
         replot(out_dir)
-    return summary
+    return record
 
 
-def _write_failure(out_dir, record, err):
-    """metadata.json of a run that raised `err`: `record` and the error."""
+def write_record(out_dir, record, energy_rows, constraint_rows, error):
+    """Every file of a run but its snapshots and figures: energy.csv and
+    constraints.csv when there are rows, decay.json once the record holds the
+    fits, and last, always, the record as metadata.json, with `error` (the run's
+    exception, or else the first one of these writes, which is then raised)."""
+    failed = error
+    try:
+        if energy_rows:
+            write_energy_csv(os.path.join(out_dir, "energy.csv"), energy_rows)
+            write_constraints_csv(os.path.join(out_dir, "constraints.csv"), constraint_rows)
+        if "decay" in record:
+            with open(os.path.join(out_dir, "decay.json"), "w") as fh:
+                json.dump(record["decay"], fh, indent=1)
+    except Exception as err:
+        failed = failed or err
+    if failed is not None:
+        record["error"] = {"type": type(failed).__name__, "message": str(failed)}
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
-        json.dump({**record, "error": {"type": type(err).__name__, "message": str(err)}},
-                  fh, indent=1, default=float)
+        json.dump(record, fh, indent=1, default=float)
+    if failed is not error:
+        raise failed
 
 
 def _fmt(x):
@@ -508,12 +497,12 @@ def write_energy_csv(path, rows):
             fh.write(",".join(_fmt(d[c]) for c in cols) + "\n")
 
 
-def write_constraints_csv(path, rows, drift_rows):
+def write_constraints_csv(path, rows):
     cols = ["tau", "curvature", "bianchi", "gauss", "dirac", "s_consistency"]
     dcols = ["drift_curvature", "drift_bianchi", "drift_gauss", "drift_dirac"]
     with open(path, "w") as fh:
         fh.write(",".join(cols + dcols) + "\n")
-        for r, dr in zip(rows, drift_rows):
+        for r, dr in rows:
             d = dataclasses.asdict(r)
             vals = [_fmt(d[c]) for c in cols]
             vals += [_fmt(dr[c.replace("drift_", "")]) for c in dcols]
@@ -551,17 +540,15 @@ def replot(out_dir):
             svals = np.array([bg.profile.s_of_tau(t) for t in e["tau"]])
             series = {}
             for name in ("phi", "E", "psi"):
-                phys = e["sup_" + name] * svals ** conformal.RESCALING_EXPONENTS[name]
-                series[name] = phys
+                phys = series[name] = conformal.physical(name, e["sup_" + name], svals, bg)
                 fit = decay.get(name, {})
                 if fit and not fit.get("undefined", True):
                     # fitted power law anchored at the window start
                     sel = e["tau"] >= fit["window"][0]
                     if sel.any():
-                        s0 = svals[sel][0]
-                        c0 = phys[sel][0]
-                        series[name + " fit"] = np.where(
-                            sel, c0 * (svals / s0) ** fit["slope"], np.nan)
+                        s0, c0 = svals[sel][0], phys[sel][0]
+                        series[name + " fit"] = np.where(sel, c0 * (svals / s0) ** fit["slope"],
+                                                         np.nan)
             plots.line_plot(
                 os.path.join(out_dir, "decay.svg"), svals, series,
                 xlabel="s(t)", ylabel="sup norm (physical frame)",

@@ -11,20 +11,22 @@ def _bg(kind="desitter", **kw):
 def test_decay_fit_synthetic_power_laws():
     bg = _bg(a=1.0)
     taus = np.linspace(0.2, 1.4, 60)
-    fit = conformal.decay_fit(taus, 3.0 * np.ones_like(taus), bg, rescale=-1.0)
+    svals = np.array([bg.profile.s_of_tau(t) for t in taus])
+    fit = conformal.decay_fit(taus, conformal.physical("phi", 3.0 * np.ones_like(taus), svals, bg),
+                              bg)
     assert abs(fit.slope + 1.0) < 1e-6 and fit.half_width < 1e-6
-    fit = conformal.decay_fit(taus, 2.0 * np.ones_like(taus), bg, rescale=-1.5)
+    fit = conformal.decay_fit(taus, conformal.physical("psi", 2.0 * np.ones_like(taus), svals, bg),
+                              bg)
     assert abs(fit.slope + 1.5) < 1e-6
     # already-decaying synthetic input: sup_tilde = c / s -> physical c / s^2
-    svals = np.array([bg.profile.s_of_tau(t) for t in taus])
-    fit = conformal.decay_fit(taus, 1.0 / svals, bg, rescale=-1.0)
+    fit = conformal.decay_fit(taus, conformal.physical("phi", 1.0 / svals, svals, bg), bg)
     assert abs(fit.slope + 2.0) < 1e-6
 
 
 def test_decay_fit_guards():
     bg = _bg(a=1.0)
     taus = np.linspace(0.2, 1.4, 60)
-    fit = conformal.decay_fit(taus, np.zeros_like(taus), bg, rescale=-1.0)
+    fit = conformal.decay_fit(taus, np.zeros_like(taus), bg)
     assert fit.undefined
     with pytest.raises(conformal.InputError):
         conformal.decay_fit(taus[:8], np.ones(8), bg)

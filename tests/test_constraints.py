@@ -1,7 +1,7 @@
 import numpy as np
 
-from ymtorus import algebra, constraints, geometry, lattice
-from conftest import make_state
+from ymtorus import algebra, constraints, lattice
+from conftest import BACKGROUNDS, make_state
 
 
 def test_zero_state_all_constraints_vanish(su2_model, flat_bg):
@@ -166,7 +166,7 @@ def test_complete_state_consistency(su2_model, desitter_bg):
 
 def test_s_consistency_keeps_the_bits_of_the_difference_field_norm(su2_model):
     # formed direction by direction, without S - recompute_S, in the same sum
-    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    bg = BACKGROUNDS["bianchi1"]()
     u = make_state(lattice.Grid(8), su2_model, bg, seed=5, amplitude=0.1)
     rng = np.random.default_rng(2)
     u.S += 1e-3 * (rng.standard_normal(u.S.shape) + 1j * rng.standard_normal(u.S.shape))

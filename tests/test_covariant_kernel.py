@@ -11,27 +11,12 @@ import numpy as np
 import pytest
 
 import reference
-from ymtorus import algebra, constraints, dynamics, errors, geometry, lattice, oracles
+from ymtorus import constraints, dynamics, errors, geometry, lattice, oracles
 from ymtorus.clifford import G0G, gamma_apply
 from ymtorus.lattice import FieldState
-from conftest import assert_same_states, make_state, same_bits
+from conftest import MODELS, assert_same_states, make_state, same_bits, state
 
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-TAU = 0.3
-
-
-@pytest.fixture(scope="module")
-def bianchi_bg():
-    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
-    assert np.any(bg.frame(TAU).II)  # kappa != 0: the spin-connection term runs
-    return bg
-
-
-def state(name, bg, seed=21):
-    u = make_state(lattice.Grid(8), MODELS[name](), bg, seed=seed, amplitude=0.1)
-    u.tau = TAU
-    return u
+TAU = 0.3  # conftest.state's tau
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +25,7 @@ def state(name, bg, seed=21):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_rhs_matches_hand_written(name, bianchi_bg):
-    u = state(name, bianchi_bg)
+    u = state(name, "bianchi1", 21)[0]
     coup = dynamics.Couplings(u.model, lam=1.0)
     assert_same_states(dynamics.rhs(u, bianchi_bg, coup), reference.rhs(u, bianchi_bg, coup))
 
@@ -52,7 +37,7 @@ def test_rhs_matches_hand_written(name, bianchi_bg):
 def test_rhs_skips_zero_matter(name, zero, bianchi_bg):
     # the skipped triples are written as +0, also into a buffer that held
     # something else, and the full formula gives them the same values
-    u = state(name, bianchi_bg)
+    u = state(name, "bianchi1", 21)[0]
     for field in zero:
         getattr(u, field)[:] = 0.0
     coup = dynamics.Couplings(u.model, lam=1.0)
@@ -70,7 +55,7 @@ def test_rhs_skips_zero_matter(name, zero, bianchi_bg):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_rhs_skips_zero_spin_connection_term(name, desitter_bg):
     # (1/2)(dII_k - II_k^2) is 0 on desitter: adding the term changes no value
-    u = state(name, desitter_bg)
+    u = state(name, "desitter", 21)[0]
     frame = desitter_bg.frame(TAU)
     assert not np.any(frame.dII - frame.II ** 2)
     assert np.any(u.psi)
@@ -84,7 +69,7 @@ def test_rhs_skips_zero_spin_connection_term(name, desitter_bg):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_constraint_fields_match_hand_written(name, bianchi_bg):
-    u = state(name, bianchi_bg)
+    u = state(name, "bianchi1", 21)[0]
     new = constraints.constraint_fields(u, bianchi_bg)
     ref = reference.constraint_fields(u, bianchi_bg)
     assert new.keys() == ref.keys()
@@ -97,7 +82,7 @@ def test_constraint_fields_match_hand_written(name, bianchi_bg):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_oracles_match_hand_written(name, bianchi_bg):
-    u = state(name, bianchi_bg)
+    u = state(name, "bianchi1", 21)[0]
     coup = dynamics.Couplings(u.model, lam=1.0)
     stack = oracles.time_stack(u, bianchi_bg, coup, 0.01)
     center = stack[2]
@@ -124,7 +109,7 @@ def test_oracles_match_hand_written(name, bianchi_bg):
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("kind", ["adjoint", "higgs", "spinor"])
 def test_stacked_kernel_is_covariant_diff(name, kind, bianchi_bg):
-    u = state(name, bianchi_bg)
+    u = state(name, "bianchi1", 21)[0]
     frame, conn = bianchi_bg.frame(TAU), lattice.Connection(u.eta, u.model)
     one_form = {"adjoint": u.E, "higgs": u.Z, "spinor": u.S}[kind]
     # a field, a 1-form and an iterated derivative (two leading 1-form axes)
@@ -151,7 +136,7 @@ def test_unknown_fiber_kind_is_rejected(su2_model, flat_bg):
 
 
 def test_diff_calls_per_rhs_and_constraint_fields(monkeypatch, bianchi_bg):
-    u = state("su2_toy", bianchi_bg)
+    u = state("su2_toy", "bianchi1", 21)[0]
     calls = []
     plain = lattice.diff
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ymtorus import __version__, algebra, constraints, driver, geometry, lattice
+from ymtorus import __version__, algebra, constraints, driver, geometry, lattice, plots
 from ymtorus.errors import SolverError
 
 
@@ -523,6 +523,64 @@ def test_failed_set_up_leaves_a_record(tmp_path, monkeypatch):
     assert json.loads((out / "metadata.json").read_text()) == {
         "config": cfg.as_dict(), "version": __version__, "warnings": [],
         "error": {"type": "SolverError", "message": message}}
+
+
+@pytest.mark.parametrize("writer", ["write_energy_csv", "write_constraints_csv"])
+def test_failed_csv_write_leaves_a_record(tmp_path, monkeypatch, writer):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(driver, writer, failing)
+    cfg = _tiny_config(tmp_path, amplitude="0.01")
+    with pytest.raises(OSError):
+        driver.run_experiment(cfg, quiet=True)
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["error"] == {"type": "OSError", "message": "[Errno 28] No space left on device"}
+    assert meta["last_reported_step"] == meta["n_steps"] > 0
+    assert meta["config"] == cfg.as_dict() and meta["initial_data"]["converged"] is True
+    assert len(calls) == 1
+
+
+def test_decay_figure_draws_the_fitted_series(tmp_path, monkeypatch):
+    # with lapse N = 2 the physical sups are the simulation-frame ones over
+    # (N s) for phi and E and over (N s)^1.5 for psi, as decay.json fits them
+    curves, line_plot = {}, plots.line_plot
+
+    def capture(path, x, series, **kwargs):
+        curves[os.path.basename(path)] = x, series
+        line_plot(path, x, series, **kwargs)
+
+    monkeypatch.setattr(plots, "line_plot", capture)
+    cfg = driver.parse_config_text(f"""
+[grid]
+n = 8
+[background]
+lapse = 2
+tau_end_fraction = 0.2
+[initial]
+seed = 2
+amplitude = 0.01
+[numerics]
+cfl = 0.4
+dtau = 0.01
+[outputs]
+directory = {tmp_path}/lapse2
+""")
+    summary = driver.run_experiment(cfg, quiet=True)
+    assert not summary["decay"]["phi"]["undefined"] and not summary["decay"]["psi"]["undefined"]
+    e = driver.read_csv(str(tmp_path / "lapse2" / "energy.csv"))
+    bg = driver.build_background(cfg)
+    s = np.array([bg.profile.s_of_tau(t) for t in e["tau"]])
+    x, series = curves["decay.svg"]
+    assert np.array_equal(x, s)
+    for name, power in (("phi", 1.0), ("E", 1.0), ("psi", 1.5)):
+        np.testing.assert_allclose(series[name], e["sup_" + name] / (2.0 * s) ** power,
+                                   rtol=1e-13, atol=0.0)
+        window = e["tau"] >= summary["decay"][name]["window"][0]
+        assert series[name + " fit"][window][0] == series[name][window][0]
 
 
 @pytest.mark.parametrize("keys, profile", [

@@ -13,9 +13,9 @@ evaluation builds each direction's adjoint components once.
 import numpy as np
 import pytest
 
-from ymtorus import algebra, clifford, constraints, dynamics, energy, geometry, lattice
+from ymtorus import algebra, clifford, constraints, dynamics, energy, lattice
 import reference
-from conftest import make_state, same_bits, with_zeros
+from conftest import BACKGROUNDS, make_state, same_bits, with_zeros
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -280,7 +280,7 @@ def test_a_cancelling_su3_component_keeps_the_bits():
 
 def test_each_evaluation_builds_the_adjoint_components_once(monkeypatch):
     model = algebra.su3_pure()
-    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    bg = BACKGROUNDS["bianchi1"]()
     u = make_state(lattice.Grid(8), model, bg, seed=2, amplitude=0.1)
     coup = dynamics.Couplings(model)
     du = dynamics.rhs(u, bg, coup)

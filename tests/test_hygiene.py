@@ -1,8 +1,9 @@
 """Static checks over the package and its tests.
 
-An imported name that the module never uses is an error, except on a line
-marked `# noqa: F401` (a binding kept on purpose) or when the module lists
-the name in `__all__`.  So is a module-level UPPER_CASE constant of the
+No test module imports another: shared helpers live in conftest and
+reference.  An imported name that the module never uses is an error,
+except on a line marked `# noqa: F401` (a binding kept on purpose) or when
+the module lists the name in `__all__`.  So is a module-level UPPER_CASE constant of the
 package that no code of the repository reads, a function, class or
 method of the package that no code of the repository loads by name (or
 that the benchmark's tracer names in a string), a config key of
@@ -63,6 +64,24 @@ def test_scan_sees_the_package_and_the_tests():
 def test_every_import_is_used():
     found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
              for path in SOURCES for line, name in unused_imports(path)]
+    assert found == []
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in conftest and reference, which every module may import
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    others = {path.stem for path in tests} - {"conftest", "reference"}
+    found = []
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s imports %s" % (path.name, name) for name in names
+                      if name.split(".")[0] in others]
     assert found == []
 
 

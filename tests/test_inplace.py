@@ -13,26 +13,17 @@ import pytest
 
 from ymtorus import algebra, dynamics, geometry, lattice
 from ymtorus.errors import InputError
-from conftest import make_state
-from test_report_reuse import fresh_stage_step, states_same_bits
+from conftest import BACKGROUNDS, MODELS, fresh_stage_step, make_state, state, states_same_bits
 
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-BACKGROUNDS = {
-    "flat": lambda: geometry.static_flat(geometry.ScaleProfile("desitter", a=1.0)),
-    "bianchi1": lambda: geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2),
-}
 DTAU = 0.02
+CASE_BACKGROUNDS = {"bianchi1": "bianchi1", "flat": "desitter"}  # id: BACKGROUNDS key
 
 
-@pytest.fixture(params=[(m, b) for m in sorted(MODELS) for b in sorted(BACKGROUNDS)],
+@pytest.fixture(params=[(m, b) for m in sorted(MODELS) for b in sorted(CASE_BACKGROUNDS)],
                 ids=lambda p: "-".join(p))
 def case(request):
     name, bg_name = request.param
-    model, bg = MODELS[name](), BACKGROUNDS[bg_name]()
-    u = make_state(lattice.Grid(8), model, bg, seed=31, amplitude=0.1)
-    u.tau = 0.3
-    return u, bg, dynamics.Couplings(model, lam=1.0)
+    return state(name, CASE_BACKGROUNDS[bg_name], 31)
 
 
 def nan_state(u):

@@ -7,19 +7,15 @@ and the Sobolev chain must match it bit for bit, signs of zero included.
 Peaks are measured with tracemalloc, which sees numpy's data buffers.
 """
 
-import gc
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
 from ymtorus import algebra, dynamics, energy, geometry, lattice
-from conftest import make_state, same_bits, with_zeros
+from conftest import BACKGROUNDS, MODELS, make_state, same_bits, traced_peak, with_zeros
 
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-BIANCHI = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+BIANCHI = BACKGROUNDS["bianchi1"]()
 TAU = 0.3
 
 
@@ -81,18 +77,6 @@ def test_fiber_kernel_keeps_the_bits(name):
 # ---------------------------------------------------------------------------
 # Peaks
 # ---------------------------------------------------------------------------
-
-def traced_peak(fn):
-    """(result, bytes of the traced peak beyond what was allocated before)."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
 
 @pytest.fixture(scope="module")
 def su2_n16():

@@ -2,36 +2,22 @@
 set-up's energy norms, without changing a bit.
 
 Each test compares the single-pass code against the formula it replaced,
-kept here as the reference: the np.roll stencil, the RK4 step with a fresh
-rhs and a fresh state per stage, and the energies with one covariant-
-derivative chain per field and k.  Energies summed in Fourier space (see
+kept as the reference: the np.roll stencil and the RK4 step with a fresh
+rhs and a fresh state per stage (conftest), and here the energies with one
+covariant-derivative chain per field and k.  Energies summed in Fourier space (see
 lattice.fourier_sobolev_norms) match the chain to rounding, not bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from ymtorus import algebra, clifford, constraints, driver, dynamics, energy, geometry
-from ymtorus import lattice
-from conftest import make_state, same_bits
-
-
-def states_same_bits(u, v):
-    return u.tau == v.tau and all(same_bits(getattr(u, name), getattr(v, name))
-                                  for name in lattice.FIELDS)
+from ymtorus import algebra, clifford, constraints, driver, dynamics, energy, lattice
+from conftest import MODELS, fresh_stage_step, make_state, roll_diff, same_bits, states_same_bits
 
 
 # ---------------------------------------------------------------------------
 # Stencil
 # ---------------------------------------------------------------------------
-
-def roll_diff(f, axis, grid):
-    ax = f.ndim - 3 + axis
-    if grid.order == 2:
-        return (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * grid.dx)
-    return (8.0 * (np.roll(f, -1, ax) - np.roll(f, 1, ax))
-            - (np.roll(f, -2, ax) - np.roll(f, 2, ax))) / (12.0 * grid.dx)
-
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 @pytest.mark.parametrize("order", [2, 4])
@@ -53,32 +39,6 @@ def test_diff_matches_roll_stencil(n, order, lead, complex_field):
 # ---------------------------------------------------------------------------
 # Stepper
 # ---------------------------------------------------------------------------
-
-def fresh_stage_step(u, bg, coup, dtau):
-    """RK4 with a new rhs and a new state for every stage."""
-    k1 = dynamics.rhs(u, bg, coup)
-    u2 = u.lincomb(1.0, [(dtau / 2, k1)])
-    u2.tau = u.tau + dtau / 2
-    k2 = dynamics.rhs(u2, bg, coup)
-    u3 = u.lincomb(1.0, [(dtau / 2, k2)])
-    u3.tau = u.tau + dtau / 2
-    k3 = dynamics.rhs(u3, bg, coup)
-    u4 = u.lincomb(1.0, [(dtau, k3)])
-    u4.tau = u.tau + dtau
-    k4 = dynamics.rhs(u4, bg, coup)
-    out = u.lincomb(1.0, [(dtau / 6, k1), (dtau / 3, k2), (dtau / 3, k3), (dtau / 6, k4)])
-    out.tau = u.tau + dtau
-    return out
-
-
-@pytest.fixture(scope="module")
-def bianchi_bg():
-    return geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
-
-
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_step_with_reported_k1_is_bit_identical(name, bianchi_bg):

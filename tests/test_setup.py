@@ -11,33 +11,18 @@ import numpy as np
 import pytest
 
 import reference
-from ymtorus import algebra, constraints, driver, dynamics, energy, geometry, lattice
+from ymtorus import constraints, driver, dynamics, energy, lattice
 from ymtorus.lattice import FieldState
-from conftest import make_state, same_bits
+from conftest import MODELS, same_bits, state
 
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-BACKGROUNDS = {
-    "bianchi1": lambda: geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2),
-    "desitter": lambda: geometry.static_flat(geometry.ScaleProfile("desitter", a=1.0)),
-}
+SETUP_BACKGROUNDS = ["bianchi1", "desitter"]
 
 
-def state(name, bg_name, matter=True):
-    bg = BACKGROUNDS[bg_name]()
-    u = make_state(lattice.Grid(8), MODELS[name](), bg, seed=23, amplitude=0.1)
-    if not matter:
-        u.sectors["higgs"].fill(0.0)
-        u.sectors["dirac"].fill(0.0)
-    u.tau = 0.3
-    return u, bg, dynamics.Couplings(u.model, lam=1.0)
-
-
-@pytest.mark.parametrize("bg_name", sorted(BACKGROUNDS))
+@pytest.mark.parametrize("bg_name", SETUP_BACKGROUNDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("matter", [True, False])
 def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
-    u, bg, coup = state(name, bg_name, matter)
+    u, bg, coup = state(name, bg_name, 23, matter=matter)
     ref = reference.rhs(u, bg, coup)
     full = dynamics.rhs(u, bg, coup)
     alone = FieldState.zeros(u.grid, u.model)
@@ -49,11 +34,11 @@ def test_gauge_rows_are_the_reference_block(name, bg_name, matter):
     assert not np.any(alone.sectors["higgs"]) and not np.any(alone.sectors["dirac"])
 
 
-@pytest.mark.parametrize("bg_name", sorted(BACKGROUNDS))
+@pytest.mark.parametrize("bg_name", SETUP_BACKGROUNDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("k", [0, 2, 3])
 def test_set_up_total_is_the_reported_total(name, bg_name, k):
-    u, bg, coup = state(name, bg_name)
+    u, bg, coup = state(name, bg_name, 23)
     du = FieldState.zeros(u.grid, u.model)
     dynamics.gauge_rhs(u, bg.frame(u.tau), coup, du)
     rep = energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=k)

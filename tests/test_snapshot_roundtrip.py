@@ -11,10 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ymtorus import algebra, lattice  # noqa: E402
-
-MODELS = {"u1_toy": algebra.u1_toy(), "su2_toy": algebra.su2_toy(),
-          "su3_pure": algebra.su3_pure()}
+from ymtorus import lattice  # noqa: E402
+from conftest import MODELS  # noqa: E402
 
 
 @settings(max_examples=30, deadline=None)
@@ -24,7 +22,7 @@ MODELS = {"u1_toy": algebra.u1_toy(), "su2_toy": algebra.su2_toy(),
        scale=st.floats(1e-300, 1e300),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_snapshot_round_trip_is_exact(name, n, tau, scale, seed):
-    model = MODELS[name]
+    model = MODELS[name]()
     u = lattice.FieldState.zeros(lattice.Grid(n), model, tau=tau)
     rng = np.random.default_rng(seed)
     for buf in u.sectors.values():

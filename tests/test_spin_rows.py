@@ -13,45 +13,22 @@ import numpy as np
 import pytest
 
 import reference
-from ymtorus import algebra, clifford, constraints, dynamics, geometry, lattice, parallel
+from ymtorus import algebra, clifford, constraints, dynamics, lattice, parallel
 from ymtorus.clifford import G0G, GG, GAMMA, gamma_apply
 from ymtorus.lattice import FieldState
-from conftest import assert_same_states, make_state, same_bits, with_zeros
-from test_memory import traced_peak
-from test_threads import force_threads
-
-MODELS = {"u1_toy": algebra.u1_toy, "su2_toy": algebra.su2_toy,
-          "su3_pure": algebra.su3_pure}
-# bianchi1 has II != 0, so the spin connection runs; its b is linear in tau, so
-# dII = II^2 and the S rows' (dII - II^2) g0 gi psi term is off, which the
-# quadratic b of "curved" turns on
-BACKGROUNDS = {
-    "bianchi1": lambda: geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2),
-    "desitter": lambda: geometry.static_flat(geometry.ScaleProfile("desitter", a=1.0)),
-    "curved": lambda: geometry.polynomial_b(geometry.ScaleProfile("desitter", a=1.0),
-                                            [[1.0, 0.1, 0.3], [1.0, 0.2, 0.0], [1.0, 0.0, -0.2]]),
-}
+from conftest import (BACKGROUNDS, MODELS, assert_same_states, force_threads, same_bits, state,
+                      traced_peak, with_zeros)
 
 
 # ---------------------------------------------------------------------------
 # Bits
 # ---------------------------------------------------------------------------
 
-def state(name, bg_name, matter=True, n=8, seed=23):
-    """A completed state at tau 0.3 with a fifth of every sector's entries +-0."""
-    bg = BACKGROUNDS[bg_name]()
-    u = make_state(lattice.Grid(n), MODELS[name](), bg, seed=seed, amplitude=0.1)
-    for k, (sector, buf) in enumerate(u.sectors.items()):
-        np.copyto(buf, with_zeros(buf, seed=seed + k) if matter or sector == "gauge" else 0.0)
-    u.tau = 0.3
-    return u, bg, dynamics.Couplings(u.model, lam=1.0)
-
-
 @pytest.mark.parametrize("matter", [True, False])
 @pytest.mark.parametrize("bg_name", sorted(BACKGROUNDS))
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_rows_and_pairings_keep_the_bits(name, bg_name, matter):
-    u, bg, coup = state(name, bg_name, matter)
+    u, bg, coup = state(name, bg_name, 23, matter=matter, zeros=True)
     frame = bg.frame(u.tau)
     if bg_name != "desitter":
         assert np.all(frame.II != 0) if bg_name == "curved" else np.any(frame.II)
@@ -75,7 +52,7 @@ def test_rows_and_pairings_keep_the_bits(name, bg_name, matter):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_split_rows_keep_the_bits(monkeypatch, name):
-    u, bg, coup = state(name, "bianchi1", n=20)  # the smallest grid that splits
+    u, bg, coup = state(name, "bianchi1", 23, n=20, zeros=True)  # the smallest grid that splits
     ref = reference.rhs(u, bg, coup)
     for count in (1, 2):
         force_threads(monkeypatch, count)
@@ -111,7 +88,7 @@ def test_rhs_makes_no_permuted_copies():
     # su2_toy on bianchi1 at n = 16 (one thread) into a kept buffer: the whole
     # B, the permuted spinor copies and the pairings' conjugated copies took
     # 7.78 MB of temporaries, 1.42 states; row by row it is 5.71 MB
-    u, bg, coup = state("su2_toy", "bianchi1", n=16)
+    u, bg, coup = state("su2_toy", "bianchi1", 23, n=16, zeros=True)
     out = FieldState.zeros(u.grid, u.model)
     _, peak = traced_peak(lambda: dynamics.rhs(u, bg, coup, out=out))
     assert peak < 1.2 * sum(buf.nbytes for buf in u.sectors.values())

@@ -13,10 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ymtorus import algebra, geometry, lattice  # noqa: E402
-
-MODELS = {"u1_toy": algebra.u1_toy(), "su2_toy": algebra.su2_toy(),
-          "su3_pure": algebra.su3_pure()}
+from ymtorus import geometry, lattice  # noqa: E402
+from conftest import MODELS  # noqa: E402
 
 
 def random_field(rng, shape, real):
@@ -33,7 +31,7 @@ def random_field(rng, shape, real):
        bvec=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_covariant_d_sums_by_parts(name, kind, order, n, k, bvec, seed):
-    model = MODELS[name]
+    model = MODELS[name]()
     grid = lattice.Grid(n, L=1.9, order=order)
     rng = np.random.default_rng(seed)
     fiber = {"adjoint": (model.dim_g,), "higgs": (model.dim_W,),

@@ -21,14 +21,10 @@ import time
 import numpy as np
 import pytest
 
-from ymtorus import algebra, constraints, driver, dynamics, energy, geometry, lattice, parallel
+from ymtorus import algebra, constraints, driver, dynamics, energy, lattice, parallel
 from ymtorus.errors import SolverError
 
-from conftest import make_state
-
-
-def force_threads(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+from conftest import BACKGROUNDS, force_threads, make_state
 
 
 def test_threads_follow_grid_size_and_affinity(monkeypatch):
@@ -153,7 +149,7 @@ def test_once_forms_its_product_once_for_both_threads(monkeypatch, count):
 def test_rhs_forms_chi_E_psi_once(monkeypatch, count):
     force_threads(monkeypatch, count)
     grid, model = lattice.Grid(20), algebra.su2_toy()
-    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    bg = BACKGROUNDS["bianchi1"]()
     u = make_state(grid, model, bg, seed=5, amplitude=0.1)
     chi_apply, on_E = algebra.chi_spinor_apply, []
 
@@ -196,7 +192,7 @@ def test_forked_child_can_use_the_pool(monkeypatch):
 @pytest.mark.parametrize("model_fn", [algebra.u1_toy, algebra.su2_toy, algebra.su3_pure])
 def test_rhs_and_step_are_bit_identical_split(monkeypatch, model_fn):
     grid, model = lattice.Grid(20), model_fn()  # the smallest grid that splits
-    bg = geometry.bianchi1(geometry.ScaleProfile("desitter", a=1.0), eps=0.2)
+    bg = BACKGROUNDS["bianchi1"]()
     u = make_state(grid, model, bg, seed=5, amplitude=0.1)
     u.tau = 0.2
     coup = dynamics.Couplings(model, lam=1.0)
