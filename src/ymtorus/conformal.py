@@ -3,16 +3,17 @@ frame, decay-rate fitting, and the conformal-covariance residual check.
 
 With conformal factor Omega = 1/(N s) the physical fields are
 
-    phi = phi~ / (N s),   psi = psi~ / (N s)^{3/2},   E = E~ / s,
+    phi = phi~ / (N s),   psi = psi~ / (N s)^{3/2},   E = E~ / (N s),
     B = B~,               eta = eta~,
 
 so uniform boundedness of the simulation-frame fields translates into decay
-at rates s^-1 (Higgs, electric field) and s^-{3/2} (fermions).  The
-geometry.Background carries s (bg.profile.s_of_tau) and N (bg.N), and the
-fits here read both from it: there is no separate frame-map object.
+at rates s^-1 (Higgs, electric field) and s^-{3/2} (fermions); the lapse N
+is constant and leaves the rates alone.  The geometry.Background carries s
+(bg.profile.s_of_tau) and N (bg.N), and the fits here read both from it:
+there is no separate frame-map object.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +41,10 @@ def physical(name, tilde, s, bg):
     return tilde * s ** w / bg.N ** max(0.0, -w)
 
 
-def decay_fit(taus, phys, bg):
-    """Least-squares slope of log phys against log s(t) over the final 40% of
+def decay_fit(taus, phys, s):
+    """Least-squares slope of log phys against log s over the final 40% of
     the run (in tau); phys is a physical-frame series (see physical) and s
-    the Background bg's."""
+    the scale factors at taus."""
     taus = np.asarray(taus, dtype=float)
     phys = np.asarray(phys, dtype=float)
     if taus.size != phys.size:
@@ -57,7 +58,7 @@ def decay_fit(taus, phys, bg):
     if np.all(phys_w == 0.0):
         return DecayFit(np.nan, np.nan, int(taus_w.size),
                         (float(t_lo), float(taus[-1])), undefined=True)
-    x = np.log([bg.profile.s_of_tau(t) for t in taus_w])
+    x = np.log(s[sel])
     y = np.log(phys_w)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
@@ -70,12 +71,31 @@ def decay_fit(taus, phys, bg):
                     (float(t_lo), float(taus[-1])))
 
 
-def decay_report(taus, sup_series, bg):
-    """Fits for the Higgs, electric and fermion sup-norm series, taken in the
-    simulation frame."""
-    s = np.array([bg.profile.s_of_tau(t) for t in taus])
-    return {name: decay_fit(taus, physical(name, sup_series[name], s, bg), bg)
-            for name in ("phi", "E", "psi")}
+def physical_series(e, bg):
+    """(s, {name: series}) of energy.csv's columns e (driver.read_csv's dict):
+    s(tau) of bg once per row, and the physical-frame sup-norm series of phi,
+    E and psi, which decay.json fits and decay.svg draws."""
+    s = np.array([bg.profile.s_of_tau(t) for t in e["tau"]])
+    return s, {name: physical(name, e["sup_" + name], s, bg) for name in ("phi", "E", "psi")}
+
+
+# each L2 fit's (column, p), sqrt(column s^p): L2 norms pick up the s^3 volume growth
+L2_DIAGNOSTIC = {"phi": ("E_higgs_k0", 1.0), "E": ("E_ym_k0", 1.0), "psi": ("E_dirac_k0", 0.0)}
+
+
+def decay_report(e, bg):
+    """decay.json of energy.csv's columns e: the sup-norm fits of
+    physical_series, and under "l2_diagnostic" the fits of the k = 0 sector
+    energies' square roots; {"error": message} when a fit cannot be made."""
+    try:
+        s, series = physical_series(e, bg)
+        decay = {name: asdict(decay_fit(e["tau"], y, s)) for name, y in series.items()}
+        decay["l2_diagnostic"] = {
+            name: asdict(decay_fit(e["tau"], np.sqrt(np.maximum(e[col], 0.0) * s ** power), s))
+            for name, (col, power) in L2_DIAGNOSTIC.items()}
+    except ValueError as err:
+        return {"error": str(err)}
+    return decay
 
 
 # ---------------------------------------------------------------------------

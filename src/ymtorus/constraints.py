@@ -32,12 +32,18 @@ from .lattice import (EPS, Connection, covariant_d, covariant_diff, covariant_di
 
 @dataclass
 class ConstraintReport:
+    """One constraints.csv row.  Its drift_* fields, ||c(tau) - c(0)|| per
+    constraint, are None in a report made without the step-0 fields."""
     tau: float
     curvature: float
     bianchi: float
     gauss: float
     dirac: float
     s_consistency: float = 0.0
+    drift_curvature: float = None
+    drift_bianchi: float = None
+    drift_gauss: float = None
+    drift_dirac: float = None
 
 
 def frame_at(u, bg):
@@ -123,20 +129,18 @@ def l2_norm(field, weight):
     return float(np.sqrt(sq_norm(field) * weight))
 
 
-def constraint_report(u, bg=None, fields=None, conn=None):
-    """L2 norms of the four constraints (plus the S-consistency diagnostic).
+def constraint_report(u, bg=None, fields=None, conn=None, initial=None):
+    """The ConstraintReport of u: L2 norms of the four constraints, the
+    S-consistency diagnostic and, given the step-0 constraint fields
+    `initial`, the drift of each.
 
     `fields` are constraint_fields(u, bg) when the caller has them already."""
     fields = fields or constraint_fields(u, bg, conn)
     w = volume_weight(u, bg)
-    return ConstraintReport(
-        tau=u.tau,
-        curvature=l2_norm(fields["curvature"], w),
-        bianchi=l2_norm(fields["bianchi"], w),
-        gauss=l2_norm(fields["gauss"], w),
-        dirac=l2_norm(fields["dirac"], w),
-        s_consistency=s_consistency(u, bg, conn),
-    )
+    drift = ({} if initial is None else
+             {"drift_" + name: l2_norm(c - initial[name], w) for name, c in fields.items()})
+    return ConstraintReport(tau=u.tau, **{name: l2_norm(c, w) for name, c in fields.items()},
+                            s_consistency=s_consistency(u, bg, conn), **drift)
 
 
 def constraint_fields(u, bg=None, conn=None):
@@ -254,19 +258,6 @@ def operator_symmetry_defect(u, bg=None):
         scale = max(abs(np.sum(x * Ay)), abs(np.sum(Ax * y)), 1e-30)
         worst = max(worst, num / scale)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Drift monitoring
-# ---------------------------------------------------------------------------
-
-def propagation_monitor(reports):
-    """Summarize a trajectory of ConstraintReport rows: each constraint's
-    initial (post-solve floor) and maximum value."""
-    series = {name: np.array([getattr(r, name) for r in reports])
-              for name in ("curvature", "bianchi", "gauss", "dirac")}
-    return {"initial": {name: x[0] for name, x in series.items()},
-            "max": {name: x.max() for name, x in series.items()}}
 
 
 def observed_order(coarse, fine):

@@ -351,13 +351,14 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     measured = {}  # set-up's last H^l table, read by the step-0 report
     snap_steps = {int(round(x))
                   for x in np.linspace(0, n_steps, cfg.value("outputs", "snapshots"))}
-    energy_rows, constraint_rows = [], []  # constraint rows: (ConstraintReport, drift) pairs
+    energy_rows, constraint_rows = [], []  # EnergyReport and ConstraintReport rows
     initial_cfields = {}  # the step-0 report's constraint fields, kept for the drift
 
     def report(m, state, du):
-        """Rows for a reported step; du is rhs(state), which evolve evaluated.
-        One parallel.balance runs the norms, constraints and snapshot write."""
-        if m % cfg.value("numerics", "report_every") and m != n_steps:
+        """Rows for a reported step (every report_every-th, the last and each
+        snapshot step); du is rhs(state), which evolve evaluated.  One
+        parallel.balance runs the norms, constraints and snapshot write."""
+        if m % cfg.value("numerics", "report_every") and m != n_steps and m not in snap_steps:
             return
         conn, rows = lattice.Connection(state.eta, model), {}
         size = sum(b.size * (4 if np.iscomplexobj(b) else 1) for b in state.sectors.values())
@@ -366,10 +367,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             cf = constraints.constraint_fields(state, bg, conn)
             if m == 0:
                 initial_cfields.update(cf)
-            w = constraints.volume_weight(state, bg)
-            drift = {name: constraints.l2_norm(cf[name] - initial_cfields[name], w) for name in cf}
-            rows["constraints"] = (constraints.constraint_report(state, bg, fields=cf, conn=conn),
-                                   {"tau": state.tau, **drift})
+            rows["constraints"] = constraints.constraint_report(state, bg, fields=cf, conn=conn,
+                                                                initial=initial_cfields)
 
         def snapshot_block():
             try:
@@ -390,7 +389,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             raise rows["error"]
         if not quiet:
             print("step %5d  tau %.5f  E %.3e  gauss %.3e"
-                  % (m, state.tau, erep.total, rows["constraints"][0].gauss))
+                  % (m, state.tau, erep.total, rows["constraints"].gauss))
 
     exp_kind = cfg.value("gauge_experiment", "kind")
     error = None  # the run's exception, for write_record
@@ -410,31 +409,7 @@ def run_experiment(cfg, out_dir=None, quiet=True):
         u0 = u.copy() if exp_kind == "static" else None  # evolve advances u in place
         dynamics.evolve(u, bg, couplings, dtau, n_steps, callback=report)
 
-        # post-processing
-        taus = [r.tau for r in energy_rows]
-        sup_series = {name: np.array([r.sup[name] for r in energy_rows])
-                      for name in ("phi", "E", "psi")}
-        try:
-            fits = conformal.decay_report(taus, sup_series, bg)
-            decay = {name: dataclasses.asdict(fit) for name, fit in fits.items()}
-            # diagnostic L2 slopes: physical-frame L2 norms pick up the sqrt(g)
-            # volume growth (s^3) on top of the field rescaling
-            svals = np.array([bg.profile.s_of_tau(t) for t in taus])
-            decay["l2_diagnostic"] = {}
-            for name, sector, vol_pow in (("phi", "higgs", 1.0), ("E", "yangmills", 1.0),
-                                          ("psi", "dirac", 0.0)):
-                series = np.array([max(getattr(r, sector)[0], 0.0) for r in energy_rows])
-                decay["l2_diagnostic"][name] = dataclasses.asdict(
-                    conformal.decay_fit(taus, np.sqrt(series * svals ** vol_pow), bg))
-        except ValueError as err:
-            decay = {"error": str(err)}
-        monitor = constraints.propagation_monitor([r for r, _ in constraint_rows])
-        record.update(
-            decay=decay,
-            energy_monitor=dataclasses.asdict(
-                energy.estimate_monitor(taus, [r.total for r in energy_rows])),
-            constraint_initial=monitor["initial"], constraint_max=monitor["max"],
-            terminal_drift=constraint_rows[-1][1])
+        record.update(post_process(energy_rows, constraint_rows, bg))
 
         gauge_experiment = None
         if exp_kind == "static":
@@ -459,6 +434,25 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     if cfg.value("outputs", "plot"):
         replot(out_dir)
     return record
+
+
+def post_process(energy_rows, constraint_rows, bg):
+    """The record's entries that the rows make: decay.json of the energy rows
+    read as energy.csv's columns (conformal.decay_report), the energy-estimate
+    verdict, each constraint's initial and maximum norm, and the drift of the
+    last row."""
+    table = [r.as_row() for r in energy_rows]
+    e = {name: np.array([row[name] for row in table]) for name in table[0]}
+    norms = {name: np.array([getattr(r, name) for r in constraint_rows])
+             for name in ("curvature", "bianchi", "gauss", "dirac")}
+    last = constraint_rows[-1]
+    return {
+        "decay": conformal.decay_report(e, bg),
+        "energy_monitor": dataclasses.asdict(energy.estimate_monitor(e["tau"], e["E_total"])),
+        "constraint_initial": {name: x[0] for name, x in norms.items()},
+        "constraint_max": {name: x.max() for name, x in norms.items()},
+        "terminal_drift": {"tau": last.tau, **{n: getattr(last, "drift_" + n) for n in norms}},
+    }
 
 
 def write_record(out_dir, record, energy_rows, constraint_rows, error):
@@ -488,25 +482,20 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def write_energy_csv(path, rows):
-    cols = list(rows[0].as_row().keys())
+def write_csv(path, rows):
+    """One CSV row per dict of rows, the first row's keys as the header."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            d = r.as_row()
-            fh.write(",".join(_fmt(d[c]) for c in cols) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row.values()) + "\n")
+
+
+def write_energy_csv(path, rows):
+    write_csv(path, [r.as_row() for r in rows])
 
 
 def write_constraints_csv(path, rows):
-    cols = ["tau", "curvature", "bianchi", "gauss", "dirac", "s_consistency"]
-    dcols = ["drift_curvature", "drift_bianchi", "drift_gauss", "drift_dirac"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols + dcols) + "\n")
-        for r, dr in rows:
-            d = dataclasses.asdict(r)
-            vals = [_fmt(d[c]) for c in cols]
-            vals += [_fmt(dr[c.replace("drift_", "")]) for c in dcols]
-            fh.write(",".join(vals) + "\n")
+    write_csv(path, [dataclasses.asdict(r) for r in rows])
 
 
 def read_csv(path):
@@ -537,20 +526,18 @@ def replot(out_dir):
         decay = meta.get("decay", {})
         if decay and "error" not in decay:
             bg = build_background(validate_config(meta["config"]))
-            svals = np.array([bg.profile.s_of_tau(t) for t in e["tau"]])
+            s, phys = conformal.physical_series(e, bg)
             series = {}
-            for name in ("phi", "E", "psi"):
-                phys = series[name] = conformal.physical(name, e["sup_" + name], svals, bg)
-                fit = decay.get(name, {})
-                if fit and not fit.get("undefined", True):
+            for name, y in phys.items():
+                series[name] = y
+                fit = decay[name]
+                if not fit["undefined"]:
                     # fitted power law anchored at the window start
                     sel = e["tau"] >= fit["window"][0]
-                    if sel.any():
-                        s0, c0 = svals[sel][0], phys[sel][0]
-                        series[name + " fit"] = np.where(sel, c0 * (svals / s0) ** fit["slope"],
-                                                         np.nan)
+                    s0, c0 = s[sel][0], y[sel][0]
+                    series[name + " fit"] = np.where(sel, c0 * (s / s0) ** fit["slope"], np.nan)
             plots.line_plot(
-                os.path.join(out_dir, "decay.svg"), svals, series,
+                os.path.join(out_dir, "decay.svg"), s, series,
                 xlabel="s(t)", ylabel="sup norm (physical frame)",
                 logx=True, logy=True, title="physical-frame decay",
             )

@@ -13,23 +13,24 @@ def test_decay_fit_synthetic_power_laws():
     taus = np.linspace(0.2, 1.4, 60)
     svals = np.array([bg.profile.s_of_tau(t) for t in taus])
     fit = conformal.decay_fit(taus, conformal.physical("phi", 3.0 * np.ones_like(taus), svals, bg),
-                              bg)
+                              svals)
     assert abs(fit.slope + 1.0) < 1e-6 and fit.half_width < 1e-6
     fit = conformal.decay_fit(taus, conformal.physical("psi", 2.0 * np.ones_like(taus), svals, bg),
-                              bg)
+                              svals)
     assert abs(fit.slope + 1.5) < 1e-6
     # already-decaying synthetic input: sup_tilde = c / s -> physical c / s^2
-    fit = conformal.decay_fit(taus, conformal.physical("phi", 1.0 / svals, svals, bg), bg)
+    fit = conformal.decay_fit(taus, conformal.physical("phi", 1.0 / svals, svals, bg), svals)
     assert abs(fit.slope + 2.0) < 1e-6
 
 
 def test_decay_fit_guards():
     bg = _bg(a=1.0)
     taus = np.linspace(0.2, 1.4, 60)
-    fit = conformal.decay_fit(taus, np.zeros_like(taus), bg)
+    svals = np.array([bg.profile.s_of_tau(t) for t in taus])
+    fit = conformal.decay_fit(taus, np.zeros_like(taus), svals)
     assert fit.undefined
     with pytest.raises(conformal.InputError):
-        conformal.decay_fit(taus[:8], np.ones(8), bg)
+        conformal.decay_fit(taus[:8], np.ones(8), svals[:8])
 
 
 def test_conformal_residual_identity_and_control(su2_model):
@@ -58,8 +59,17 @@ def test_decay_report_shapes(su2_model):
     bg = _bg(a=1.0)
     taus = np.linspace(0.0, 1.4, 40)
     svals = np.array([bg.profile.s_of_tau(t) for t in taus])
-    series = {"phi": 2 / svals * svals, "E": np.ones_like(taus), "psi": np.ones_like(taus)}
-    fits = conformal.decay_report(taus, series, bg)
-    assert set(fits) == {"phi", "E", "psi"}
-    assert abs(fits["E"].slope + 1.0) < 1e-6
-    assert abs(fits["psi"].slope + 1.5) < 1e-6
+    ones = np.ones_like(taus)
+    columns = {"tau": taus, "sup_phi": 2 / svals * svals, "sup_E": ones, "sup_psi": ones,
+               "E_higgs_k0": ones, "E_ym_k0": svals ** -2, "E_dirac_k0": np.zeros_like(taus)}
+    fits = conformal.decay_report(columns, bg)
+    assert list(fits) == ["phi", "E", "psi", "l2_diagnostic"]
+    assert abs(fits["E"]["slope"] + 1.0) < 1e-6
+    assert abs(fits["psi"]["slope"] + 1.5) < 1e-6
+    # sqrt(E_k0 s): s^0.5 for the Higgs, s^-0.5 for the Yang-Mills column
+    l2 = fits["l2_diagnostic"]
+    assert abs(l2["phi"]["slope"] - 0.5) < 1e-6 and abs(l2["E"]["slope"] + 0.5) < 1e-6
+    assert l2["psi"]["undefined"]
+    short = {name: x[:8] for name, x in columns.items()}
+    assert conformal.decay_report(short, bg) == {
+        "error": "decay_fit needs >= 10 samples in the window"}

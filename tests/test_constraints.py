@@ -146,14 +146,22 @@ def test_gauss_covariance_under_gauge(su2_model, flat_bg):
     assert np.log2(errs[12] / errs[24]) > 3.2
 
 
-def test_propagation_monitor_and_orders():
-    reports = [constraints.ConstraintReport(0.1 * m, 1e-12, 1e-12, 1e-8, 1e-10)
-               for m in range(5)]
-    mon = constraints.propagation_monitor(reports)
-    assert mon["initial"]["gauss"] == 1e-8
-    assert mon["max"]["curvature"] == 1e-12
+def test_observed_order():
     assert constraints.observed_order(16.0, 1.0) == 4.0
     assert constraints.observed_order(1.0, 0.0) == np.inf
+
+
+def test_drift_is_measured_against_initial_fields_only(su2_model, desitter_bg):
+    u = make_state(lattice.Grid(8), su2_model, desitter_bg, seed=11, amplitude=0.1)
+    rep = constraints.constraint_report(u, desitter_bg)
+    assert (rep.drift_curvature, rep.drift_bianchi, rep.drift_gauss, rep.drift_dirac) == (
+        None, None, None, None)
+    fields = constraints.constraint_fields(u, desitter_bg)
+    assert constraints.constraint_report(u, desitter_bg, initial=fields).drift_gauss == 0.0
+    moved = {name: np.zeros_like(c) for name, c in fields.items()}
+    drifted = constraints.constraint_report(u, desitter_bg, initial=moved)
+    assert drifted.drift_gauss == drifted.gauss > 0.0
+    assert drifted.drift_curvature == drifted.curvature
 
 
 def test_complete_state_consistency(su2_model, desitter_bg):

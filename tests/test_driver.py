@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ymtorus import __version__, algebra, constraints, driver, geometry, lattice, plots
+from ymtorus import (__version__, algebra, conformal, constraints, driver, energy, geometry,
+                     lattice, plots)
 from ymtorus.errors import SolverError
 
 
@@ -544,17 +545,8 @@ def test_failed_csv_write_leaves_a_record(tmp_path, monkeypatch, writer):
     assert len(calls) == 1
 
 
-def test_decay_figure_draws_the_fitted_series(tmp_path, monkeypatch):
-    # with lapse N = 2 the physical sups are the simulation-frame ones over
-    # (N s) for phi and E and over (N s)^1.5 for psi, as decay.json fits them
-    curves, line_plot = {}, plots.line_plot
-
-    def capture(path, x, series, **kwargs):
-        curves[os.path.basename(path)] = x, series
-        line_plot(path, x, series, **kwargs)
-
-    monkeypatch.setattr(plots, "line_plot", capture)
-    cfg = driver.parse_config_text(f"""
+def _lapse2_config(tmp_path, plot="true"):
+    return driver.parse_config_text(f"""
 [grid]
 n = 8
 [background]
@@ -568,7 +560,21 @@ cfl = 0.4
 dtau = 0.01
 [outputs]
 directory = {tmp_path}/lapse2
+plot = {plot}
 """)
+
+
+def test_decay_figure_draws_the_fitted_series(tmp_path, monkeypatch):
+    # with lapse N = 2 the physical sups are the simulation-frame ones over
+    # (N s) for phi and E and over (N s)^1.5 for psi, as decay.json fits them
+    curves, line_plot = {}, plots.line_plot
+
+    def capture(path, x, series, **kwargs):
+        curves[os.path.basename(path)] = x, series
+        line_plot(path, x, series, **kwargs)
+
+    monkeypatch.setattr(plots, "line_plot", capture)
+    cfg = _lapse2_config(tmp_path)
     summary = driver.run_experiment(cfg, quiet=True)
     assert not summary["decay"]["phi"]["undefined"] and not summary["decay"]["psi"]["undefined"]
     e = driver.read_csv(str(tmp_path / "lapse2" / "energy.csv"))
@@ -581,6 +587,77 @@ directory = {tmp_path}/lapse2
                                    rtol=1e-13, atol=0.0)
         window = e["tau"] >= summary["decay"][name]["window"][0]
         assert series[name + " fit"][window][0] == series[name][window][0]
+
+
+def test_decay_json_and_figures_come_from_the_csvs(tmp_path):
+    # decay.json is conformal.decay_report of energy.csv's columns, and replot
+    # rebuilds every figure from the run's files alone, byte for byte
+    cfg = _lapse2_config(tmp_path)
+    driver.run_experiment(cfg, quiet=True)
+    out = tmp_path / "lapse2"
+    e = driver.read_csv(str(out / "energy.csv"))
+    assert (out / "decay.json").read_text() == json.dumps(
+        conformal.decay_report(e, driver.build_background(cfg)), indent=1)
+    figures = {name: (out / name).read_bytes()
+               for name in ("energy.svg", "constraints.svg", "decay.svg")}
+    for name in figures:
+        (out / name).unlink()
+    driver.replot(str(out))
+    assert {name: (out / name).read_bytes() for name in figures} == figures
+
+
+def test_a_run_reads_s_once_per_row(tmp_path, monkeypatch):
+    # post-processing evaluates s(tau) once per row; the other five calls are
+    # the extrinsic_bound_samples
+    calls, s_of_tau = [], geometry.ScaleProfile.s_of_tau
+
+    def counted(self, tau):
+        calls.append(tau)
+        return s_of_tau(self, tau)
+
+    cfg = _lapse2_config(tmp_path, plot="false")
+    monkeypatch.setattr(geometry.ScaleProfile, "s_of_tau", counted)
+    summary = driver.run_experiment(cfg, quiet=True)
+    assert "error" not in summary["decay"]
+    assert len(calls) == len(driver.read_csv(str(tmp_path / "lapse2" / "energy.csv"))["tau"]) + 5
+
+
+def test_snapshot_steps_are_report_steps(tmp_path):
+    # four snapshots over six steps are steps 0, 2, 4 and 6; step 2 is off the
+    # report_every = 4 cadence, and is saved and reported all the same
+    raw = driver.preset_config("desitter_u1_small").as_dict()
+    raw["grid"]["n"] = "12"
+    raw["background"]["tau_end_fraction"] = "0.2"
+    raw["numerics"]["report_every"] = "4"
+    raw["outputs"] = {"directory": str(tmp_path / "snap"), "plot": "false", "snapshots": "4"}
+    cfg = driver.validate_config(raw)
+    assert driver.run_experiment(cfg, quiet=True)["n_steps"] == 6
+    out = tmp_path / "snap"
+    snaps = sorted(out.glob("snapshot_*.ymt"))
+    assert [p.name for p in snaps] == ["snapshot_%05d.ymt" % m for m in (0, 2, 4, 6)]
+    taus = [lattice.load_state(p, driver.build_model(cfg)).tau for p in snaps]
+    for name in ("energy.csv", "constraints.csv"):
+        assert driver.read_csv(str(out / name))["tau"].tolist() == taus, name
+
+
+def test_post_process_monitors_the_rows():
+    # each constraint's initial and maximum norm, the drift of the last row,
+    # and decay.json's error form for a run too short to fit
+    reports = [constraints.ConstraintReport(0.1 * m, 1e-12, 1e-12, 1e-8 * (1 + m), 1e-10, 0.0,
+                                            0.0, 0.0, 1e-9 * m, 0.0) for m in range(5)]
+    levels = {kk: 1e-5 for kk in (0, 1, 2)}
+    sup = dict.fromkeys(("eta", "E", "B", "phi", "psi"), 1e-2)
+    rows = [energy.EnergyReport(r.tau, 2, levels, levels, levels, 3e-5, 4e-5, sup)
+            for r in reports]
+    bg = geometry.static_flat(geometry.ScaleProfile("desitter"))
+    post = driver.post_process(rows, reports, bg)
+    assert post["constraint_initial"] == {"curvature": 1e-12, "bianchi": 1e-12, "gauss": 1e-8,
+                                          "dirac": 1e-10}
+    assert post["constraint_max"]["gauss"] == 5e-8 and post["constraint_max"]["curvature"] == 1e-12
+    assert post["terminal_drift"] == {"tau": reports[-1].tau, "curvature": 0.0, "bianchi": 0.0,
+                                      "gauss": reports[-1].drift_gauss, "dirac": 0.0}
+    assert post["energy_monitor"]["initial"] == 3e-5 and post["energy_monitor"]["bounded"]
+    assert post["decay"] == {"error": "decay_fit needs >= 10 samples in the window"}
 
 
 @pytest.mark.parametrize("keys, profile", [
