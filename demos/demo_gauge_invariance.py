@@ -12,11 +12,12 @@ from ymtorus import driver, lattice
 cfg = driver.preset_config("gauge_invariance")
 grid, model, bg, couplings = driver.build_run(cfg)
 u0, _ = driver.prepare_initial_state(cfg, grid, model, bg, couplings,
-                                     k=int(cfg["numerics", "energy_k"]))
+                                     k=cfg.value("numerics", "energy_k"))
 
 gt = lattice.GaugeTransform.random_smooth(
-    grid, model, seed=int(cfg["gauge_experiment", "seed"]),
-    amplitude=float(cfg["gauge_experiment", "amplitude"]), cutoff=1)
+    grid, model, seed=cfg.value("gauge_experiment", "seed"),
+    amplitude=cfg.value("gauge_experiment", "amplitude"),
+    cutoff=cfg.value("gauge_experiment", "cutoff"))
 print("gauge transform: random smooth su(2) field, unitarity defect %.2e"
       % lattice.unitarity_defect(gt.matrices(model.lie.defining)))
 

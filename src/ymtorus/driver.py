@@ -283,16 +283,17 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
     Iterates the rescale (at most six passes) because the derived sectors and
     the Gauss projection are nonlinear in the free data; converges in a couple
     of passes at small amplitude, and in one on zero data (no CG iteration,
-    energy 0).  Each pass reads one lattice.Connection and
-    evaluates only what the k-th total energy reads, first in two blocks
-    (parallel.split): Q, Z and the Gauss solve, which writes only E, beside
-    S, psidot and the matter norms (energy.matter_norms), which read none of
-    E, Q and Z; then the gauge rows of the rhs (dynamics.gauge_rhs) and
-    energy.total_energy.  The returned state is the last one measured, so
+    energy 0).  Each pass reads one lattice.Connection and one energy.Norms
+    and evaluates only what the k-th total energy and the report of the state
+    read, first in two blocks (parallel.split): Q, Z and the Gauss solve,
+    which writes only E, beside S, psidot and the Higgs and Dirac entries,
+    which read none of E, Q and Z; then the gauge rows of the rhs
+    (dynamics.gauge_rhs) and the Yang-Mills entries (Norms.blocks, one
+    parallel.balance).  The returned state is the last one measured, so
     info["energy"] is its energy; info["converged"] says whether that is
     amplitude**2 within 1e-10 + 1e-9 amplitude**2.  A dict `measured` is
-    left holding the H^l table of the last pass (see energy.total_energy),
-    which the report of the returned state can read.  Returns (state, info).
+    left holding the H^l table of the last pass (Norms' `table`), which the
+    report of the returned state reads.  Returns (state, info).
     """
     amplitude = cfg.value("initial", "amplitude")
     u = lattice.random_state(grid, model, cfg.value("initial", "seed"), amplitude,
@@ -306,18 +307,21 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
                 buf *= np.sqrt(target / e)
         table.clear()
         conn = lattice.Connection(u.eta, model)
+        norms = energy.Norms(u, du, bg, k, table, conn)
 
         def gauss():
             constraints.complete_Q_Z(u, bg, conn)
             return constraints.solve_gauss_initial(u, bg, cfg.value("numerics", "cg_tol"), conn)
 
-        def matter():
+        def matter():  # in the worker, where a split raises: the entries fill lazily
             constraints.complete_S_psidot(u, bg, conn)
-            energy.matter_norms(u, bg, k, table, conn)
+            norms.energy("higgs", norms.top)
+            norms.energy("dirac", norms.top)
 
         info["gauss"], _ = parallel.split(grid, gauss, matter)
         dynamics.gauge_rhs(u, bg.frame(u.tau), couplings, du, conn=conn)
-        e = info["energy"] = energy.total_energy(u, du, bg, k=k, table=table, conn=conn)
+        parallel.balance(grid, norms.blocks(("omega",)))
+        e = info["energy"] = norms.total()
         info["converged"] = abs(e - target) <= 1e-10 + 1e-9 * target
         if info["converged"]:
             break
@@ -329,7 +333,7 @@ def prepare_initial_state(cfg, grid, model, bg, couplings, k=2, measured=None):
 # ---------------------------------------------------------------------------
 
 # Report blocks' costs per state element (four per complex one) in units of
-# energy._Norms.compute, 4.5-4.8 ns on su2_toy, bianchi1, n = 32, one core: there the
+# energy.Norms.blocks, 4.5-4.8 ns on su2_toy, bianchi1, n = 32, one core: there the
 # constraint fields, constraint_report and drift took 53 ms, a snapshot 39-42 ms.
 CONSTRAINT_COST, SNAPSHOT_COST = 1.15, 0.9
 
@@ -357,7 +361,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
     def report(m, state, du):
         """Rows for a reported step (every report_every-th, the last and each
         snapshot step); du is rhs(state), which evolve evaluated.  One
-        parallel.balance runs the norms, constraints and snapshot write."""
+        parallel.balance runs the missing H^l entries (energy.Norms.blocks),
+        the constraints and the snapshot write; energy_report then sums."""
         if m % cfg.value("numerics", "report_every") and m != n_steps and m not in snap_steps:
             return
         conn, rows = lattice.Connection(state.eta, model), {}
@@ -377,11 +382,12 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             except Exception as err:  # raised below, after the rows
                 rows["error"] = err
 
+        norms = energy.Norms(state, du, bg, k, measured if m == 0 else None, conn)
         blocks = [(CONSTRAINT_COST * size, constraint_block)]
         if m in snap_steps:
             blocks.append((SNAPSHOT_COST * size, snapshot_block))
-        erep = energy.energy_report(state, du, bg, k=k, measured=measured if m == 0 else None,
-                                    conn=conn, blocks=blocks)
+        parallel.balance(grid, norms.blocks(("omega", "reference")) + blocks)
+        erep = energy.energy_report(norms)
         energy_rows.append(erep)
         constraint_rows.append(rows["constraints"])
         record["last_reported_step"] = m
@@ -417,7 +423,8 @@ def run_experiment(cfg, out_dir=None, quiet=True):
             gauge_experiment = {"kind": "static", **{key: res[key] for key in (
                 "worst_relative_mismatch", "unitarity_defect")}}
         elif exp_kind == "automorphism":
-            gauge_experiment = {"kind": "automorphism", **run_automorphism_check(cfg)}
+            gauge_experiment = {"kind": "automorphism",
+                                **run_automorphism_check(cfg, grid, model, bg)}
         record.update(
             gauge_experiment=gauge_experiment,
             grid={"n": grid.n, "L": grid.L, "order": grid.order, "dx": grid.dx},
@@ -567,8 +574,8 @@ def run_gauge_invariance(cfg, u0, bg, couplings):
     series = []  # per run: (tau, sector energies) of every state
 
     def record(m, state, du):
-        series[-1].append((state.tau, [energy.sector_energy(state, sector, k, du, bg)
-                                       for sector in sectors]))
+        norms = energy.Norms(state, du, bg, k)
+        series[-1].append((state.tau, [norms.energy(sector, k) for sector in sectors]))
 
     for start in (u0, ug):
         series.append([])
@@ -581,10 +588,10 @@ def run_gauge_invariance(cfg, u0, bg, couplings):
             "unitarity_defect": defect}
 
 
-def run_automorphism_check(cfg):
+def run_automorphism_check(cfg, grid, model, bg):
     """Build the bundle automorphism for a prescribed smooth temporal
-    coefficient and verify its defining property and unitarity."""
-    grid, model, bg, _ = build_run(cfg)
+    coefficient on the run's grid, model and background, and verify its
+    defining property and unitarity."""
     amp = cfg.value("gauge_experiment", "alpha_amplitude")
     n_steps = cfg.value("gauge_experiment", "alpha_steps")
     tau_end = cfg.value("background", "tau_end_fraction") * bg.T

@@ -27,7 +27,6 @@ from .errors import InputError
 from .geometry import UNIT
 from .lattice import (Connection, covariant_diff, covariant_diff_sq_norm, drops_connection,
                       fourier_sobolev_norms, sq_norm)
-from .parallel import balance
 
 
 def sobolev_norms(fld, k, conn, grid, kind="higgs", frame=UNIT, weight=1.0):
@@ -74,20 +73,20 @@ SECTOR_TERMS = {
 SECTOR_KIND = {"yangmills": "adjoint", "higgs": "higgs", "dirac": "spinor"}
 
 
-class _Norms:
-    """Sector energies of one state from the H^l norms (l <= top) of its fields.
+class Norms:
+    """Sector energies of one state from the H^l norms (l <= max(2, k)) of its fields.
 
     An entry, keyed (connection acts, source, field), holds [H^0, H^1, ...]
     of one field; where a connection acts by zero it is the reference entry.
-    compute() fills every entry that the energies on some connections read,
-    in two threads on large grids, which share one lattice.Connection `conn`
-    of u.eta (built if None); energy() fills a missing entry lazily.
+    blocks() lists the missing entries that the energies on some connections
+    read, for the caller's parallel.balance; energy() fills a missing entry
+    lazily.  Both read one lattice.Connection `conn` of u.eta (built if None).
     `table` is the dict the entries go into (a new one if None); it may
     already hold entries of this state at this top.
     """
 
-    def __init__(self, u, rhs_state, bg, top, table=None, conn=None):
-        self.u, self.rhs_state, self.top = u, rhs_state, top
+    def __init__(self, u, rhs_state, bg, k, table=None, conn=None):
+        self.u, self.rhs_state, self.k, self.top = u, rhs_state, k, max(2, k)
         self.frame, self.w = frame_at(u, bg), volume_weight(u, bg)
         self.conn = conn or Connection(u.eta, u.model)
         self.table = {} if table is None else table  # key -> [H^0, H^1, ...]
@@ -107,15 +106,15 @@ class _Norms:
                              self.top + shift, self.conn if acts else None, u.grid, kind,
                              self.frame, self.w)
 
-    def compute(self, connections, blocks=()):
-        """Fill every missing entry that the energies on `connections` read.
+    def blocks(self, connections):
+        """A (cost, fill) pair of parallel.balance for each missing entry that
+        the energies on `connections` read; fill() puts the entry in the table.
 
-        Each entry is a block of parallel.balance, beside the caller's `blocks`
-        ((cost, callable) pairs; results dropped).  Its estimated cost is the
-        field's real multiplications per product (four per complex element,
-        one per real element) times sum_{l <= levels} 3^l, the sizes of the
-        chain's levels; a Fourier sum counts one field.  Each entry is the
-        same sobolev_norms call as lazily, so no bit changes.
+        The estimated cost is the field's real multiplications per product
+        (four per complex element, one per real element) times
+        sum_{l <= levels} 3^l, the sizes of the chain's levels; a Fourier sum
+        counts one field.  Each fill is the same sobolev_norms call as
+        energy()'s, so no bit changes.
         """
         todo = {key: (kind, shift) for connection in connections for sector in SECTOR_TERMS
                 for key, kind, shift in self._terms(sector, connection)
@@ -123,13 +122,24 @@ class _Norms:
 
         def entry(key):  # an rhs field has the shape and dtype of the state's
             fld, levels = getattr(self.u, key[2]), self.top + todo[key][1]
-            return (fld.size * (4 if np.iscomplexobj(fld) else 1)
-                    * ((3 ** (levels + 1) - 1) // 2 if key[0] else 1),
-                    lambda: self._norms(key, *todo[key]))
 
-        self.table.update(zip(todo, balance(self.u.grid, [*map(entry, todo), *blocks])))
+            def fill():
+                self.table[key] = self._norms(key, *todo[key])
+
+            return (fld.size * (4 if np.iscomplexobj(fld) else 1)
+                    * ((3 ** (levels + 1) - 1) // 2 if key[0] else 1), fill)
+
+        return [entry(key) for key in todo]
 
     def energy(self, sector, k, connection="omega"):
+        """k-th energy (0 <= k <= max(2, self.k)) of one sector of "yangmills",
+        "higgs" and "dirac"; connection="reference" drops the eta terms from
+        the covariant stencil.  The Yang-Mills energy at k >= 1 reads the rhs
+        evaluation's E and Q."""
+        if sector not in SECTOR_TERMS:
+            raise InputError("unknown sector %r" % sector)
+        if not 0 <= k <= self.top:
+            raise InputError("energy k = %d outside 0..%d" % (k, self.top))
         total = 0.0
         for key, kind, shift in self._terms(sector, connection):
             if k + shift >= 0:
@@ -138,21 +148,9 @@ class _Norms:
                 total += self.table[key][k + shift]
         return total
 
-    def total(self, k):
-        return self.energy("yangmills", k) + self.energy("higgs", k) + self.energy("dirac", k)
-
-
-def sector_energy(u, sector, k, rhs_state=None, bg=None, connection="omega"):
-    """k-th total energy of one sector of the state.
-
-    sector in {"higgs", "yangmills", "dirac"}.  The Yang-Mills entry needs
-    rhs_state (an rhs evaluation at u) for the temporal derivatives of E and
-    Q; connection="reference" drops the eta terms from the covariant stencil
-    (the modified energy used alongside the evolved-connection one).
-    """
-    if sector not in SECTOR_TERMS:
-        raise InputError("unknown sector %r" % sector)
-    return _Norms(u, rhs_state, bg, k).energy(sector, k, connection)
+    def total(self):
+        """The headline total: the three sector energies at k."""
+        return sum(self.energy(sector, self.k) for sector in SECTOR_TERMS)
 
 
 def sup_norms(u):
@@ -193,49 +191,19 @@ class EnergyReport:
         return row
 
 
-def matter_norms(u, bg, k, table, conn):
-    """Fill `table` with the H^l norms (top k) of phidot, phi, psidot and psi
-    that the k-th total reads, in the calling thread (set-up runs it in the
-    worker, where a split raises), on u.eta's lattice.Connection `conn`."""
-    norms = _Norms(u, None, bg, k, table, conn)
-    norms.energy("higgs", k)
-    norms.energy("dirac", k)
-
-
-def total_energy(u, rhs_state, bg=None, k=2, table=None, conn=None):
-    """EnergyReport.total alone; of rhs_state it reads only E and Q.
-
-    A dict `table` may hold norms of u at top k already (matter_norms'),
-    which are read, not recomputed, and is left holding every norm the total
-    read, floats keyed (connection acts, source, field), which
-    energy_report(u, rhs(u), bg, k, measured=table) reads instead of
-    recomputing them while u is unchanged.  `conn` is u.eta's
-    lattice.Connection (built if None)."""
-    norms = _Norms(u, rhs_state, bg, k, table, conn)
-    norms.compute(("omega",))
-    return norms.total(k)
-
-
-def energy_report(u, rhs_state, bg=None, k=2, measured=None, conn=None, blocks=()):
-    """Sector energies for k = 0, 1, 2 and k, the headline total at k (as in
-    total_energy) and the reference-connection variant (adds ||eta||^2_{H^k}).
-
-    Every field's norms are computed once per connection, up to the largest
-    k, before any energy is summed (_Norms.compute, with `blocks`, on u.eta's
-    Connection `conn`), and every energy is summed from its per-level sums.
-    `measured` is a table that total_energy(u, ..., k, table=) left on this
-    same state; its entries are read, not recomputed, where its top k is the
-    report's (k >= 2)."""
+def energy_report(norms):
+    """Sector energies for k = 0, 1, 2 and k (norms.k), the headline total at
+    k (Norms.total) and the reference-connection variant (adds
+    ||eta||^2_{H^k}), summed from the per-level sums of the Norms' entries;
+    the missing ones are filled lazily (a caller that runs
+    norms.blocks(("omega", "reference")) first finds them all)."""
+    u, k = norms.u, norms.k
     k_list = sorted({0, 1, 2, k})
-    top = max(k_list)
-    norms = _Norms(u, rhs_state, bg, top, dict(measured) if measured and top == k else None, conn)
-    norms.compute(("omega", "reference"), blocks)
     ym, hg, dr = ({kk: norms.energy(sector, kk) for kk in k_list} for sector in SECTOR_TERMS)
-    total = norms.total(k)
     ref = (sum(norms.energy(sector, k, "reference") for sector in SECTOR_TERMS)
            + sobolev_norm(u.eta, k, None, u.grid, "adjoint", norms.frame, norms.w))
     return EnergyReport(tau=u.tau, k=k, yangmills=ym, higgs=hg, dirac=dr,
-                        total=total, reference_total=ref, sup=sup_norms(u))
+                        total=norms.total(), reference_total=ref, sup=sup_norms(u))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class ScaleProfile:
             self.s0 = float(params.get("s0", 1.0))
             self.t0 = float(params.get("t0", 1.0))
             self.p = float(params.get("p", 2.0))
-            if self.p <= 1:
-                raise InputError("power profile needs exponent p > 1")
+            if self.s0 <= 0 or self.t0 <= 0 or self.p <= 1:
+                raise InputError("power profile needs s0, t0 > 0 and exponent p > 1")
         elif kind == "table":
             t = np.asarray(params["t"], dtype=float)
             s = np.asarray(params["s"], dtype=float)

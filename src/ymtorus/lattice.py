@@ -371,9 +371,12 @@ def _band_limited(rng, grid, shape, cutoff, complex_field):
 
     Coefficients are drawn in a fixed signed-mode order and attached to the
     continuum modes exp(i k.x), so a given seed produces the same smooth
-    field at every resolution (only sampled on a finer grid).
+    field at every resolution (only sampled on a finer grid).  A cutoff of
+    at least n/2 is an InputError: mode +cutoff would overwrite mode -cutoff.
     """
     n = grid.n
+    if 2 * cutoff >= n:
+        raise InputError("cutoff %d needs a grid of more than %d points" % (cutoff, 2 * cutoff))
     spectrum = np.zeros(shape + grid.shape, dtype=complex)
     mode_scale = 1.0 / (2 * cutoff + 1) ** 1.5
     for ka in range(-cutoff, cutoff + 1):

@@ -8,9 +8,10 @@ interpreter lock inside its array loops, so the pieces overlap in two
 threads.  dynamics.step splits each RK4 update into halves of the sector
 buffers this way, and dynamics.rhs its row blocks while the Dirac triple is
 live (without it rhs is one block), the blocks sharing chi*(E_k) psi through
-once.  balance runs the H^l norms of energy._Norms.compute and a report's
-constraint and snapshot blocks as two lists of about equal cost, each
-set-up pass of prepare_initial_state its Gauss solve beside the matter work
+once.  balance runs blocks as two lists of about equal cost: the driver's
+report the missing H^l entries of its energy.Norms (Norms.blocks) beside its
+constraint and snapshot blocks, each set-up pass of prepare_initial_state the
+Yang-Mills entries, after a split of its Gauss solve beside the matter work
 that does not read E.  No piece splits again: a split called in the worker
 raises (it would wait).
 

@@ -154,7 +154,8 @@ def test_criterion_6_gauge_invariance_of_energy():
 
 def test_criterion_7_automorphism_construction():
     cfg = driver.preset_config("automorphism_check")
-    diag = driver.run_automorphism_check(cfg)
+    grid, model, bg, _ = driver.build_run(cfg)
+    diag = driver.run_automorphism_check(cfg, grid, model, bg)
     ok = diag["alpha_defect"] <= 1e-6 and diag["unitarity_defect"] <= 1e-10
     _report(7, ok, "temporal-coefficient defect %.2e (tol 1e-6), unitarity %.2e (tol 1e-10)"
             % (diag["alpha_defect"], diag["unitarity_defect"]))

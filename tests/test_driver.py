@@ -426,6 +426,26 @@ def test_static_gauge_experiment_prepares_the_state_once(tmp_path, monkeypatch):
     assert summary["gauge_experiment"]["worst_relative_mismatch"] == fresh
 
 
+def test_automorphism_experiment_builds_the_run_once(tmp_path, monkeypatch):
+    raw = driver.preset_config("automorphism_check").as_dict()
+    raw["background"]["tau_end_fraction"] = "0.05"
+    raw["gauge_experiment"]["alpha_steps"] = "8"
+    raw["outputs"] = {"directory": str(tmp_path / "aut"), "plot": "false", "snapshots": "0"}
+    cfg = driver.validate_config(raw)
+    build, builds = driver.build_run, []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "build_run", counting)
+    summary = driver.run_experiment(cfg, quiet=True)
+    assert len(builds) == 1  # the check reads the run's grid, model and background
+    grid, model, bg, _ = build(cfg)
+    assert summary["gauge_experiment"] == {"kind": "automorphism",
+                                           **driver.run_automorphism_check(cfg, grid, model, bg)}
+
+
 def test_gauge_experiment_cutoff_bounded_by_grid():
     text = ("[grid]\nn = 8\n[initial]\ncutoff = 1\n"
             "[gauge_experiment]\nkind = static\nseed = x\ncutoff = %d\n")

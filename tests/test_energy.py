@@ -36,19 +36,48 @@ def test_sector_energy_zero_and_dirac_k0(su2_model, flat_bg):
     grid = lattice.Grid(8)
     u = lattice.FieldState.zeros(grid, su2_model)
     du = dynamics.rhs(u, flat_bg, dynamics.Couplings(su2_model, 1.0))
+    norms = energy.Norms(u, du, flat_bg, 2)
     for sector in ("higgs", "yangmills", "dirac"):
-        assert energy.sector_energy(u, sector, 2, du, flat_bg) == 0.0
+        assert norms.energy(sector, 2) == 0.0
     u = make_state(grid, su2_model, flat_bg, seed=1, amplitude=0.2)
-    val = energy.sector_energy(u, "dirac", 0, None, flat_bg)
+    val = energy.Norms(u, None, flat_bg, 0).energy("dirac", 0)
     expect = np.sum(np.abs(u.psi) ** 2) * flat_bg.frame(0.0).sqrt_g * grid.cell_volume
     assert abs(val - expect) < 1e-12 * expect
+
+
+def test_norms_reject_an_unknown_sector_and_a_missing_rhs(su2_model, flat_bg):
+    u = make_state(lattice.Grid(8), su2_model, flat_bg, seed=1, amplitude=0.2)
+    norms = energy.Norms(u, None, flat_bg, 2)
+    with pytest.raises(energy.InputError, match="unknown sector"):
+        norms.energy("maxwell", 2)
+    with pytest.raises(energy.InputError, match="needs an rhs evaluation"):
+        norms.energy("yangmills", 1)
+    for k in (-1, 3):  # the entries hold H^0..H^2
+        with pytest.raises(energy.InputError, match="outside 0..2"):
+            norms.energy("higgs", k)
+    assert norms.energy("yangmills", 0) > 0.0  # k = 0 reads the state alone
+
+
+def test_blocks_fill_the_entries_the_report_reads(su2_model, flat_bg):
+    u = make_state(lattice.Grid(8), su2_model, flat_bg, seed=2, amplitude=0.1)
+    du = dynamics.rhs(u, flat_bg, dynamics.Couplings(su2_model, 1.0))
+    norms = energy.Norms(u, du, flat_bg, 3)
+    blocks = norms.blocks(("omega", "reference"))
+    assert all(cost > 0 for cost, _ in blocks)
+    for _, fill in blocks:
+        assert fill() is None
+    assert norms.blocks(("omega", "reference")) == []
+    filled = dict(norms.table)
+    lazy = energy.energy_report(energy.Norms(u, du, flat_bg, 3))
+    assert energy.energy_report(norms).as_row() == lazy.as_row()
+    assert norms.table == filled  # the report read every entry from the blocks
 
 
 def test_energy_report_totals(su2_model, flat_bg):
     grid = lattice.Grid(8)
     u = make_state(grid, su2_model, flat_bg, seed=2, amplitude=0.1)
     du = dynamics.rhs(u, flat_bg, dynamics.Couplings(su2_model, 1.0))
-    rep = energy.energy_report(u, du, flat_bg, k=2)
+    rep = energy.energy_report(energy.Norms(u, du, flat_bg, 2))
     assert rep.total == rep.yangmills[2] + rep.higgs[2] + rep.dirac[2]
     assert rep.total > 0 and rep.reference_total > 0
     assert set(rep.sup) == {"eta", "E", "B", "phi", "psi"}
@@ -58,7 +87,7 @@ def test_energy_report_totals(su2_model, flat_bg):
     v.phidot[:] = 0
     v.Z[:] = 0
     dv = dynamics.rhs(v, flat_bg, dynamics.Couplings(su2_model, 1.0))
-    rep2 = energy.energy_report(v, dv, flat_bg, k=2)
+    rep2 = energy.energy_report(energy.Norms(v, dv, flat_bg, 2))
     assert rep2.total <= rep.total
 
 
@@ -72,9 +101,10 @@ def test_energy_gauge_invariance_stencil_order(su2_model, flat_bg):
         ug = lattice.apply_gauge(u, gt)
         worst = 0.0
         du, dug = dynamics.rhs(u, flat_bg, coup), dynamics.rhs(ug, flat_bg, coup)
+        norms, gauged = energy.Norms(u, du, flat_bg, 2), energy.Norms(ug, dug, flat_bg, 2)
         for sector in ("yangmills", "higgs", "dirac"):
-            ea = energy.sector_energy(u, sector, 2, du, flat_bg)
-            eb = energy.sector_energy(ug, sector, 2, dug, flat_bg)
+            ea = norms.energy(sector, 2)
+            eb = gauged.energy(sector, 2)
             worst = max(worst, abs(ea - eb) / ea)
         errs[n] = worst
     assert np.log2(errs[12] / errs[24]) > 3.0
@@ -122,5 +152,5 @@ def test_reference_energy_includes_eta(su2_model, flat_bg):
     rng = np.random.default_rng(6)
     u.eta[:] = 0.1 * rng.standard_normal(u.eta.shape)
     du = dynamics.rhs(u, flat_bg, dynamics.Couplings(su2_model, 1.0))
-    rep = energy.energy_report(u, du, flat_bg, k=2)
+    rep = energy.energy_report(energy.Norms(u, du, flat_bg, 2))
     assert rep.reference_total > 0.0  # ||eta||^2 contributes

@@ -294,7 +294,7 @@ def test_each_evaluation_builds_the_adjoint_components_once(monkeypatch):
     monkeypatch.setattr(algebra.FiberTerms, "build", counting_build)
     for evaluate in (lambda: dynamics.rhs(u, bg, coup),
                      lambda: constraints.solve_gauss_initial(u, bg),
-                     lambda: energy.energy_report(u, du, bg)):
+                     lambda: energy.energy_report(energy.Norms(u, du, bg, 2))):
         built.clear()
         evaluate()
         assert built == [[0], [1], [2]]

@@ -38,6 +38,13 @@ def test_time_map_roundtrip_and_closed_forms():
         assert abs(q.t_of_tau(q.tau_of_t(t)) - t) < 1e-8
 
 
+@pytest.mark.parametrize("params", [{"s0": -1.0}, {"s0": 0.0}, {"t0": 0.0}, {"t0": -2.0},
+                                    {"p": 1.0}])
+def test_power_profile_rejects_nonpositive_parameters(params):
+    with pytest.raises(geometry.InputError, match="power profile needs"):
+        geometry.ScaleProfile("power", **params)
+
+
 def test_table_profile():
     t = np.linspace(0, 12, 200)
     s = np.cosh(t)

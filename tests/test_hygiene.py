@@ -9,7 +9,8 @@ method of the package that no code of the repository loads by name (or
 that the benchmark's tracer names in a string), a config key of
 driver.SCHEMA that the package never reads, and a float(), int() or
 .split() applied to a config read in the package: the schema is the one
-place where config text becomes values.  A definition that only tests
+place where config text becomes values.  Only driver and dynamics import
+parallel: they run the blocks that the other modules list.  A definition that only tests
 load is listed in TEST_ONLY with the criterion or paper identity it checks.
 An optional parameter of the package that no call outside the tests sets is
 listed in TEST_KNOBS with the criterion it serves; any other is a constant.
@@ -211,6 +212,36 @@ def test_every_tracer_target_is_a_package_function():
     assert dynamics.diff is lattice.diff and constraints.gamma_apply is clifford.gamma_apply
 
 
+def parallel_importers(package=PACKAGE):
+    """Stems of the modules of `package` that import parallel or a name from it."""
+    found = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module or "", alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("parallel" in name.split(".") for name in names):
+                found.append(path.stem)
+    return sorted(set(found))
+
+
+def test_parallel_scan_sees_every_import_form(tmp_path):
+    lines = ["from . import lattice, parallel", "from .parallel import balance",
+             "import ymtorus.parallel", "from ymtorus import parallel as par",
+             "from . import lattice", "import concurrent.futures"]
+    for i, line in enumerate(lines):
+        (tmp_path / ("m%d.py" % i)).write_text(line + "\n")
+    assert parallel_importers(sorted(tmp_path.glob("*.py"))) == ["m0", "m1", "m2", "m3"]
+
+
+def test_only_the_driver_and_dynamics_schedule_threads():
+    # every other evaluation lists its work as blocks that these two balance
+    assert parallel_importers() == ["driver", "dynamics"]
+
+
 def signatures(package=PACKAGE):
     """(called name, where, positional names, optional names) of every
     module-level function and method of the package, where =
@@ -275,7 +306,6 @@ TEST_KNOBS = {
     "conformal.conformal_residual_check.phi_weight": "C9",  # the wrong-weight control
     "conformal.conformal_residual_check.seed": "C9",
     "constraints.operator_symmetry_defect.bg": "C3",
-    "energy.sector_energy.connection": "C4",  # the reference-connection energy
 }
 
 

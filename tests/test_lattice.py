@@ -132,6 +132,19 @@ def test_random_state_contract(su2_model, flat_bg):
     assert np.abs(off).max() == 0.0
 
 
+def test_band_limit_below_the_nyquist_mode(su2_model):
+    # the same continuum field at every resolution, up to cutoff n/2 - 1
+    coarse, fine = (lattice.GaugeTransform.random_smooth(lattice.Grid(n), su2_model, seed=3,
+                                                         amplitude=0.1, cutoff=3).xi
+                    for n in (8, 16))
+    assert np.abs(coarse - fine[:, ::2, ::2, ::2]).max() < 1e-14
+    with pytest.raises(lattice.InputError, match="cutoff 4"):  # mode +4 is mode -4 at n = 8
+        lattice.GaugeTransform.random_smooth(lattice.Grid(8), su2_model, seed=3,
+                                             amplitude=0.1, cutoff=4)
+    with pytest.raises(lattice.InputError, match="cutoff 4"):
+        lattice.random_state(lattice.Grid(8), su2_model, 1, 0.1, cutoff=4)
+
+
 def test_apply_gauge_invariants(su2_model, flat_bg):
     grid = lattice.Grid(8)
     u = make_state(grid, su2_model, flat_bg, seed=6, amplitude=0.3)

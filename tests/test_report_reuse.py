@@ -152,7 +152,8 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
     u.tau = 0.3
     assert np.any(bianchi_bg.frame(u.tau).II)  # the spinor spin-connection term runs
     du = dynamics.rhs(u, bianchi_bg, dynamics.Couplings(model, lam=1.0))
-    rep = energy.energy_report(u, du, bianchi_bg, k=2)
+    norms = energy.Norms(u, du, bianchi_bg, 2)
+    rep = energy.energy_report(norms)
     sectors = {"yangmills": rep.yangmills, "higgs": rep.higgs, "dirac": rep.dirac}
     for sector, values in sectors.items():
         for kk in (0, 1, 2):
@@ -169,7 +170,7 @@ def test_energy_report_matches_per_k_norms(name, bianchi_bg):
     for sector in sectors:
         for connection in ("omega", "reference"):
             assert matches_per_k(
-                energy.sector_energy(u, sector, 2, du, bianchi_bg, connection),
+                norms.energy(sector, 2, connection),
                 per_k_sector_energy(u, sector, 2, du, bianchi_bg, connection),
                 model, sector, connection)
 
@@ -316,8 +317,8 @@ def test_first_report_reads_the_set_up_norms(tmp_path, monkeypatch, energy_k):
     monkeypatch.setattr(energy, "energy_report", marking_report)
     driver.run_experiment(small_run_config(tmp_path, energy_k))
     assert walked["set-up"] > 0 and walked["later"] > 0
-    # with energy_k = 1 the report's top (2) is not set-up's (1): nothing is reused
-    assert (walked["first report"] == 0) == (energy_k >= 2)
+    # set-up measures at the report's top, max(2, energy_k): every chain is reused
+    assert walked["first report"] == 0
 
 
 @pytest.mark.parametrize("energy_k", [1, 2, 3])
@@ -326,7 +327,8 @@ def test_first_row_is_a_fresh_report(tmp_path, energy_k):
     driver.run_experiment(cfg)
     grid, model, bg, coup = driver.build_run(cfg)
     u, _ = driver.prepare_initial_state(cfg, grid, model, bg, coup, k=energy_k)
-    fresh = energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=energy_k).as_row()
+    fresh = energy.energy_report(energy.Norms(u, dynamics.rhs(u, bg, coup), bg,
+                                              energy_k)).as_row()
     header, first, last = (tmp_path / "energy.csv").read_text().splitlines()  # steps 0 and 4
     assert header.split(",") == list(fresh)
     assert first == ",".join(driver._fmt(x) for x in fresh.values())  # "%.17g": every bit

@@ -41,8 +41,8 @@ def test_set_up_total_is_the_reported_total(name, bg_name, k):
     u, bg, coup = state(name, bg_name, 23)
     du = FieldState.zeros(u.grid, u.model)
     dynamics.gauge_rhs(u, bg.frame(u.tau), coup, du)
-    rep = energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=k)
-    assert energy.total_energy(u, du, bg, k=k) == rep.total
+    rep = energy.energy_report(energy.Norms(u, dynamics.rhs(u, bg, coup), bg, k))
+    assert energy.Norms(u, du, bg, k).total() == rep.total
     assert rep.total == rep.yangmills[k] + rep.higgs[k] + rep.dirac[k]
     assert sorted(rep.yangmills) == sorted({0, 1, 2, k})
 
@@ -64,7 +64,7 @@ def test_prepared_state_is_pinned():
     assert digest.hexdigest() == (
         "dd9ba5670e06e6e4e81464a4d4c5ad29ec60cab0905c7c0e0e192b8d2dd38944")
     assert info["converged"] is True
-    assert info["energy"] == energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=2).total
+    assert info["energy"] == energy.energy_report(energy.Norms(u, dynamics.rhs(u, bg, coup), bg, 2)).total
 
 
 def perturbing_gauss_solve(monkeypatch):
@@ -87,7 +87,7 @@ def test_unconverged_set_up_returns_the_measured_state(monkeypatch):
     assert info["converged"] is False
     assert abs(info["energy"] - 1e-4) > 1e-10 + 1e-9 * 1e-4
     # no rescale after the last pass: the state is the one whose energy is recorded
-    assert info["energy"] == energy.energy_report(u, dynamics.rhs(u, bg, coup), bg, k=2).total
+    assert info["energy"] == energy.energy_report(energy.Norms(u, dynamics.rhs(u, bg, coup), bg, 2)).total
 
 
 def test_unconverged_set_up_is_a_warning(tmp_path, monkeypatch):

@@ -227,6 +227,14 @@ def test_run_is_byte_identical_with_one_and_two_threads(tmp_path, monkeypatch):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def balanced_norms(u, du, bg, k, connections):
+    """An energy.Norms whose entries on `connections` ran in one
+    parallel.balance, as the driver runs them."""
+    norms = energy.Norms(u, du, bg, k)
+    parallel.balance(u.grid, norms.blocks(connections))
+    return norms
+
+
 @pytest.mark.parametrize("model_fn", [algebra.u1_toy, algebra.su2_toy, algebra.su3_pure])
 def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
     model = model_fn()
@@ -243,7 +251,9 @@ def test_energies_and_set_up_are_bit_identical_split(monkeypatch, model_fn):
         force_threads(monkeypatch, count)
         measured = {}  # set-up splits each pass into its Gauss and matter blocks
         state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup, measured=measured)
-        results.append((energy.total_energy(u, du, bg), energy.energy_report(u, du, bg).as_row(),
+        results.append((balanced_norms(u, du, bg, 2, ("omega",)).total(),
+                        energy.energy_report(balanced_norms(u, du, bg, 2, ("omega", "reference")))
+                        .as_row(),
                         state, info, measured))
     (e1, row1, s1, i1, m1), (e2, row2, s2, i2, m2) = results
     assert e1 == e2 and row1 == row2 and i1 == i2
@@ -261,21 +271,23 @@ def test_a_failed_gauss_block_is_raised_after_the_matter_block(monkeypatch, coun
         "grid": {"n": "20"}, "gauge": {"model": "su2_toy"},
         "background": {"tau_end_fraction": "0.05"}, "initial": {"amplitude": "0.02"}})
     grid, model, bg, coup = driver.build_run(cfg)
-    solve, norms, done = constraints.solve_gauss_initial, energy.matter_norms, []
+    solve, complete, done = constraints.solve_gauss_initial, constraints.complete_S_psidot, []
 
     def failing(*args, **kwargs):
         raise SolverError("the Gauss block failed")
 
-    def slow_norms(*args, **kwargs):
+    def slow_complete(*args, **kwargs):
         time.sleep(0.2)  # the Gauss block has failed long before
-        norms(*args, **kwargs)
+        complete(*args, **kwargs)
         done.append(threading.current_thread().name)
 
     monkeypatch.setattr(constraints, "solve_gauss_initial", failing)
-    monkeypatch.setattr(energy, "matter_norms", slow_norms)
+    monkeypatch.setattr(constraints, "complete_S_psidot", slow_complete)
+    measured = {}
     with pytest.raises(SolverError, match="the Gauss block failed"):
-        driver.prepare_initial_state(cfg, grid, model, bg, coup)
-    assert len(done) == 1  # the matter block had finished
+        driver.prepare_initial_state(cfg, grid, model, bg, coup, measured=measured)
+    assert len(done) == 1  # the matter block had finished, its H^l entries too
+    assert sorted(name for _, _, name in measured) == ["phi", "phidot", "psi", "psidot"]
     assert done[0].startswith(parallel._WORKER_NAME) == (count == 2)
     monkeypatch.setattr(constraints, "solve_gauss_initial", solve)
     _, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)  # splits again
@@ -301,8 +313,9 @@ def test_gauge_only_states_are_bit_identical_split(monkeypatch, model_fn):
         du = dynamics.rhs(u, bg, coup)
         state, info = driver.prepare_initial_state(cfg, grid, model, bg, coup)
         results.append((du, dynamics.step(u, bg, coup, 1e-3, k1=du), state,
-                        (energy.total_energy(u, du, bg), info["energy"],
-                         energy.energy_report(u, du, bg, k=3).as_row())))
+                        (balanced_norms(u, du, bg, 2, ("omega",)).total(), info["energy"],
+                         energy.energy_report(balanced_norms(u, du, bg, 3,
+                                                             ("omega", "reference"))).as_row())))
     (*states1, values1), (*states2, values2) = results
     assert values1 == values2
     for a, b in zip(states1, states2):
